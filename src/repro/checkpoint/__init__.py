@@ -1,15 +1,20 @@
 """Durable runs: deterministic full-state snapshots of a running simulation.
 
-``repro.checkpoint`` is the durability layer under the sharded runtime
-(:mod:`repro.parallel`): the whole simulation world — engine clock/heap,
-RNG streams, servers and pool cohorts, in-flight flows, scheduler, fault
-injector, facility state — is pickled as one object graph at a window
-barrier (a naturally consistent cut) and written atomically with a schema
-version and a config fingerprint that refuses restore into a mismatched
-scenario.  See DESIGN.md ("Checkpoint format") for the format and the
-barrier-cut consistency argument.
+``repro.checkpoint`` makes one long single-engine run durable: the whole
+simulation world — engine clock/heap, RNG streams, servers and pool
+cohorts, scheduler, workload driver — is pickled as one object graph
+between two events (a naturally consistent cut) and written atomically
+with a schema version and a model fingerprint that refuses restore into a
+run with different parameters.  See DESIGN.md ("Durable runs") for the
+format and the consistency argument.
 """
 
+from repro.checkpoint.durable import (
+    DurabilityOptions,
+    RunInterrupted,
+    load_world,
+    run_durably,
+)
 from repro.checkpoint.format import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
@@ -25,10 +30,14 @@ __all__ = [
     "CHECKPOINT_KIND",
     "CHECKPOINT_VERSION",
     "CheckpointError",
+    "DurabilityOptions",
     "FileLock",
     "LockHeldError",
+    "RunInterrupted",
     "check_restorable",
+    "load_world",
     "read_checkpoint",
+    "run_durably",
     "scenario_fingerprint",
     "try_lock",
     "write_checkpoint",

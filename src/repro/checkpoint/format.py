@@ -2,77 +2,65 @@
 
 A checkpoint file is one JSON header line followed by raw pickle bytes:
 
-* the **header** carries the format ``kind``/``version``, the scenario's
-  config fingerprint, the execution mode (``"inline"`` or ``"sharded"``),
-  the barrier edge and simulated time of the cut, and a blake2b digest +
-  length of the payload — everything needed to refuse a bad restore
-  *before* unpickling anything;
-* the **payload** is the pickled simulation world (engines, servers, RNG
-  streams, in-flight flows, scheduler/facility/fault state) captured at a
-  window barrier, where no boundary message is in flight inside a worker.
+* the **header** carries the format ``kind``/``version``, the experiment
+  name and its model fingerprint, the simulated time of the cut, and a
+  blake2b digest + length of the payload — everything needed to refuse a
+  bad restore *before* unpickling anything;
+* the **payload** is the pickled simulation world (engine heap, servers and
+  pool, scheduler, workload driver, RNG streams) captured between two
+  events, where the world is a consistent cut.
 
 Writes are atomic (tmp file + fsync + ``os.replace`` + directory fsync), so
 a crash mid-checkpoint leaves the previous checkpoint intact — the file on
 disk is always a complete, verified cut.
 
-The config fingerprint hashes the :class:`~repro.parallel.ScenarioSpec`
-through the same :func:`~repro.runner.journal.stable_repr` machinery the
-sweep journal uses, *excluding* the test-only fields (``chaos``, ``audit``,
-``max_windows``): a checkpoint taken under fault-injection chaos must
-restore into the same scenario run without it, and the audit level is a
-verification knob, not part of the simulated world.
+The model fingerprint hashes the experiment's *model* arguments through the
+same :func:`~repro.runner.journal.stable_repr` machinery the sweep journal
+uses.  Callers pass only what shapes the simulated world: the audit level
+and the checkpoint cadence are verification and execution knobs, so a
+checkpoint restores under any of them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 #: First line's ``kind`` field; anything else is not a checkpoint file.
 CHECKPOINT_KIND = "repro-checkpoint"
 
 #: Bump when the envelope or payload schema changes incompatibly; restore
 #: refuses a foreign version rather than mis-deserializing it.
-CHECKPOINT_VERSION = 1
-
-#: Spec fields that do not shape the simulated world (see module docstring).
-_FINGERPRINT_EXCLUDED_FIELDS = ("chaos", "audit", "max_windows")
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written, read, or restored safely."""
 
 
-def scenario_fingerprint(spec: Any) -> str:
-    """Stable identity of the *simulated world* a spec describes.
+def scenario_fingerprint(experiment: str, model: Mapping[str, Any]) -> str:
+    """Stable identity of the *simulated world* an experiment run builds.
 
-    Two specs with the same fingerprint produce bit-identical runs (modulo
-    the excluded verification/test knobs), so restoring a checkpoint into a
-    spec with a different fingerprint would silently compute garbage —
-    :func:`check_restorable` refuses it instead.
+    ``model`` maps the experiment's model arguments (seed, sizes, resolved
+    execution paths) to their values.  Two runs with the same fingerprint are
+    bit-identical, so restoring a checkpoint into a run with a different one
+    would silently compute garbage — :func:`check_restorable` refuses it.
     """
     # Deferred: repro.runner.journal takes this package's FileLock, so a
     # module-level import here would close an import cycle.
     from repro.runner.journal import stable_repr
 
-    fields: Dict[str, Any] = {
-        f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
-    }
-    for name in _FINGERPRINT_EXCLUDED_FIELDS:
-        fields.pop(name, None)
-    payload = f"{type(spec).__qualname__}\x1f{stable_repr(fields)}"
+    payload = f"{experiment}\x1f{stable_repr(dict(model))}"
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def write_checkpoint(path: str, payload: bytes, meta: Dict[str, Any]) -> None:
     """Atomically write ``payload`` with ``meta`` merged into the header.
 
-    The caller provides the run-level metadata (``fingerprint``, ``mode``,
-    ``shards``, ``edge``, ``sim_time``, ``scenario``); this function adds the
-    format fields and the payload digest.  On return the bytes are durable:
+    The caller provides the run-level metadata (``experiment``,
+    ``fingerprint``, ``sim_time``); this function adds the format fields and the payload digest.  On return the bytes are durable:
     the temp file is fsync'd before the rename and the directory after it.
     """
     header = dict(meta)
@@ -153,35 +141,18 @@ def read_checkpoint(path: str) -> Tuple[Dict[str, Any], bytes]:
 
 
 def check_restorable(
-    header: Dict[str, Any], spec: Any, shards: int, path: str
+    header: Dict[str, Any], experiment: str, fingerprint: str, path: str
 ) -> None:
-    """Refuse to restore ``header`` into a mismatched scenario or mode.
+    """Refuse to restore ``header`` into a run with another model.
 
-    The fingerprint check is the safety property — restoring into a
-    different world would not fail loudly on its own, it would just produce
-    wrong numbers.  The mode/shard check exists because inline and sharded
-    payloads have different shapes.
+    Restoring into a different world would not fail loudly on its own, it
+    would just produce wrong numbers; the message names both fingerprints.
     """
-    expected = scenario_fingerprint(spec)
     found = header.get("fingerprint")
-    if found != expected:
+    if found != fingerprint:
         raise CheckpointError(
-            f"checkpoint {path!r} was taken from scenario "
-            f"{header.get('scenario')!r} (fingerprint {found}) but this run is "
-            f"{getattr(spec, 'name', '?')!r} (fingerprint {expected}); "
-            "restore refused — run the checkpointed scenario with identical "
-            "parameters"
-        )
-    mode = "inline" if shards == 1 else "sharded"
-    if header.get("mode") != mode:
-        raise CheckpointError(
-            f"checkpoint {path!r} holds a {header.get('mode')} cut but this "
-            f"run is {mode} (shards={shards}); rerun with --shards "
-            f"{header.get('shards')}"
-        )
-    if mode == "sharded" and header.get("shards") != shards:
-        raise CheckpointError(
-            f"checkpoint {path!r} was taken with --shards {header.get('shards')} "
-            f"but this run asked for --shards {shards}; worker-local engine "
-            "state cannot be re-packed — rerun with the original shard count"
+            f"checkpoint {path!r} was taken from a {header.get('experiment')!r} "
+            f"run with fingerprint {found}, but this {experiment!r} run has "
+            f"fingerprint {fingerprint}; restore refused — rerun with the "
+            "checkpointed run's parameters"
         )

@@ -12,25 +12,19 @@ the paper's figure reports::
     python -m repro validate-server
     python -m repro validate-switch --duration 1800
     python -m repro scalability --servers 20480
-    python -m repro scalability --servers 4096 --shards 4 --partitions 4
+    python -m repro scalability --servers 20480 --checkpoint run.ckpt
     python -m repro faults --mtbfs 120 60 30 --retry-limit 3
     python -m repro bench --quick
 
-``--shards N`` (on ``scalability``, ``joint``, ``faults``, and
-``facility-carbon``) runs the conservative time-window shard engine
-(:mod:`repro.parallel`): the farm is split into ``--partitions`` model
-partitions packed onto ``N`` worker processes, and the merged report is
-bit-identical for every shard count — only wall-clock changes.  The
-``merged ...`` lines it prints are the CI diff surface.
-
-The same four subcommands take the durable-run flags
+``scalability`` (a single run) takes the durable-run flags
 (:mod:`repro.checkpoint`): ``--checkpoint PATH --checkpoint-every T``
-snapshots the whole simulation world atomically every T simulated
-seconds, ``--restore-from PATH`` resumes bit-identically from the last
-barrier cut, and ``--shard-retries N`` self-heals crashed shard workers
-from an in-memory snapshot.  SIGINT/SIGTERM on a durable run cut a final
-checkpoint and exit 130 with the exact resume command; a locked
-checkpoint or journal (another live run) fails fast with exit 2.
+snapshots the run's whole world atomically every T simulated seconds, and
+``--restore-from PATH`` resumes it; the resumed report is bit-identical to
+the plain run's.  SIGINT/SIGTERM on a durable run cut a final checkpoint
+and exit 130 with the resume command; a locked checkpoint or journal
+(another live run) fails fast with exit 2, and so does a checkpoint taken
+with other model parameters.  Sweeps are durable point by point through
+``--journal PATH --resume``.
 
 Every subcommand accepts ``--jobs N`` to evaluate independent sweep points
 on N worker processes (results are bit-identical to ``--jobs 1``; commands
@@ -53,7 +47,12 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.checkpoint import LockHeldError
+from repro.checkpoint import (
+    CheckpointError,
+    DurabilityOptions,
+    LockHeldError,
+    RunInterrupted,
+)
 from repro.runner import SweepInterrupted, SweepOptions
 from repro.experiments import (
     adaptive,
@@ -67,9 +66,6 @@ from repro.experiments import (
     validation_server,
     validation_switch,
 )
-# Safe to import eagerly here: repro.experiments (above) is already loaded,
-# so repro.parallel.scenarios' import of resolve_pool cannot cycle.
-from repro.parallel import DurabilityOptions, RunInterrupted
 from repro.workload.profiles import (
     WorkloadProfile,
     web_search_profile,
@@ -122,23 +118,17 @@ def _sweep_options(args: argparse.Namespace) -> Optional[SweepOptions]:
 
 
 def _durability(args: argparse.Namespace) -> Optional[DurabilityOptions]:
-    """Build a durability policy from the shard-engine flags; None when untouched."""
+    """Build a durability policy from the durable-run flags; None when untouched."""
     if not hasattr(args, "checkpoint"):
         return None
     if args.checkpoint_every and not args.checkpoint:
         raise SystemExit("--checkpoint-every requires --checkpoint PATH")
-    if not (
-        args.checkpoint or args.restore_from or args.shard_retries
-        or args.stop_after_windows is not None
-    ):
+    if not (args.checkpoint or args.restore_from):
         return None
     return DurabilityOptions(
         checkpoint_path=args.checkpoint,
         checkpoint_every_s=args.checkpoint_every,
         restore_from=args.restore_from,
-        heal_retries=args.shard_retries,
-        heal_backoff_s=args.shard_retry_backoff,
-        stop_after_windows=args.stop_after_windows,
     )
 
 
@@ -299,39 +289,7 @@ def _cmd_residency(args: argparse.Namespace) -> None:
     print(result.render())
 
 
-def _print_sharded(result) -> None:
-    """Report one shard-engine run: merged lines (the CI diff surface) on
-    stdout, the timing line separately since wall-clock is never stable."""
-    print(result.merged.render())
-    extras = ""
-    if result.restored_edge is not None:
-        extras += f" restored-from-window={result.restored_edge}"
-    if result.heals:
-        extras += f" heals={result.heals}"
-    print(
-        f"sharded shards={result.shards} "
-        f"partitions={result.spec.n_partitions} "
-        f"windows={result.windows} wall={result.wall_seconds:.2f}s "
-        f"({result.events_per_second:,.0f} events/s){extras}"
-    )
-
-
 def _cmd_joint(args: argparse.Namespace) -> None:
-    durability = _durability(args)
-    if args.shards is not None or durability is not None:
-        _print_sharded(
-            joint_energy.run_joint_sharded(
-                shards=args.shards if args.shards is not None else 1,
-                partitions=args.partitions,
-                n_jobs=args.num_jobs,
-                utilization=args.utilizations[0],
-                k=args.fat_tree_k,
-                seed=args.seed,
-                audit=_audit_mode(args),
-                durability=durability,
-            )
-        )
-        return
     comparison = joint_energy.run_joint_comparison(
         utilizations=args.utilizations,
         k=args.fat_tree_k,
@@ -364,19 +322,6 @@ def _cmd_validate_switch(args: argparse.Namespace) -> None:
 
 
 def _cmd_faults(args: argparse.Namespace) -> None:
-    durability = _durability(args)
-    if args.shards is not None or durability is not None:
-        _print_sharded(
-            fault_resilience.run_fault_resilience_sharded(
-                n_servers=args.servers,
-                shards=args.shards if args.shards is not None else 1,
-                partitions=args.partitions,
-                seed=args.seed,
-                audit=_audit_mode(args),
-                durability=durability,
-            )
-        )
-        return
     sweep = fault_resilience.run_fault_resilience_sweep(
         mtbf_values=args.mtbfs,
         mttr_s=args.mttr,
@@ -396,21 +341,6 @@ def _cmd_faults(args: argparse.Namespace) -> None:
 
 
 def _cmd_facility_carbon(args: argparse.Namespace) -> None:
-    durability = _durability(args)
-    if args.shards is not None or durability is not None:
-        _print_sharded(
-            facility_carbon.run_facility_carbon_sharded(
-                n_servers=args.servers,
-                shards=args.shards if args.shards is not None else 1,
-                partitions=args.partitions,
-                setpoint_c=args.setpoints[0],
-                carbon=args.carbon[0],
-                seed=args.seed,
-                audit=_audit_mode(args),
-                durability=durability,
-            )
-        )
-        return
     sweep = facility_carbon.run_facility_carbon_sweep(
         setpoints_c=args.setpoints,
         carbon_profiles=args.carbon,
@@ -453,20 +383,6 @@ def _cmd_ai_training(args: argparse.Namespace) -> None:
         )
         print(result.render())
         return
-    if args.shards is not None:
-        _print_sharded(
-            ai_training.run_ai_training_sharded(
-                shards=args.shards,
-                partitions=args.partitions,
-                group_size=args.group_sizes[0],
-                n_steps=args.steps,
-                algorithm=args.algorithms[0],
-                k=args.fat_tree_k,
-                seed=args.seed,
-                audit=_audit_mode(args),
-            )
-        )
-        return
     comparison = ai_training.run_ai_training_sweep(
         group_sizes=args.group_sizes,
         algorithms=args.algorithms,
@@ -492,21 +408,12 @@ def _cmd_scalability(args: argparse.Namespace) -> None:
     else:
         pool = "auto"
     durability = _durability(args)
-    if args.shards is not None or durability is not None:
-        _print_sharded(
-            scalability.run_scalability_sharded(
-                n_servers=args.servers,
-                n_jobs=args.num_jobs,
-                shards=args.shards if args.shards is not None else 1,
-                partitions=args.partitions,
-                seed=args.seed,
-                pool="on" if pool is True else "off" if pool is False else pool,
-                audit=_audit_mode(args),
-                durability=durability,
-            )
-        )
-        return
     if args.sizes:
+        if durability is not None:
+            raise SystemExit(
+                "--checkpoint/--restore-from make a single run durable; "
+                "sweep --sizes with --journal PATH --resume instead"
+            )
         sweep = scalability.run_scalability_sweep(
             args.sizes, n_jobs=args.num_jobs, seed=args.seed, jobs=args.jobs,
             sweep_options=_sweep_options(args), audit=_audit_mode(args),
@@ -516,7 +423,7 @@ def _cmd_scalability(args: argparse.Namespace) -> None:
         return
     result = scalability.run_scalability(
         n_servers=args.servers, n_jobs=args.num_jobs, seed=args.seed,
-        audit=_audit_mode(args), pool=pool,
+        audit=_audit_mode(args), pool=pool, durability=durability,
     )
     print(result.render())
 
@@ -622,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     def durable(p: argparse.ArgumentParser) -> None:
         group = p.add_argument_group(
             "durable runs",
-            "intra-run checkpoint/restore and shard self-healing on the "
-            "shard engine (flags imply --shards 1 when --shards is absent)",
+            "checkpoint/restore of the single run (sweeps: --journal/--resume)",
         )
         group.add_argument(
             "--checkpoint", default=None, metavar="PATH",
@@ -632,30 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         group.add_argument(
             "--checkpoint-every", type=float, default=0.0, metavar="T",
-            help="checkpoint every T simulated seconds (quantized to window "
-                 "barriers); requires --checkpoint. 0 = only on interrupt",
+            help="checkpoint every T simulated seconds; requires "
+                 "--checkpoint. 0 = only on interrupt",
         )
         group.add_argument(
             "--restore-from", default=None, metavar="PATH",
             help="resume from a checkpoint; the continued run is "
                  "bit-identical to an uninterrupted one. Refuses a "
-                 "checkpoint whose scenario fingerprint or shard layout "
-                 "does not match this invocation",
-        )
-        group.add_argument(
-            "--shard-retries", type=int, default=0, metavar="N",
-            help="self-heal up to N shard crashes/failures by respawning "
-                 "every worker from the last barrier snapshot "
-                 "(default: a dead shard aborts the run)",
-        )
-        group.add_argument(
-            "--shard-retry-backoff", type=float, default=0.5, metavar="S",
-            help="initial delay before a respawn, doubled per heal",
-        )
-        group.add_argument(
-            "--stop-after-windows", type=int, default=None, metavar="N",
-            help="stop with a final checkpoint after N window barriers "
-                 "(for smoke-testing the restore path)",
+                 "checkpoint whose model fingerprint does not match this "
+                 "invocation",
         )
 
     p = sub.add_parser("provisioning", help="Fig. 4: threshold provisioning")
@@ -708,17 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fat-tree-k", type=int, default=4)
     p.add_argument("--num-jobs", type=int, default=2000,
                    help="simulated jobs per grid point")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the shard engine on N worker processes instead "
-                        "of the Fig. 11 comparison (first --utilizations "
-                        "value, network-aware mode); results are "
-                        "bit-identical across N")
-    p.add_argument("--partitions", type=int, default=2, metavar="P",
-                   help="model partitions for --shards (one fat-tree "
-                        "cluster each; part of the scenario, not the "
-                        "execution)")
     common(p)
-    durable(p)
     p.set_defaults(fn=_cmd_joint)
 
     p = sub.add_parser("validate-server", help="Fig. 12: server power validation")
@@ -748,16 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-dispatch attempts before a task's job is failed")
     p.add_argument("--slo", type=float, default=None,
                    help="count jobs slower than this latency (s) as SLO violations")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the fault-injection reference scenario on the "
-                        "shard engine with N worker processes instead of the "
-                        "MTBF sweep; merged results are bit-identical across N")
-    p.add_argument("--partitions", type=int, default=4, metavar="P",
-                   help="model partitions for --shards (each with its own "
-                        "fault injector; part of the scenario, not the "
-                        "execution)")
     common(p)
-    durable(p)
     p.set_defaults(fn=_cmd_faults)
 
     p = sub.add_parser(
@@ -780,18 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=40.0)
     p.add_argument("--thermal-limit", type=float, default=45.0,
                    help="zone temperature (°C) at which DVFS throttling engages")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the facility reference scenario on the shard "
-                        "engine with N worker processes instead of the "
-                        "setpoint × carbon sweep (first --setpoints and "
-                        "--carbon values); merged results are bit-identical "
-                        "across N")
-    p.add_argument("--partitions", type=int, default=4, metavar="P",
-                   help="model partitions for --shards (each with its own "
-                        "thermal/cooling loop; part of the scenario, not "
-                        "the execution)")
     common(p)
-    durable(p)
     p.set_defaults(fn=_cmd_facility_carbon)
 
     p = sub.add_parser(
@@ -825,15 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--make-goal", default=None, metavar="PATH",
                    help="synthesize a training GOAL trace (first "
                         "--group-sizes value) to PATH and exit")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the training reference scenario on the shard "
-                        "engine with N worker processes (first "
-                        "--group-sizes / --algorithms values); merged "
-                        "results are bit-identical across N")
-    p.add_argument("--partitions", type=int, default=2, metavar="P",
-                   help="model partitions for --shards (one fat-tree "
-                        "training cluster each; part of the scenario, not "
-                        "the execution)")
     common(p)
     p.set_defaults(fn=_cmd_ai_training)
 
@@ -852,14 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="force the exact per-server event path "
                                  "(disable the pooled fast path) for A/B "
                                  "debugging")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="run the conservative-window shard engine on N "
-                        "worker processes (1 = inline serial reference); "
-                        "merged results are bit-identical across N")
-    p.add_argument("--partitions", type=int, default=4, metavar="P",
-                   help="model partitions for --shards (part of the "
-                        "scenario — changing it changes results; changing "
-                        "--shards never does)")
     common(p)
     durable(p)
     p.set_defaults(fn=_cmd_scalability)
@@ -924,13 +768,13 @@ def main(argv: Optional[List[str]] = None) -> None:
         print(f"\n{exc}", file=sys.stderr)
         if exc.checkpoint_path:
             print(
-                f"rerun with --restore-from {exc.checkpoint_path} to continue "
-                f"from window {exc.edge}; the completed run is bit-identical "
-                f"to an uninterrupted one",
+                f"rerun the same command with --restore-from "
+                f"{exc.checkpoint_path} to continue from t={exc.sim_time:.6f}s; "
+                f"the completed run is bit-identical to an uninterrupted one",
                 file=sys.stderr,
             )
         raise SystemExit(130)
-    except LockHeldError as exc:
+    except (LockHeldError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

@@ -255,6 +255,13 @@ class Engine:
                 accidental event storms in tests).  Draining the queue in
                 exactly ``max_events`` events is not an error.
         """
+        self._dispatch(until, max_events)
+        if until is not None and self._now < until and not self._stopped:
+            self._now = until
+
+    def _dispatch(self, until: Optional[float], max_events: Optional[int]) -> None:
+        """Execute events up to ``until`` (inclusive) without moving the
+        clock past the last one; :meth:`run` and :meth:`run_before` share it."""
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
         self._running = True
@@ -266,8 +273,6 @@ class Engine:
                 self._run_hooked(until, max_events, self._dispatch_hook)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
 
     def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
         """The uninstrumented dispatch loop — the pre-hook hot path, verbatim."""
@@ -333,25 +338,32 @@ class Engine:
             executed += 1
             hook(time, callback, args)
 
-    def run_until(self, t: float) -> None:
-        """Advance the clock to exactly ``t``, executing events **before** it.
+    def run_before(self, t: float) -> bool:
+        """Execute every event strictly before ``t``; True while events remain.
 
-        This is the exclusive-horizon window primitive used by the sharded
-        runtime (:mod:`repro.parallel`): events with timestamps strictly less
-        than ``t`` execute, events at exactly ``t`` stay queued for the next
-        window, and the clock lands on ``t`` so barrier-time work (boundary
-        message delivery) runs with ``now == t`` ahead of any event at ``t``.
-
-        Implemented as :meth:`run` with an inclusive horizon one ulp below
-        ``t`` — the per-event dispatch loop is untouched, so windowed
-        execution pays nothing on the hot path.
+        Events at exactly ``t`` stay queued.  The clock stays on the last
+        executed event, so a run cut into segments (a durable run that
+        checkpoints between them) ends where one uninterrupted :meth:`run`
+        would — ``now`` feeds end-of-run reports and energy integrals.
+        Implemented as the inclusive dispatch loop with a horizon one ulp
+        below ``t``, so cutting pays nothing on the per-event hot path.
         """
         if t < self._now:
             raise SimulationError(
-                f"cannot run_until t={t} before current time t={self._now}"
+                f"cannot run before t={t}: the clock is already at t={self._now}"
             )
         if t > self._now:
-            self.run(until=math.nextafter(t, -math.inf))
+            self._dispatch(math.nextafter(t, -math.inf), None)
+        return self.peek_time() is not None
+
+    def run_until(self, t: float) -> None:
+        """Advance the clock to exactly ``t``, executing events **before** it.
+
+        :meth:`run_before` plus landing the clock on ``t``: events at exactly
+        ``t`` stay queued for the next call, and work done between calls runs
+        with ``now == t`` ahead of any event at ``t``.
+        """
+        self.run_before(t)
         if not self._stopped and self._now < t:
             self._now = t
 
@@ -374,56 +386,18 @@ class Engine:
     def __getstate__(self) -> dict:
         """Pickle support for whole-world checkpoints.
 
-        The dispatch hook is observer wiring (a profiler or trace recorder,
-        possibly holding open file handles) — never simulated state — so it
-        is dropped; a restored run re-installs its own observers.
+        Heap entries alias the model's callbacks and :class:`EventHandle`
+        objects, so an engine is only ever pickled *together with* the model
+        it drives — one ``pickle.dumps`` of the whole world, which is what
+        :mod:`repro.checkpoint` does.  The dispatch hook is observer wiring
+        (a profiler, possibly holding open file handles), never simulated
+        state, so it is dropped; a restored run re-installs its own.
         """
+        if self._running:
+            raise SimulationError("cannot pickle an engine while run() is executing")
         state = self.__dict__.copy()
         state["_dispatch_hook"] = None
-        state["_running"] = False
         return state
-
-    def snapshot(self) -> dict:
-        """Capture the engine's complete dynamic state for checkpointing.
-
-        Returns a plain dict (clock, sequence counter, heap entries,
-        cancellation bookkeeping, event count) that :meth:`restore` accepts.
-        The heap entries are shared, not copied: callbacks and
-        :class:`EventHandle` objects are aliased by the snapshot, so a
-        durable checkpoint must pickle the engine *together with* the model
-        objects those callbacks close over — one ``pickle.dumps`` of the
-        whole world, which is exactly what :mod:`repro.checkpoint` does.
-        The dispatch hook is deliberately excluded: it is observer wiring
-        (telemetry/profiling), not simulated state.
-        """
-        if self._running:
-            raise SimulationError("cannot snapshot while Engine.run() is executing")
-        return {
-            "now": self._now,
-            "seq": self._seq,
-            "heap": list(self._heap),
-            "cancelled": self._cancelled,
-            "stopped": self._stopped,
-            "events_executed": self.events_executed,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Adopt a state captured by :meth:`snapshot`.
-
-        The heap list is re-heapified defensively (snapshot order is already
-        a valid heap, so this is O(n) and changes nothing) and the installed
-        dispatch hook is left untouched — a restored run re-attaches its own
-        observers.
-        """
-        if self._running:
-            raise SimulationError("cannot restore while Engine.run() is executing")
-        self._now = float(state["now"])
-        self._seq = int(state["seq"])
-        self._heap = list(state["heap"])
-        heapq.heapify(self._heap)
-        self._cancelled = int(state["cancelled"])
-        self._stopped = bool(state["stopped"])
-        self.events_executed = int(state["events_executed"])
 
     # ------------------------------------------------------------------
     # Introspection

@@ -546,74 +546,3 @@ def audit_farm(
         pool=getattr(farm, "pool", None),
     )
 
-
-def audit_parallel(snapshots: Sequence[dict], window_s: float, t_end: float) -> AuditReport:
-    """Cross-shard conservation over per-partition snapshot dicts.
-
-    The sharded runtime (:mod:`repro.parallel`) ships each partition's state
-    home as a plain dict; this audit closes the loop across partitions: every
-    boundary message sent was received, every dispatched job was submitted
-    somewhere, every job was acknowledged back, nothing is still in flight,
-    and the run stopped on a window edge.  It runs in the coordinator (or the
-    inline loop) after the merge, complementing the per-partition
-    :func:`audit_run` each worker performs before shipping its snapshot.
-    """
-    report = AuditReport()
-    by_pid = {snap["pid"]: snap for snap in snapshots}
-    report.record(
-        "parallel.partitions", "merge",
-        sorted(by_pid) == list(range(len(snapshots))),
-        f"snapshots cover pids {sorted(by_pid)} for {len(snapshots)} partitions",
-    )
-
-    sent = sum(s["bus_sent"] for s in snapshots)
-    received = sum(s["bus_received"] for s in snapshots)
-    report.record(
-        "parallel.bus.conservation", "bus",
-        sent == received,
-        f"boundary messages sent={sent} received={received}",
-    )
-    for snap in snapshots:
-        report.record(
-            "parallel.bus.drained", f"partition-{snap['pid']}",
-            snap["bus_pending"] == 0,
-            f"{snap['bus_pending']} deposited messages never delivered",
-        )
-        report.record(
-            "parallel.jobs.settled", f"partition-{snap['pid']}",
-            snap["active_jobs"] == 0,
-            f"{snap['active_jobs']} jobs still active at shutdown",
-        )
-
-    frontend = by_pid.get(0, {})
-    dispatched = frontend.get("fe_dispatched", 0)
-    acks = frontend.get("fe_acks_ok", 0) + frontend.get("fe_acks_failed", 0)
-    submitted = sum(s["jobs_submitted"] for s in snapshots)
-    completed = sum(s["jobs_completed"] for s in snapshots)
-    failed = sum(s["jobs_failed"] for s in snapshots)
-    report.record(
-        "parallel.jobs.dispatch", "front-end",
-        dispatched == submitted,
-        f"dispatched={dispatched} but partitions submitted {submitted}",
-    )
-    report.record(
-        "parallel.jobs.acks", "front-end",
-        acks == dispatched,
-        f"{acks} acks for {dispatched} dispatched jobs",
-    )
-    report.record(
-        "parallel.jobs.outcomes", "front-end",
-        frontend.get("fe_acks_ok", 0) == completed
-        and frontend.get("fe_acks_failed", 0) == failed,
-        f"acks ok/failed={frontend.get('fe_acks_ok', 0)}/"
-        f"{frontend.get('fe_acks_failed', 0)} vs partition totals "
-        f"{completed}/{failed}",
-    )
-
-    edges = t_end / window_s
-    report.record(
-        "parallel.t_end.on_edge", "barrier",
-        _close(edges, round(edges), scale=max(1.0, edges)),
-        f"t_end={t_end!r} is not a multiple of window {window_s!r}",
-    )
-    return report

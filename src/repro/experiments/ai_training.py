@@ -60,8 +60,8 @@ def default_phase_batch(group_size: int) -> int:
 class AiCluster:
     """One wired-up fat-tree training cluster.
 
-    Extracted from :func:`run_ai_training_point` so the sharded runtime
-    (:mod:`repro.parallel`) can build one identical cluster per partition.
+    Extracted from :func:`run_ai_training_point` so other drivers (the
+    benchmark workloads) build exactly the cluster the experiment evaluates.
     """
 
     engine: Engine
@@ -314,36 +314,6 @@ def run_ai_training_sweep(
         if result is not None:
             results[cell] = result
     return AiTrainingComparison(results=results)
-
-
-def run_ai_training_sharded(
-    shards: int = 1,
-    partitions: int = 2,
-    group_size: int = 8,
-    n_steps: int = 2,
-    algorithm: str = "ring",
-    k: int = 4,
-    seed: int = 11,
-    audit: str = "warn",
-):
-    """Run the training scenario on the conservative-window shard engine.
-
-    Each partition hosts its own fat-tree(``k``) cluster training one
-    ``group_size``-rank group; merged stats are bit-identical across shard
-    counts.  Returns a :class:`repro.parallel.ShardRunResult`.
-    """
-    from repro.parallel import ai_spec, run_sharded
-
-    spec = ai_spec(
-        n_partitions=partitions,
-        group_size=group_size,
-        n_steps=n_steps,
-        algorithm=algorithm,
-        fat_tree_k=k,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards)
 
 
 @dataclass

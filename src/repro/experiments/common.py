@@ -211,22 +211,14 @@ def audit_farm(
     return report
 
 
-def drive(
+def start_workload(
     farm: Farm,
     arrival_process: ArrivalProcess,
     job_factory,
     duration_s: Optional[float] = None,
     max_jobs: Optional[int] = None,
-    drain: bool = True,
-    audit: str = "warn",
 ) -> WorkloadDriver:
-    """Attach a workload and run the simulation.
-
-    With ``drain`` the engine keeps running after the arrival horizon until
-    all in-flight jobs finish, so energy/latency accounting covers complete
-    jobs only.  Every run ends with a conservation audit (see
-    :func:`audit_farm`) unless ``audit="off"``.
-    """
+    """Attach a workload to ``farm`` and queue its first arrival."""
     driver = WorkloadDriver(
         farm.engine,
         farm.scheduler,
@@ -236,7 +228,19 @@ def drive(
         until=duration_s,
     )
     driver.start()
-    farm.engine.run(until=duration_s)
+    return driver
+
+
+def finish_workload(
+    farm: Farm, driver: WorkloadDriver, drain: bool = True, audit: str = "warn"
+) -> None:
+    """Close a run after its arrival horizon: drain, metrics, audit.
+
+    With ``drain`` the engine keeps stepping until all in-flight jobs
+    finish, so energy/latency accounting covers complete jobs only.  An
+    active telemetry session gets the farm's metrics; then the conservation
+    audit runs (see :func:`audit_farm`) unless ``audit="off"``.
+    """
     if drain:
         while farm.scheduler.active_jobs > 0:
             if not farm.engine.step():
@@ -252,4 +256,23 @@ def drive(
         )
         ts.metrics._farms_registered = n_farms + 1
     audit_farm(farm, driver=driver, audit=audit)
+
+
+def drive(
+    farm: Farm,
+    arrival_process: ArrivalProcess,
+    job_factory,
+    duration_s: Optional[float] = None,
+    max_jobs: Optional[int] = None,
+    drain: bool = True,
+    audit: str = "warn",
+) -> WorkloadDriver:
+    """Attach a workload, run the simulation, and close the run.
+
+    :func:`start_workload`, one engine run to the arrival horizon, then
+    :func:`finish_workload` (drain, metrics, conservation audit).
+    """
+    driver = start_workload(farm, arrival_process, job_factory, duration_s, max_jobs)
+    farm.engine.run(until=duration_s)
+    finish_workload(farm, driver, drain=drain, audit=audit)
     return driver

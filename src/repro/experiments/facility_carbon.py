@@ -143,42 +143,6 @@ def run_facility_carbon_point(
     )
 
 
-def run_facility_carbon_sharded(
-    n_servers: int = 16,
-    n_jobs: int = 300,
-    shards: int = 1,
-    partitions: int = 4,
-    duration_s: float = 12.0,
-    setpoint_c: float = 26.0,
-    carbon: str = "solar",
-    seed: int = 1,
-    audit: str = "warn",
-    durability=None,
-):
-    """Run the facility-carbon scenario on the conservative-window shard engine.
-
-    Each partition runs its own thermal/cooling/carbon loop over its slice of
-    the farm.  ``partitions`` fixes the model; ``shards`` only changes which
-    processes advance it — merged stats are bit-identical across shard
-    counts.  ``durability`` (a :class:`repro.parallel.DurabilityOptions`)
-    enables checkpoint/restore and shard self-healing.  Returns a
-    :class:`repro.parallel.ShardRunResult`.
-    """
-    from repro.parallel import facility_spec, run_sharded
-
-    spec = facility_spec(
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_partitions=partitions,
-        duration_s=duration_s,
-        setpoint_c=setpoint_c,
-        carbon=carbon,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards, durability=durability)
-
-
 @dataclass
 class FacilityCarbonSweep:
     """Facility outcomes across the setpoint × carbon-profile grid."""

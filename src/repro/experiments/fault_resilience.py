@@ -95,38 +95,6 @@ def run_fault_resilience_point(
     )
 
 
-def run_fault_resilience_sharded(
-    n_servers: int = 24,
-    n_jobs: int = 300,
-    shards: int = 1,
-    partitions: int = 4,
-    duration_s: float = 12.0,
-    seed: int = 1,
-    audit: str = "warn",
-    durability=None,
-):
-    """Run the fault-resilience scenario on the conservative-window shard engine.
-
-    Each partition runs its own MTBF/MTTR fault injector over its slice of
-    the farm.  ``partitions`` fixes the model; ``shards`` only changes which
-    processes advance it — merged stats are bit-identical across shard
-    counts.  ``durability`` (a :class:`repro.parallel.DurabilityOptions`)
-    enables checkpoint/restore and shard self-healing.  Returns a
-    :class:`repro.parallel.ShardRunResult`.
-    """
-    from repro.parallel import faults_spec, run_sharded
-
-    spec = faults_spec(
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_partitions=partitions,
-        duration_s=duration_s,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards, durability=durability)
-
-
 @dataclass
 class FaultResilienceSweep:
     """Availability and tail latency across a range of server MTBFs."""

@@ -99,9 +99,8 @@ class _DagJobFactory:
 class JointCluster:
     """One wired-up fat-tree cluster under a joint energy manager.
 
-    Extracted from :func:`run_joint_point` so the sharded runtime
-    (:mod:`repro.parallel`) can build one identical cluster per partition —
-    the sharded joint scenario is a multi-cluster scale-out of this unit.
+    Extracted from :func:`run_joint_point` so other drivers (the benchmark
+    workloads) build exactly the cluster the experiment evaluates.
     """
 
     engine: Engine
@@ -309,37 +308,3 @@ def run_joint_comparison(
         if result is not None:
             results[mode][rho] = result
     return JointComparison(results=results)
-
-
-def run_joint_sharded(
-    shards: int = 1,
-    partitions: int = 2,
-    n_jobs: int = 60,
-    utilization: float = 0.3,
-    k: int = 4,
-    mode: str = "network-aware",
-    seed: int = 11,
-    audit: str = "warn",
-    durability=None,
-):
-    """Run the joint-energy scenario on the conservative-window shard engine.
-
-    Each partition hosts its own fat-tree(``k``) cluster (``k**3 / 4``
-    servers), so the farm size is ``partitions * k**3 / 4``.  ``partitions``
-    fixes the model; ``shards`` only changes which processes advance it —
-    merged stats are bit-identical across shard counts.  ``durability``
-    (a :class:`repro.parallel.DurabilityOptions`) enables checkpoint/restore
-    and shard self-healing.  Returns a :class:`repro.parallel.ShardRunResult`.
-    """
-    from repro.parallel import joint_spec, run_sharded
-
-    spec = joint_spec(
-        n_partitions=partitions,
-        n_jobs=n_jobs,
-        utilization=utilization,
-        fat_tree_k=k,
-        joint_mode=mode,
-        seed=seed,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards, durability=durability)

@@ -13,29 +13,45 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
+from repro.checkpoint import (
+    DurabilityOptions,
+    load_world,
+    run_durably,
+    scenario_fingerprint,
+)
 from repro.core.config import ServerConfig, small_cloud_server
 from repro.core.rng import RandomSource
-from repro.experiments.common import audit_farm, build_farm, drive
+from repro.experiments.common import (
+    audit_farm,
+    build_farm,
+    finish_workload,
+    start_workload,
+)
 from repro.runner import SweepOptions, SweepSpec, run_sweep
+from repro.telemetry import session as telemetry
 from repro.scheduling.policies import RoundRobinPolicy
 from repro.workload.arrivals import PoissonProcess, arrival_rate_for_utilization
 from repro.workload.profiles import ExponentialService, SingleTaskJobFactory
 
 
-#: Expected settled-idle servers above which the pooled fast path wins.
-#: Calibrated against BENCH_core.json: at 4,096 servers and rho=0.3 the
-#: exact path is slightly faster (pool_speedup 0.95), while the 20,480- and
-#: 65,536-server points are ~11x faster pooled — the crossover sits between.
+#: Expected settled-idle servers at or above which :func:`choose_pool` picks
+#: the pooled fast path.  The benchmark (``python -m bench``) times one
+#: workload on each side: ``table1-20k`` (20,480 servers, pooled) and
+#: ``table1-4k`` (4,096 servers, exact).  A change to the threshold or to
+#: either path is judged on both; moving the threshold flips which path those
+#: workloads take, so their pinned digests change with it.
 POOL_AUTO_IDLE_THRESHOLD = 8192
 
 
 def choose_pool(n_servers: int, utilization: float) -> bool:
-    """Pick the faster execution path for a farm-scale run.
+    """Pick the execution path for a farm-scale run.
 
     The pooled fast path (:mod:`repro.server.pool`) pays a per-dispatch
-    materialization tax and wins only when it can amortize it over a large
-    settled-idle population; ``n_servers * (1 - utilization)`` estimates that
-    population.  Explicit ``--pool`` / ``--no-pool`` overrides always win.
+    materialization tax, so it can only pay off over a large settled-idle
+    population; ``n_servers * (1 - utilization)`` estimates that population
+    (see :data:`POOL_AUTO_IDLE_THRESHOLD` for the benchmark workloads that
+    measure both sides).  Explicit ``--pool`` / ``--no-pool`` overrides
+    always win.
     """
     idle_servers = n_servers * max(0.0, 1.0 - utilization)
     return idle_servers >= POOL_AUTO_IDLE_THRESHOLD
@@ -89,39 +105,57 @@ def run_scalability(
     server_config: Optional[ServerConfig] = None,
     audit: str = "warn",
     pool: Union[str, bool] = "auto",
+    durability: Optional[DurabilityOptions] = None,
 ) -> ScalabilityResult:
     """Simulate a >20K-server farm and measure simulator throughput.
 
-    ``pool`` defaults to ``"auto"`` — :func:`choose_pool` picks the faster
-    path from farm size and target utilization.  ``pool=False`` forces the
-    exact per-server event path (the CLI's ``--no-pool``) and ``pool=True``
-    forces pooling (``--pool``) for A/B debugging.
+    ``pool`` defaults to ``"auto"`` — :func:`choose_pool` picks the path
+    from farm size and target utilization.  ``pool=False`` forces the exact
+    per-server event path (the CLI's ``--no-pool``) and ``pool=True`` forces
+    pooling (``--pool``) for A/B debugging.
+
+    ``durability`` makes the run durable (:mod:`repro.checkpoint`): it
+    checkpoints this same world at a simulated-time cadence, and with
+    ``restore_from`` it resumes one; either way the result is bit-identical
+    to the plain run.
     """
     config = server_config or small_cloud_server(n_cores=4)
     use_pool = resolve_pool(pool, n_servers, utilization)
-    farm = build_farm(
-        n_servers, config, policy=RoundRobinPolicy(), seed=seed, pool=use_pool
-    )
-    rng = RandomSource(seed)
-    rate = arrival_rate_for_utilization(
-        utilization, mean_service_s, n_servers, config.total_cores
-    )
-    factory = SingleTaskJobFactory(
-        ExponentialService(mean_service_s), rng.stream("service")
-    )
+    fingerprint = scenario_fingerprint("scalability", dict(
+        n_servers=n_servers, n_jobs=n_jobs, utilization=utilization,
+        mean_service_s=mean_service_s, seed=seed, server_config=config,
+        pool=use_pool,
+    ))
+    if durability is not None and durability.restore_from:
+        farm, driver = load_world(durability.restore_from, "scalability", fingerprint)
+        ts = telemetry.ACTIVE
+        if ts is not None:
+            ts.attach_engine(farm.engine)
+    else:
+        farm = build_farm(
+            n_servers, config, policy=RoundRobinPolicy(), seed=seed, pool=use_pool
+        )
+        rng = RandomSource(seed)
+        rate = arrival_rate_for_utilization(
+            utilization, mean_service_s, n_servers, config.total_cores
+        )
+        factory = SingleTaskJobFactory(
+            ExponentialService(mean_service_s), rng.stream("service")
+        )
+        driver = start_workload(
+            farm, PoissonProcess(rate, rng.stream("arrivals")), factory,
+            max_jobs=n_jobs,
+        )
     # Time the simulation only: the post-run conservation audit still runs
     # (below) but is verification, not simulated work, so it stays outside
     # the throughput window — at farm scale it would otherwise skew
     # events/s by several percent.
     start = time.perf_counter()
-    driver = drive(
-        farm,
-        PoissonProcess(rate, rng.stream("arrivals")),
-        factory,
-        max_jobs=n_jobs,
-        drain=True,
-        audit="off",
-    )
+    if durability is None:
+        farm.engine.run()
+    else:
+        run_durably(farm.engine, (farm, driver), durability, "scalability", fingerprint)
+    finish_workload(farm, driver, drain=True, audit="off")
     wall = time.perf_counter() - start
     audit_farm(farm, driver=driver, audit=audit)
     return ScalabilityResult(
@@ -134,40 +168,6 @@ def run_scalability(
         pool_captures=farm.pool.captures if farm.pool is not None else 0,
         pool_peak=farm.pool.peak_pooled if farm.pool is not None else 0,
     )
-
-
-def run_scalability_sharded(
-    n_servers: int = 4_096,
-    n_jobs: int = 2_000,
-    shards: int = 1,
-    partitions: int = 4,
-    utilization: float = 0.3,
-    seed: int = 13,
-    pool: str = "auto",
-    audit: str = "warn",
-    durability=None,
-):
-    """Run the scalability scenario on the conservative-window shard engine.
-
-    ``partitions`` is a *model* parameter (it fixes the boundary topology and
-    therefore the results); ``shards`` is purely an *execution* parameter —
-    merged stats are bit-identical for every legal value.  ``durability``
-    (a :class:`repro.parallel.DurabilityOptions`) enables checkpoint/restore
-    and shard self-healing.  Returns a :class:`repro.parallel.ShardRunResult`.
-    """
-    # Imported lazily: repro.parallel.scenarios imports resolve_pool from here.
-    from repro.parallel import run_sharded, scalability_spec
-
-    spec = scalability_spec(
-        n_servers=n_servers,
-        n_jobs=n_jobs,
-        n_partitions=partitions,
-        utilization=utilization,
-        seed=seed,
-        pool=pool,
-        audit=audit,
-    )
-    return run_sharded(spec, shards=shards, durability=durability)
 
 
 @dataclass

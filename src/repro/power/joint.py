@@ -52,23 +52,14 @@ class SwitchSleepController:
         self.always_on = set(always_on or ())
         self._last_busy: Dict[str, float] = {name: engine.now for name in topology.switches}
         self._started = False
-        self._stopped = False
 
     def start(self) -> None:
         if self._started:
             return
         self._started = True
-        self._stopped = False
         self.engine.post(self.scan_interval_s, self._scan)
 
-    def stop(self) -> None:
-        """Quiesce: the already-queued scan fires once more and does nothing."""
-        self._stopped = True
-        self._started = False
-
     def _scan(self) -> None:
-        if self._stopped:
-            return
         now = self.engine.now
         for name, switch in self.topology.switches.items():
             if any(p.busy for p in switch.ports):
@@ -120,7 +111,6 @@ class JointEnergyManager(DelayTimerController):
         self.target_pending_per_server = target_pending_per_server
         self.scale_down_interval_s = scale_down_interval_s
         self.activations = 0
-        self._stopped = False
 
         for server in self.servers:
             server.attach_controller(self)
@@ -148,22 +138,9 @@ class JointEnergyManager(DelayTimerController):
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Start the switch sleep scan and periodic scale-down check."""
-        self._stopped = False
         if self.switch_controller is not None:
             self.switch_controller.start()
             self.engine.post(self.scale_down_interval_s, self._scale_down_check)
-
-    def stop(self) -> None:
-        """Quiesce the periodic chains so the event queue can drain.
-
-        Both the switch scan and the scale-down check are fire-and-forget
-        ``post`` chains; each fires at most once more after ``stop()``, sees
-        the flag, and stops reposting.  The sharded runtime calls this at the
-        drain barrier.
-        """
-        self._stopped = True
-        if self.switch_controller is not None:
-            self.switch_controller.stop()
 
     def make_policy(self) -> JointDispatchPolicy:
         """The dispatch policy to hand to the global scheduler."""
@@ -242,8 +219,6 @@ class JointEnergyManager(DelayTimerController):
         return best
 
     def _scale_down_check(self) -> None:
-        if self._stopped:
-            return
         pending = sum(s.pending_task_count for s in self.servers)
         # Keep enough servers for the current load plus one hot spare.
         needed = int(pending / max(self.target_pending_per_server, 1e-9)) + 1

@@ -37,7 +37,7 @@ from repro.workload.profiles import (
     web_search_profile,
 )
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def bench_engine_events(n_events: int = 200_000) -> float:
@@ -365,164 +365,6 @@ def bench_collective(
     }
 
 
-def bench_parallel(
-    n_servers: int = 4_096,
-    n_jobs: int = 2_000,
-    shards: int = 2,
-    best_of: int = 2,
-) -> Dict[str, Any]:
-    """Shard-engine throughput: serial inline vs ``shards`` worker processes.
-
-    Runs the identical scalability :class:`~repro.parallel.ScenarioSpec` both
-    ways (best-of-``best_of`` each to damp noise) and asserts the merged
-    journal fingerprints match — the bench doubles as a determinism check.
-    ``speedup`` > 1 requires real cores; on a single-CPU host the barrier
-    and process overhead make it < 1, which is reported honestly.
-    """
-    from repro.parallel import run_sharded, scalability_spec
-
-    spec = scalability_spec(n_servers=n_servers, n_jobs=n_jobs)
-
-    def best(n_shards: int):
-        return min(
-            (run_sharded(spec, shards=n_shards) for _ in range(best_of)),
-            key=lambda r: r.wall_seconds,
-        )
-
-    serial = best(1)
-    sharded = best(shards)
-    if serial.merged.journal_fingerprint != sharded.merged.journal_fingerprint:
-        raise RuntimeError(
-            f"shard determinism violation at {n_servers} servers: "
-            f"shards=1 fingerprint {serial.merged.journal_fingerprint} != "
-            f"shards={shards} {sharded.merged.journal_fingerprint}"
-        )
-    return {
-        "n_servers": n_servers,
-        "n_jobs": n_jobs,
-        "partitions": spec.n_partitions,
-        "shards": shards,
-        "windows": sharded.windows,
-        "events_per_s": round(sharded.events_per_second),
-        "serial_events_per_s": round(serial.events_per_second),
-        "speedup": round(
-            serial.wall_seconds / sharded.wall_seconds, 2
-        ) if sharded.wall_seconds else None,
-        "fingerprint_match": True,
-    }
-
-
-def _durable_window_cost_s(iterations: int = 200_000) -> float:
-    """Per-window wall cost of the armed-but-idle durability bookkeeping.
-
-    Times exactly what ``--checkpoint-every 0`` adds to a barrier: the
-    interrupt latch poll plus the snapshot-cadence test, with a live
-    signal catcher and an armed-but-idle policy — measured directly, so
-    the number is deterministic instead of drowning in run-to-run
-    scheduler noise (which is >10% on busy hosts, far above the budget
-    this feeds).
-    """
-    from repro.parallel import DurabilityOptions
-    from repro.parallel.runtime import _SignalCatcher, _interrupt_reason
-
-    idle = DurabilityOptions(checkpoint_every_s=0.0)
-    with _SignalCatcher(True) as catcher:
-        snap_every, _ = idle.cadences(1e-3)
-        start = time.perf_counter()
-        for edge in range(1, iterations + 1):
-            reason = _interrupt_reason(catcher, idle, edge)
-            periodic = snap_every > 0 and edge % snap_every == 0
-            if reason is not None or periodic:
-                raise RuntimeError("unexpected interrupt during bench")
-        elapsed = time.perf_counter() - start
-    return elapsed / iterations
-
-
-def bench_durability(
-    n_servers: int = 4_096,
-    n_jobs: int = 2_000,
-    budget_pct: float = 1.0,
-    e2e_budget: float = 1.5,
-    min_reps: int = 2,
-    max_reps: int = 8,
-) -> Dict[str, Any]:
-    """Cost of the armed-but-idle durability machinery on the shard engine.
-
-    Runs the serial inline scalability scenario with no durability policy
-    and again with one attached but checkpointing disabled
-    (``--checkpoint-every 0``: signal latch armed, per-barrier cadence
-    checks live, zero snapshots taken); the fingerprints must match on
-    every rep — the bench doubles as a determinism check.
-
-    Two gates, because wall-clock noise dwarfs the true cost:
-
-    * ``overhead_pct`` (< ``budget_pct``, the <1% contract) — the armed
-      per-window bookkeeping measured directly
-      (:func:`_durable_window_cost_s`) times the scenario's window count,
-      as a fraction of the fastest plain run.  Deterministic to far below
-      the budget.
-    * ``e2e_ratio`` (< ``e2e_budget``) — floor-of-reps durable wall over
-      floor-of-reps plain wall, sampled adaptively (alternating reps until
-      the ratio is inside the budget or ``max_reps`` is spent).  Too noisy
-      to resolve 1%, but a *structural* slowdown of the armed loop (say,
-      an accidental per-window pickle) is 10x+, which no amount of
-      scheduler noise hides — and only a slowdown no rep can escape
-      exhausts the budget.
-    """
-    from repro.parallel import DurabilityOptions, run_sharded, scalability_spec
-
-    spec = scalability_spec(n_servers=n_servers, n_jobs=n_jobs)
-    idle = DurabilityOptions(checkpoint_every_s=0.0)
-    plain_best = durable_best = None
-    reps = 0
-    for reps in range(1, max_reps + 1):
-        plain = run_sharded(spec, shards=1)
-        durable = run_sharded(spec, shards=1, durability=idle)
-        fp = plain.merged.journal_fingerprint
-        if durable.merged.journal_fingerprint != fp:
-            raise RuntimeError(
-                "durability determinism violation: armed-but-idle "
-                f"fingerprint {durable.merged.journal_fingerprint} != "
-                f"plain {fp}"
-            )
-        if plain_best is None or plain.wall_seconds < plain_best.wall_seconds:
-            plain_best = plain
-        if (
-            durable_best is None
-            or durable.wall_seconds < durable_best.wall_seconds
-        ):
-            durable_best = durable
-        if (
-            reps >= min_reps
-            and plain_best.wall_seconds
-            and durable_best.wall_seconds / plain_best.wall_seconds
-            < e2e_budget
-        ):
-            break
-    overhead = (
-        _durable_window_cost_s() * durable_best.windows
-        / plain_best.wall_seconds * 100.0
-    ) if plain_best.wall_seconds else 0.0
-    e2e_ratio = (
-        durable_best.wall_seconds / plain_best.wall_seconds
-        if plain_best.wall_seconds
-        else 1.0
-    )
-    return {
-        "n_servers": n_servers,
-        "n_jobs": n_jobs,
-        "windows": durable_best.windows,
-        "reps": reps,
-        "events_per_s": round(durable_best.events_per_second),
-        "events_per_s_plain": round(plain_best.events_per_second),
-        "overhead_pct": round(overhead, 4),
-        "budget_pct": budget_pct,
-        "e2e_ratio": round(e2e_ratio, 3),
-        "e2e_budget": e2e_budget,
-        "fingerprint_match": True,
-    }
-
-
 def _sweep_wall_clock(jobs: int, n_servers: int, duration_s: float) -> float:
     """Wall-clock seconds for an 8-point delay-timer sweep."""
     start = time.perf_counter()
@@ -672,21 +514,6 @@ def run_bench(
     # conservation audit inside doubles as a correctness check at scale.
     gc.collect()
     result["collective"] = bench_collective()
-
-    # Shard engine: serial inline vs worker processes on the identical spec.
-    # The gated 4,096-server point runs in both modes; full mode adds the
-    # 65,536-server tentpole point (single-shot — it is a demo, not a gate).
-    gc.collect()
-    shards = min(4, max(2, host_cpus()))
-    result["parallel"] = bench_parallel(4_096, 2_000, shards)
-    if not quick:
-        result["parallel_65536"] = bench_parallel(
-            65_536, 20_000, shards, best_of=1
-        )
-
-    # Durable runs: the armed-but-idle checkpoint machinery must be free.
-    gc.collect()
-    result["durability"] = bench_durability(4_096, 2_000)
     return result
 
 
@@ -713,7 +540,6 @@ def check_regression(
         ("network", "routes_per_s"),
         ("scalability", "events_per_s"),
         ("collective", "allreduce_events_per_s"),
-        ("parallel", "events_per_s"),
     ]
     problems = []
     for section, metric in watched:
@@ -727,27 +553,6 @@ def check_regression(
                 f"{base * (1.0 - tolerance):,.0f} "
                 f"(baseline {base:,.0f}, tolerance {tolerance:.0%})"
             )
-    # Absolute guards, independent of any baseline: a durability policy
-    # with checkpointing disabled must cost <1% of shard-engine throughput
-    # (direct per-window measurement), and the end-to-end armed run must
-    # not be structurally slower than the plain one.
-    durability = current.get("durability", {})
-    overhead = durability.get("overhead_pct")
-    budget = durability.get("budget_pct", 1.0)
-    if overhead is not None and overhead >= budget:
-        problems.append(
-            f"durability.overhead_pct too high: armed-but-idle checkpoint "
-            f"machinery costs {overhead:.4f}% per run (budget <{budget:g}%) "
-            f"on {durability.get('events_per_s_plain', 0):,} events/s"
-        )
-    e2e_ratio = durability.get("e2e_ratio")
-    e2e_budget = durability.get("e2e_budget", 1.25)
-    if e2e_ratio is not None and e2e_ratio >= e2e_budget:
-        problems.append(
-            f"durability.e2e_ratio too high: armed-but-idle run floor is "
-            f"{e2e_ratio:.2f}x the plain floor (budget <{e2e_budget:g}x) — "
-            f"a structural slowdown of the durable barrier loop"
-        )
     return problems
 
 
@@ -813,24 +618,6 @@ def render(result: Dict[str, Any]) -> str:
             f"{collective.get('allreduce_events_per_s', 0):>12,} events/s "
             f"({collective.get('transfers', 0):,} transfers, "
             f"{collective.get('trains_engaged', 0):,} trains)"
-        )
-    for key in ("parallel", "parallel_65536"):
-        par = result.get(key)
-        if par:
-            lines.append(
-                f"  shard engine ({par.get('n_servers', 0):,} servers, "
-                f"{par.get('shards', 0)} shards): "
-                f"{par.get('events_per_s', 0):>12,} events/s "
-                f"({par.get('speedup', 0):.2f}x vs serial)"
-            )
-    durability = result.get("durability")
-    if durability:
-        lines.append(
-            f"  durable idle events/s:    "
-            f"{durability.get('events_per_s', 0):>12,} "
-            f"(armed checkpoint machinery: "
-            f"{durability.get('overhead_pct', 0):+.4f}%/run, "
-            f"e2e floor {durability.get('e2e_ratio', 0):.2f}x)"
         )
     return "\n".join(lines)
 

@@ -327,6 +327,9 @@ class GlobalScheduler:
     # ------------------------------------------------------------------
     def _on_task_complete(self, server: "Server", task: Task) -> None:
         now = self.engine.now
+        # A finished task is never submitted again; dropping its placement
+        # keeps completed tasks (and their jobs) from staying reachable.
+        self._placements.pop(task, None)
         if task.start_time is not None and task.ready_time is not None:
             self.task_queue_delay.record(task.start_time - task.ready_time)
         job = task.job

@@ -59,10 +59,30 @@ class PoissonProcess(ArrivalProcess):
         self.start_time = start_time
 
     def arrivals(self) -> Iterator[float]:
-        t = self.start_time
-        while True:
-            t += exponential(self.rng, self.rate_per_s)
-            yield t
+        return _PoissonArrivals(self.start_time, self.rng, self.rate_per_s)
+
+
+class _PoissonArrivals:
+    """:meth:`PoissonProcess.arrivals` as a plain iterator object.
+
+    Same draws as a ``t += Exp(rate)`` generator, but unlike a generator it
+    pickles, so a workload driver can ride inside a checkpointed world
+    (:mod:`repro.checkpoint`) mid-run.
+    """
+
+    __slots__ = ("_t", "_rng", "_rate")
+
+    def __init__(self, start_time: float, rng: np.random.Generator, rate_per_s: float):
+        self._t = start_time
+        self._rng = rng
+        self._rate = rate_per_s
+
+    def __iter__(self) -> "_PoissonArrivals":
+        return self
+
+    def __next__(self) -> float:
+        self._t += exponential(self._rng, self._rate)
+        return self._t
 
 
 class MMPP2Process(ArrivalProcess):

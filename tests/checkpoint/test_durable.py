@@ -1,0 +1,93 @@
+"""Durable runs of the plain Table I experiment: kill, restore, same report.
+
+A durable ``run_scalability`` checkpoints the very world the plain run
+builds, so a run killed at any cut and restored must reproduce the plain
+run's observables exactly — metrics snapshot included — under a strict
+conservation audit.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro.checkpoint import CheckpointError, DurabilityOptions, durable
+from repro.experiments.scalability import run_scalability
+from repro.telemetry import session as telemetry
+
+#: ~0.026 simulated seconds of work: cuts every 5 ms give five checkpoints.
+MODEL = dict(n_servers=64, n_jobs=400, seed=13)
+EVERY_S = 0.005
+
+
+class _Killed(Exception):
+    """Stands in for the process dying right after a checkpoint landed."""
+
+
+def _observe(**kwargs):
+    """Report fields (minus wall-clock) and the full metrics snapshot."""
+    with telemetry.session(trace=False, metrics=True) as sess:
+        result = run_scalability(audit="strict", **MODEL, **kwargs)
+    fields = {k: v for k, v in vars(result).items() if k != "wall_seconds"}
+    return fields, sess.metrics.snapshot()
+
+
+def _die_after_checkpoint(monkeypatch, n: int) -> None:
+    real = durable.write_checkpoint
+    written = []
+
+    def write(*args, **kwargs):
+        real(*args, **kwargs)
+        written.append(True)
+        if len(written) == n:
+            raise _Killed
+
+    monkeypatch.setattr(durable, "write_checkpoint", write)
+
+
+class TestRestoreIdentity:
+    @pytest.mark.parametrize("pool", [True, False], ids=["pooled", "exact"])
+    @pytest.mark.parametrize("cut", [1, 3, 5])
+    def test_killed_then_restored_matches_plain_run(
+        self, tmp_path, monkeypatch, pool, cut
+    ):
+        plain = _observe(pool=pool)
+        path = str(tmp_path / "run.ckpt")
+        _die_after_checkpoint(monkeypatch, cut)
+        with pytest.raises(_Killed):
+            run_scalability(**MODEL, pool=pool, durability=DurabilityOptions(
+                checkpoint_path=path, checkpoint_every_s=EVERY_S,
+            ))
+        monkeypatch.undo()
+        restored = _observe(
+            pool=pool, durability=DurabilityOptions(restore_from=path)
+        )
+        assert restored == plain
+        assert plain[0]["n_jobs"] == MODEL["n_jobs"]
+
+    def test_uninterrupted_checkpointing_run_matches_plain_run(self, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        durable_run = _observe(pool=True, durability=DurabilityOptions(
+            checkpoint_path=path, checkpoint_every_s=EVERY_S,
+        ))
+        assert durable_run == _observe(pool=True)
+        assert os.path.exists(path)
+
+
+class TestRestoreRefusals:
+    @pytest.mark.parametrize("change", [
+        {"seed": 14}, {"n_servers": 65}, {"pool": False},
+    ], ids=["seed", "servers", "pool"])
+    def test_other_model_refused_naming_both_fingerprints(self, tmp_path, change):
+        path = str(tmp_path / "run.ckpt")
+        run_scalability(**MODEL, pool=True, durability=DurabilityOptions(
+            checkpoint_path=path, checkpoint_every_s=EVERY_S,
+        ))
+        found = durable.read_checkpoint(path)[0]["fingerprint"]
+        with pytest.raises(CheckpointError) as exc:
+            run_scalability(**{**MODEL, "pool": True, **change},
+                            durability=DurabilityOptions(restore_from=path))
+        message = str(exc.value)
+        assert found in message
+        assert message.count("fingerprint") == 2

@@ -4,60 +4,58 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
 from repro.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
+    DurabilityOptions,
     check_restorable,
     read_checkpoint,
     scenario_fingerprint,
     write_checkpoint,
 )
-from repro.parallel import scalability_spec
+from repro.experiments.scalability import run_scalability
+
+MODEL = {"n_servers": 64, "n_jobs": 400, "seed": 13, "pool": False}
 
 
-def _meta(spec, shards=1, edge=7):
+def _fingerprint(**overrides):
+    return scenario_fingerprint("scalability", {**MODEL, **overrides})
+
+
+def _meta(sim_time=0.007):
     return {
-        "scenario": spec.name,
-        "fingerprint": scenario_fingerprint(spec),
-        "mode": "inline" if shards == 1 else "sharded",
-        "shards": shards,
-        "n_partitions": spec.n_partitions,
-        "edge": edge,
-        "sim_time": edge * spec.window_s,
-        "window_s": spec.window_s,
+        "experiment": "scalability",
+        "fingerprint": _fingerprint(),
+        "sim_time": sim_time,
     }
 
 
 class TestEnvelope:
     def test_roundtrip(self, tmp_path):
-        spec = scalability_spec()
         path = str(tmp_path / "run.ckpt")
         payload = b"\x80\x04 arbitrary payload bytes \x00\xff"
-        write_checkpoint(path, payload, _meta(spec))
+        write_checkpoint(path, payload, _meta())
         header, read_payload = read_checkpoint(path)
         assert read_payload == payload
         assert header["version"] == CHECKPOINT_VERSION
-        assert header["edge"] == 7
-        assert header["fingerprint"] == scenario_fingerprint(spec)
+        assert header["sim_time"] == 0.007
+        assert header["fingerprint"] == _fingerprint()
 
     def test_write_replaces_atomically_and_leaves_no_tmp(self, tmp_path):
-        spec = scalability_spec()
         path = str(tmp_path / "run.ckpt")
-        write_checkpoint(path, b"old", _meta(spec, edge=1))
-        write_checkpoint(path, b"new", _meta(spec, edge=2))
+        write_checkpoint(path, b"old", _meta(sim_time=0.001))
+        write_checkpoint(path, b"new", _meta(sim_time=0.002))
         header, payload = read_checkpoint(path)
         assert payload == b"new"
-        assert header["edge"] == 2
+        assert header["sim_time"] == 0.002
         assert [f for f in os.listdir(tmp_path) if f != "run.ckpt"] == []
 
     def test_corrupt_payload_refused(self, tmp_path):
-        spec = scalability_spec()
         path = str(tmp_path / "run.ckpt")
-        write_checkpoint(path, b"payload-bytes", _meta(spec))
+        write_checkpoint(path, b"payload-bytes", _meta())
         with open(path, "r+b") as fh:
             fh.seek(-1, os.SEEK_END)
             fh.write(b"X")
@@ -65,9 +63,8 @@ class TestEnvelope:
             read_checkpoint(path)
 
     def test_truncated_payload_refused(self, tmp_path):
-        spec = scalability_spec()
         path = str(tmp_path / "run.ckpt")
-        write_checkpoint(path, b"payload-bytes", _meta(spec))
+        write_checkpoint(path, b"payload-bytes", _meta())
         data = open(path, "rb").read()
         open(path, "wb").write(data[:-4])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -86,51 +83,43 @@ class TestEnvelope:
 
 class TestScenarioFingerprint:
     def test_stable_across_calls(self):
-        assert scenario_fingerprint(scalability_spec()) == scenario_fingerprint(
-            scalability_spec()
-        )
+        assert _fingerprint() == _fingerprint()
 
     def test_model_fields_change_it(self):
-        base = scenario_fingerprint(scalability_spec())
-        assert scenario_fingerprint(scalability_spec(seed=99)) != base
-        assert scenario_fingerprint(scalability_spec(n_servers=128)) != base
+        base = _fingerprint()
+        assert _fingerprint(seed=99) != base
+        assert _fingerprint(n_servers=128) != base
+        assert _fingerprint(pool=True) != base
+        assert scenario_fingerprint("faults", MODEL) != base
 
-    def test_verification_knobs_do_not(self):
-        base = scenario_fingerprint(scalability_spec())
-        spec = scalability_spec(audit="strict")
-        assert scenario_fingerprint(spec) == base
-        chaotic = replace(spec, chaos=((2, 3, "exit"),))
-        assert scenario_fingerprint(chaotic) == base
+    def test_verification_knobs_do_not(self, tmp_path):
+        # The audit level and the checkpoint cadence are not model
+        # arguments: checkpoints of the same run under different ones agree.
+        headers = []
+        for audit, every in (("warn", 0.002), ("strict", 0.005)):
+            path = str(tmp_path / f"{audit}.ckpt")
+            run_scalability(
+                n_servers=8, n_jobs=60, pool=False, audit=audit,
+                durability=DurabilityOptions(
+                    checkpoint_path=path, checkpoint_every_s=every
+                ),
+            )
+            headers.append(read_checkpoint(path)[0])
+        assert headers[0]["fingerprint"] == headers[1]["fingerprint"]
 
 
 class TestCheckRestorable:
     def test_accepts_matching_run(self, tmp_path):
-        spec = scalability_spec()
         path = str(tmp_path / "run.ckpt")
-        write_checkpoint(path, b"p", _meta(spec, shards=2, edge=3))
+        write_checkpoint(path, b"p", _meta())
         header, _ = read_checkpoint(path)
-        check_restorable(header, spec, shards=2, path=path)
+        check_restorable(header, "scalability", _fingerprint(), path=path)
 
     def test_refuses_fingerprint_mismatch(self, tmp_path):
-        spec = scalability_spec()
         path = str(tmp_path / "run.ckpt")
-        write_checkpoint(path, b"p", _meta(spec))
+        write_checkpoint(path, b"p", _meta())
         header, _ = read_checkpoint(path)
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            check_restorable(header, scalability_spec(seed=99), shards=1, path=path)
-
-    def test_refuses_mode_mismatch(self, tmp_path):
-        spec = scalability_spec()
-        path = str(tmp_path / "run.ckpt")
-        write_checkpoint(path, b"p", _meta(spec, shards=1))
-        header, _ = read_checkpoint(path)
-        with pytest.raises(CheckpointError, match="cut but this run is"):
-            check_restorable(header, spec, shards=2, path=path)
-
-    def test_refuses_shard_count_mismatch(self, tmp_path):
-        spec = scalability_spec()
-        path = str(tmp_path / "run.ckpt")
-        write_checkpoint(path, b"p", _meta(spec, shards=2))
-        header, _ = read_checkpoint(path)
-        with pytest.raises(CheckpointError, match="re-packed"):
-            check_restorable(header, spec, shards=4, path=path)
+        other = _fingerprint(seed=99)
+        with pytest.raises(CheckpointError, match="fingerprint") as exc:
+            check_restorable(header, "scalability", other, path=path)
+        assert _fingerprint() in str(exc.value) and other in str(exc.value)

@@ -1,9 +1,9 @@
-"""Byte-identical ai-training reports across jobs / resume / shards.
+"""Byte-identical ai-training reports across jobs / resume.
 
 Each test drives the real CLI in-process (``repro.cli.main``) under
 ``--strict-invariants`` and compares full stdout, so any nondeterminism
 anywhere in the collective stack — templates, placement, packet trains,
-sweep executor, shard merge — shows up as a diff.
+sweep executor, journal — shows up as a diff.
 """
 
 from __future__ import annotations
@@ -44,20 +44,3 @@ class TestAiTrainingDeterminism:
         resumed = _run(capsys, BASE + ["--journal", journal, "--resume"])
         assert resumed == fresh
 
-    def test_sharded_identical_at_1_and_2_shards(self, capsys):
-        argv = [
-            "ai-training",
-            "--group-sizes", "4",
-            "--steps", "2",
-            "--fat-tree-k", "4",
-            "--seed", "11",
-            "--strict-invariants",
-            "--partitions", "2",
-        ]
-        merged = lambda text: [
-            l for l in text.splitlines() if l.startswith("merged ")
-        ]
-        one = _run(capsys, argv + ["--shards", "1"])
-        two = _run(capsys, argv + ["--shards", "2"])
-        assert merged(one), "sharded run produced no merged lines"
-        assert merged(one) == merged(two)

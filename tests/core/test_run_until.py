@@ -1,9 +1,11 @@
-"""Engine.run_until: the exclusive-horizon window primitive.
+"""Engine.run_before / run_until: the exclusive-horizon segment primitives.
 
-The sharded runtime leans on three exact semantics: events strictly before
-``t`` execute, events at exactly ``t`` stay queued for the next window, and
-the clock lands precisely on ``t`` so barrier-time work runs at the edge
-timestamp ahead of any same-time event.
+Both execute events strictly before ``t`` and leave events at exactly ``t``
+queued.  ``run_until`` then lands the clock precisely on ``t`` so work done
+between calls runs at that timestamp ahead of any same-time event;
+``run_before`` leaves the clock on the last executed event, which is what
+lets a durable run cut itself into segments and still end where one
+uninterrupted ``run()`` would.
 """
 
 from __future__ import annotations
@@ -76,3 +78,40 @@ class TestRunUntil:
         for k in range(1, 12):
             engine.run_until(k * 0.1)
         assert fired == list(range(10))
+
+
+class TestRunBefore:
+    def test_clock_stays_on_last_executed_event(self):
+        engine = Engine()
+        engine.post_at(0.25, lambda: None)
+        engine.post_at(2.0, lambda: None)
+        assert engine.run_before(1.0) is True
+        assert engine.now == 0.25
+
+    def test_reports_drained_queue_and_ends_like_run(self):
+        segmented, plain = Engine(), Engine()
+        for engine in (segmented, plain):
+            for i in range(1, 8):
+                engine.post_at(i * 0.3, lambda: None)
+        plain.run()
+        cut = 0.0
+        while True:
+            cut += 0.5
+            if not segmented.run_before(cut):
+                break
+        assert segmented.now == plain.now == 7 * 0.3
+        assert segmented.events_executed == plain.events_executed
+
+    def test_event_on_the_horizon_stays_queued(self):
+        engine = Engine()
+        fired = []
+        engine.post_at(1.0, fired.append, "on-edge")
+        assert engine.run_before(1.0) is True
+        assert fired == [] and engine.now == 0.0
+
+    def test_rejects_backward_horizon(self):
+        engine = Engine()
+        engine.post_at(0.5, lambda: None)
+        engine.run_before(1.0)
+        with pytest.raises(SimulationError):
+            engine.run_before(0.25)

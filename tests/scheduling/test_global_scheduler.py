@@ -223,3 +223,32 @@ class TestStatsCollection:
         scheduler.submit_job(single_task_job(1.0))
         engine.run()
         assert scheduler.job_latency.max() == pytest.approx(2.0, abs=0.05)
+
+
+class TestPlacementRetention:
+    def test_drained_drive_run_leaves_no_placements(self):
+        # A placement outliving its task keeps every finished Task/Job
+        # reachable, so per-job memory grows without bound over a run.
+        from repro.core.rng import RandomSource
+        from repro.experiments.common import build_farm, drive
+        from repro.workload.arrivals import PoissonProcess
+        from repro.workload.profiles import ExponentialService, SingleTaskJobFactory
+
+        farm = build_farm(4, small_cloud_server(), policy=LeastLoadedPolicy(), seed=1)
+        rng = RandomSource(1)
+        factory = SingleTaskJobFactory(ExponentialService(0.005), rng.stream("s"))
+        drive(farm, PoissonProcess(500.0, rng.stream("a")), factory, max_jobs=300)
+        assert farm.scheduler.jobs_completed == 300
+        assert farm.scheduler._placements == {}
+
+    def test_transfer_dag_leaves_no_placements(self):
+        engine = Engine()
+        topo = star(engine, 4, link_config=LinkConfig(rate_bps=1e8))
+        _, _, scheduler = make_farm(
+            n_servers=2, network=FlowNetwork(engine, topo),
+            policy=RoundRobinPolicy(), engine=engine,
+        )
+        scheduler.submit_job(pipeline_job([0.1, 0.1, 0.1], transfer_bytes=125e4))
+        engine.run()
+        assert scheduler.jobs_completed == 1
+        assert scheduler._placements == {}

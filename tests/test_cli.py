@@ -64,16 +64,18 @@ class TestParser:
                 ["facility-carbon", "--carbon", "unobtainium"]
             )
 
-    def test_durability_flags_on_every_shard_command(self):
-        for command in ("scalability", "joint", "faults", "facility-carbon"):
-            args = build_parser().parse_args(
-                [command, "--checkpoint", "run.ckpt", "--checkpoint-every",
-                 "0.5", "--shard-retries", "2"]
-            )
-            assert args.checkpoint == "run.ckpt", command
-            assert args.checkpoint_every == 0.5, command
-            assert args.shard_retries == 2, command
-            assert args.shards is None, command  # flags imply --shards 1
+    def test_durability_flags_on_scalability_only(self):
+        args = build_parser().parse_args(
+            ["scalability", "--checkpoint", "run.ckpt", "--checkpoint-every",
+             "0.5", "--restore-from", "old.ckpt"]
+        )
+        assert args.checkpoint == "run.ckpt"
+        assert args.checkpoint_every == 0.5
+        assert args.restore_from == "old.ckpt"
+        # Sweeps are durable point by point through --journal/--resume.
+        for command in ("joint", "faults", "facility-carbon", "ai-training"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--checkpoint", "run.ckpt"])
 
     def test_checkpoint_every_requires_checkpoint_path(self):
         from repro.cli import _durability
@@ -171,25 +173,44 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "GOAL replay" in out
 
-    def test_interrupt_and_restore_smoke(self, capsys, tmp_path):
+    def test_interrupt_and_restore_smoke(self, capsys, tmp_path, monkeypatch):
+        import os
+        import signal
+
+        from repro.workload.driver import WorkloadDriver
+
+        real_inject = WorkloadDriver._inject
+
+        # Named like the method it replaces so the pending arrival event
+        # pickles by that name and restores to the real method.
+        def _inject(self, when):
+            real_inject(self, when)
+            if self.jobs_injected == 100:
+                os.kill(os.getpid(), signal.SIGINT)
+
         ckpt = str(tmp_path / "run.ckpt")
-        base = ["scalability", "--servers", "64", "--num-jobs", "300"]
+        base = ["scalability", "--servers", "64", "--num-jobs", "300",
+                "--strict-invariants"]
+        monkeypatch.setattr(WorkloadDriver, "_inject", _inject)
         with pytest.raises(SystemExit) as exc:
-            main(base + ["--checkpoint", ckpt, "--stop-after-windows", "5"])
+            main(base + ["--checkpoint", ckpt])
+        monkeypatch.undo()
         assert exc.value.code == 130
         err = capsys.readouterr().err
         assert f"--restore-from {ckpt}" in err
 
-        main(base + ["--restore-from", ckpt])
-        restored = capsys.readouterr().out
-        assert "restored-from-window=5" in restored
+        metrics = {}
+        for name, extra in (("restored", ["--restore-from", ckpt]),
+                            ("plain", [])):
+            metrics[name] = tmp_path / f"{name}.json"
+            main(base + extra + ["--metrics", str(metrics[name])])
+            assert "Table I" in capsys.readouterr().out
+        assert metrics["restored"].read_bytes() == metrics["plain"].read_bytes()
 
-        main(base + ["--shards", "1"])
-        reference = capsys.readouterr().out
-        merged = lambda text: [
-            l for l in text.splitlines() if l.startswith("merged ")
-        ]
-        assert merged(restored) == merged(reference)
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--seed", "2", "--restore-from", ckpt])
+        assert exc.value.code == 2
+        assert "fingerprint" in capsys.readouterr().err
 
     def test_bench_quick_smoke(self, capsys, tmp_path):
         import json
@@ -306,7 +327,6 @@ class TestObservabilityFlags:
         assert args.steps == 4
         assert args.goal_trace is None
         assert args.make_goal is None
-        assert args.shards is None
 
     def test_ai_training_rejects_unknown_algorithm(self):
         with pytest.raises(SystemExit):
