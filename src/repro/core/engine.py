@@ -356,17 +356,6 @@ class Engine:
             self._dispatch(math.nextafter(t, -math.inf), None)
         return self.peek_time() is not None
 
-    def run_until(self, t: float) -> None:
-        """Advance the clock to exactly ``t``, executing events **before** it.
-
-        :meth:`run_before` plus landing the clock on ``t``: events at exactly
-        ``t`` stay queued for the next call, and work done between calls runs
-        with ``now == t`` ahead of any event at ``t``.
-        """
-        self.run_before(t)
-        if not self._stopped and self._now < t:
-            self._now = t
-
     def stop(self) -> None:
         """Stop the loop after the current event; usable from callbacks."""
         self._stopped = True

@@ -76,14 +76,20 @@ class ScalabilityResult:
     pool_enabled: bool = True
     pool_captures: int = 0
     pool_peak: int = 0
+    #: Events and jobs already done in the checkpoint a restored run resumed;
+    #: ``wall_seconds`` did not time them, so the rates leave them out.
+    restored_events: int = 0
+    restored_jobs: int = 0
 
     @property
     def events_per_second(self) -> float:
-        return self.events_executed / self.wall_seconds if self.wall_seconds else 0.0
+        events = self.events_executed - self.restored_events
+        return events / self.wall_seconds if self.wall_seconds else 0.0
 
     @property
     def jobs_per_wall_second(self) -> float:
-        return self.n_jobs / self.wall_seconds if self.wall_seconds else 0.0
+        jobs = self.n_jobs - self.restored_jobs
+        return jobs / self.wall_seconds if self.wall_seconds else 0.0
 
     def render(self) -> str:
         mode = "pooled" if self.pool_enabled else "exact"
@@ -150,6 +156,8 @@ def run_scalability(
     # (below) but is verification, not simulated work, so it stays outside
     # the throughput window — at farm scale it would otherwise skew
     # events/s by several percent.
+    restored_events = farm.engine.events_executed
+    restored_jobs = farm.scheduler.jobs_completed
     start = time.perf_counter()
     if durability is None:
         farm.engine.run()
@@ -167,6 +175,8 @@ def run_scalability(
         pool_enabled=farm.pool is not None,
         pool_captures=farm.pool.captures if farm.pool is not None else 0,
         pool_peak=farm.pool.peak_pooled if farm.pool is not None else 0,
+        restored_events=restored_events,
+        restored_jobs=restored_jobs,
     )
 
 

@@ -46,6 +46,8 @@ from repro.network.topology import Topology
 from repro.telemetry import session as telemetry
 
 DEFAULT_MTU_BYTES = 1500
+#: Distinct transfer sizes whose packetization a network keeps at once.
+_PACKETIZATION_CACHE_SIZE = 1024
 
 
 class Packet:
@@ -127,6 +129,37 @@ class _OutputQueue:
         return len(self.queue) + (1 if self.transmitting else 0)
 
 
+class _Packetization:
+    """One transfer size split into MTU packets, shared by every transfer of
+    that size on a network.
+
+    ``sizes`` comes from the per-transfer ``min``/subtract loop, ``total`` is
+    their ``sum`` and ``tx_times(rate)`` their ``size * 8 / rate`` transmit
+    times, so the analytic schedule does the per-packet model's float ops.
+    """
+
+    __slots__ = ("sizes", "total", "_tx_times")
+
+    def __init__(self, size_bytes: float, mtu_bytes: float):
+        n_packets = max(1, int((size_bytes + mtu_bytes - 1) // mtu_bytes))
+        sizes: List[float] = []
+        remaining_bytes = size_bytes
+        for _ in range(n_packets):
+            chunk = min(mtu_bytes, remaining_bytes)
+            remaining_bytes -= chunk
+            sizes.append(float(chunk))
+        self.sizes: Tuple[float, ...] = tuple(sizes)
+        self.total = sum(self.sizes)
+        self._tx_times: Dict[float, List[float]] = {}
+
+    def tx_times(self, rate: float) -> List[float]:
+        """Per-packet transmit times at ``rate`` bits/s."""
+        times = self._tx_times.get(rate)
+        if times is None:
+            times = self._tx_times[rate] = [size * 8.0 / rate for size in self.sizes]
+        return times
+
+
 class _Train:
     """One in-flight fast-path transfer (packet train or express).
 
@@ -144,18 +177,18 @@ class _Train:
     timestamps; it runs whenever competing traffic touches a reserved link.
     """
 
-    __slots__ = ("network", "engine", "path", "hops", "sizes", "callback",
+    __slots__ = ("network", "engine", "path", "hops", "packets", "callback",
                  "t0", "mode", "alive", "deps", "begun", "window_open",
                  "handles", "port_restores", "card_restores", "hop_ends")
 
     def __init__(self, network: "PacketNetwork", path: List[str],
-                 hops: List[Tuple[Link, str, str]], sizes: List[float],
+                 hops: List[Tuple[Link, str, str]], packets: _Packetization,
                  callback: Callable[[], None]):
         self.network = network
         self.engine = network.engine
         self.path = path
         self.hops = hops
-        self.sizes = sizes
+        self.packets = packets
         self.callback = callback
         self.t0 = self.engine.now
         self.mode = "train"
@@ -185,20 +218,19 @@ class _Train:
         model restarts from the arrival instant with zero wake.
         """
         link = self.hops[h][0]
-        rate = link.current_rate_bps
+        tx = self.packets.tx_times(link.current_rate_bps)
+        if h == 0:
+            t = self.t0 + (window_start_extra + tx[0])
+            return list(itertools.accumulate(tx[1:], initial=t))
         prop = link.propagation_delay_s
-        sizes = self.sizes
-        prev_deps = self.deps[h - 1] if h else None
-        t = (self.t0 if h == 0 else prev_deps[0] + prop) + (
-            window_start_extra + sizes[0] * 8.0 / rate
-        )
+        prev_deps = self.deps[h - 1]
+        t = prev_deps[0] + prop + (window_start_extra + tx[0])
         deps = [t]
-        for i in range(1, len(sizes)):
-            if h:
-                arr = prev_deps[i] + prop
-                if arr > t:
-                    t = arr
-            t = t + sizes[i] * 8.0 / rate
+        for i in range(1, len(tx)):
+            arr = prev_deps[i] + prop
+            if arr > t:
+                t = arr
+            t = t + tx[i]
             deps.append(t)
         return deps
 
@@ -252,7 +284,7 @@ class _Train:
         for h in range(len(hops)):
             self.deps[h] = self._hop_departures(h, 0.0)
         self.hop_ends = [deps[-1] for deps in self.deps]
-        t_end = self._arrival(len(hops) - 1, len(self.sizes) - 1)
+        t_end = self._arrival(len(hops) - 1, len(self.packets.sizes) - 1)
         horizon = t_end - self.t0
         for h, (link, _u, _v) in enumerate(hops):
             for port in link.ports.values():
@@ -319,7 +351,7 @@ class _Train:
         prop = self.hops[last][0].propagation_delay_s
         network.packet_delay.extend((d + prop) - t0 for d in deps)
         network.packets_delivered += len(deps)
-        network.bytes_delivered += sum(self.sizes)
+        network.bytes_delivered += self.packets.total
         self.callback()
 
     # ------------------------------------------------------------------
@@ -376,7 +408,8 @@ class _Train:
             if handle.pending:
                 handle.cancel()
         self.handles = []
-        n = len(self.sizes)
+        sizes = self.packets.sizes
+        n = len(sizes)
         n_hops = len(self.hops)
 
         if self.mode == "express":
@@ -438,7 +471,7 @@ class _Train:
                 else:
                     # Already delivered in the analytic world; settle stats.
                     network.packets_delivered += 1
-                    network.bytes_delivered += self.sizes[i]
+                    network.bytes_delivered += sizes[i]
                     network.packet_delay.record(arrival - self.t0)
                     state["remaining"] -= 1
         for h, entries in at_hop.items():
@@ -466,7 +499,7 @@ class _Train:
 
     def _make_packet(self, i: int, hop_index: int,
                      on_delivered: Callable[[Packet], None]) -> Packet:
-        packet = Packet(self.sizes[i], self.path, self.t0, on_delivered)
+        packet = Packet(self.packets.sizes[i], self.path, self.t0, on_delivered)
         packet.hop_index = max(0, hop_index)
         return packet
 
@@ -497,6 +530,8 @@ class PacketNetwork:
         self.express = express
         self._queues: Dict[Tuple[str, str], _OutputQueue] = {}
         self._reserved: Dict[Tuple[str, str], _Train] = {}
+        # size_bytes -> its packetization under this network's MTU.
+        self._packetizations: Dict[float, _Packetization] = {}
         self._transfer_seq = 0
         self.packets_delivered = 0
         self.packets_dropped = 0
@@ -558,13 +593,17 @@ class PacketNetwork:
         self._transfer_seq += 1
         flow_key = f"{src}->{dst}#{self._transfer_seq}"
         path = self.router.route(src, dst, flow_key=flow_key)
-        n_packets = max(1, int((size_bytes + self.mtu_bytes - 1) // self.mtu_bytes))
-        sizes: List[float] = []
-        remaining_bytes = size_bytes
-        for _ in range(n_packets):
-            chunk = min(self.mtu_bytes, remaining_bytes)
-            remaining_bytes -= chunk
-            sizes.append(float(chunk))
+        cache = self._packetizations
+        packets = cache.get(size_bytes)
+        if packets is None:
+            # Packetizing is a pure function of the size, so dropping the
+            # cache only costs recomputation; the cap bounds workloads whose
+            # transfer sizes never repeat.
+            if len(cache) >= _PACKETIZATION_CACHE_SIZE:
+                cache.clear()
+            packets = cache[size_bytes] = _Packetization(size_bytes, self.mtu_bytes)
+        sizes = packets.sizes
+        n_packets = len(sizes)
 
         ts = telemetry.ACTIVE
         rec = ts.net if ts is not None else None
@@ -586,7 +625,7 @@ class PacketNetwork:
         if self.fast_path and self.max_queue_packets is None:
             hops = self.router.links_on_path(path)
             if self._train_eligible(path, hops):
-                train = _Train(self, path, hops, sizes, callback)
+                train = _Train(self, path, hops, packets, callback)
                 if self.express and train.try_express():
                     if rec is not None:
                         rec.instant(

@@ -1,18 +1,24 @@
 """Routing: BFS next-hop tables with deterministic ECMP tie-breaking.
 
 The paper's routing "can be either statically generated or dynamically
-computed" (§III-B).  The :class:`Router` builds, per destination, a BFS
-shortest-path DAG over the topology: for every node it stores the sorted,
-interned tuple of neighbours one step closer to the destination.  A route is
-then a walk down that table — O(path length) per query instead of a
+computed" (§III-B).  The :class:`Router` keeps, per destination, a BFS
+shortest-path DAG over the topology: for every node it reaches it stores the
+sorted, interned tuple of neighbours one step closer to the destination.  A
+route is then a walk down that table — O(path length) per query instead of a
 per-pair ``all_shortest_paths`` enumeration — and equal-cost spreading picks
 the next hop with a per-node-salted CRC32 of the flow key, so a given flow
 id always takes the same path (no packet reordering) while distinct flows
 load-balance across the DAG.
 
-Tables are built lazily (one BFS per destination) and cached in an LRU
-keyed by destination; topology fault mutations invalidate every table via
-the change-listener hook, exactly like the old per-pair path cache.
+Tables grow on demand: a destination's BFS runs only until the queried
+source has a hop count, and resumes from its saved frontier when a farther
+source is asked for later; next-hop tuples are derived per node on first
+use.  A FIFO BFS labels every node at level d-1 before any node at level d,
+so a node's next hops are final the moment it is labelled and every answer
+equals the one a full BFS would give.  The BFS reads a plain-tuple snapshot
+of the graph's adjacency, taken once per :attr:`Router.epoch`.  Tables live
+in an LRU keyed by destination; topology fault mutations drop every table
+and the snapshot via the change-listener hook.
 
 Dynamic power-aware selection (pick the path waking the fewest sleeping
 switches) is a memoised DP over the same DAG, exposed via
@@ -31,19 +37,59 @@ from repro.network.topology import Topology
 
 
 class _DestTable:
-    """BFS shortest-path DAG toward one destination.
+    """BFS shortest-path DAG toward one destination, grown on demand.
 
-    ``dist[n]`` is the hop count from ``n`` to the destination;
-    ``next_hops[n]`` is the sorted tuple of neighbours of ``n`` that are one
-    hop closer.  Nodes unreachable from the destination are absent.
+    ``dist[n]`` is the hop count from ``n`` to the destination for every
+    node labelled so far; ``frontier`` is the paused BFS queue.  Nodes
+    unreachable from the destination are never labelled.
     """
 
-    __slots__ = ("dst", "dist", "next_hops")
+    __slots__ = ("dst", "dist", "frontier", "adj", "interned", "hops")
 
-    def __init__(self, dst: str, dist: Dict[str, int], next_hops: Dict[str, Tuple[str, ...]]):
+    def __init__(self, dst: str, adj: Dict[str, Tuple[str, ...]],
+                 interned: Dict[Tuple[str, ...], Tuple[str, ...]]):
         self.dst = dst
-        self.dist = dist
-        self.next_hops = next_hops
+        self.dist: Dict[str, int] = {dst: 0}
+        self.frontier = deque((dst,))
+        self.adj = adj
+        self.interned = interned
+        # node -> next-hop tuple, filled as routes walk through the node.
+        self.hops: Dict[str, Tuple[str, ...]] = {}
+
+    def reach(self, node: str) -> bool:
+        """Resume the BFS until ``node`` is labelled; False if unreachable."""
+        dist = self.dist
+        if node in dist:
+            return True
+        adj = self.adj
+        frontier = self.frontier
+        while frontier:
+            # Expand a whole node before checking, so a paused BFS never
+            # leaves a popped node with unlabelled neighbours.
+            u = frontier.popleft()
+            d = dist[u] + 1
+            for nbr in adj[u]:
+                if nbr not in dist:
+                    dist[nbr] = d
+                    frontier.append(nbr)
+            if node in dist:
+                return True
+        return False
+
+    def next_hops(self, node: str) -> Tuple[str, ...]:
+        """Sorted neighbours of labelled ``node`` one hop closer to ``dst``.
+
+        Exact as soon as ``node`` is labelled: every node at level d-1 is
+        labelled before the first node at level d.
+        """
+        nhs = self.hops.get(node)
+        if nhs is None:
+            dist = self.dist
+            d = dist[node] - 1
+            nhs = tuple(sorted(n for n in self.adj[node] if dist.get(n, -1) == d))
+            nhs = self.interned.setdefault(nhs, nhs)
+            self.hops[node] = nhs
+        return nhs
 
 
 class Router:
@@ -54,6 +100,9 @@ class Router:
         self.max_cached_destinations = max_cached_destinations
         # destination -> _DestTable, LRU-evicted at max_cached_destinations.
         self._tables: "OrderedDict[str, _DestTable]" = OrderedDict()
+        # node -> neighbour tuple, snapshotted from the graph once per epoch
+        # so table growth never goes through networkx views.
+        self._adj: Optional[Dict[str, Tuple[str, ...]]] = None
         # Next-hop tuples are interned so tables over regular fabrics (where
         # thousands of nodes share the same few-way choice) share storage.
         self._interned: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
@@ -63,7 +112,7 @@ class Router:
         self._hops_cache: Dict[Tuple[str, ...], List[Tuple[Link, str, str]]] = {}
         #: Bumped on every invalidation; tables are rebuilt lazily afterwards.
         self.epoch = 0
-        #: Total BFS table builds (telemetry for tests and benchmarks).
+        #: Destination tables started (telemetry for tests and benchmarks).
         self.table_builds = 0
         # Fault injection mutates topology connectivity; stale next-hop
         # tables through dead components must never be served.
@@ -72,44 +121,30 @@ class Router:
     # ------------------------------------------------------------------
     # Table construction
     # ------------------------------------------------------------------
-    def _build_table(self, dst: str) -> _DestTable:
-        graph = self.topology.graph
-        if dst not in graph:
-            raise ValueError(f"unknown node {dst!r}")
-        adj = graph.adj
-        dist: Dict[str, int] = {dst: 0}
-        frontier = deque((dst,))
-        while frontier:
-            node = frontier.popleft()
-            d = dist[node] + 1
-            for nbr in adj[node]:
-                if nbr not in dist:
-                    dist[nbr] = d
-                    frontier.append(nbr)
-        intern = self._interned
-        next_hops: Dict[str, Tuple[str, ...]] = {}
-        for node, d in dist.items():
-            if node == dst:
-                continue
-            nhs = tuple(sorted(n for n in adj[node] if dist.get(n, -1) == d - 1))
-            cached = intern.get(nhs)
-            if cached is None:
-                intern[nhs] = nhs
-            else:
-                nhs = cached
-            next_hops[node] = nhs
-        self.table_builds += 1
-        return _DestTable(dst, dist, next_hops)
-
     def _table(self, dst: str) -> _DestTable:
         table = self._tables.get(dst)
         if table is not None:
             self._tables.move_to_end(dst)
             return table
-        table = self._build_table(dst)
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = {
+                node: tuple(nbrs) for node, nbrs in self.topology.graph.adjacency()
+            }
+        if dst not in adj:
+            raise ValueError(f"unknown node {dst!r}")
+        table = _DestTable(dst, adj, self._interned)
+        self.table_builds += 1
         self._tables[dst] = table
         if len(self._tables) > self.max_cached_destinations:
             self._tables.popitem(last=False)
+        return table
+
+    def _reached_table(self, src: str, dst: str) -> _DestTable:
+        """The table toward ``dst``, grown until ``src`` is labelled."""
+        table = self._table(dst)
+        if not table.reach(src):
+            raise ValueError(f"no path between {src!r} and {dst!r}")
         return table
 
     def _salt(self, node: str) -> int:
@@ -133,15 +168,12 @@ class Router:
         """
         if src == dst:
             return [src]
-        table = self._table(dst)
-        next_hops = table.next_hops
-        if src not in next_hops:
-            raise ValueError(f"no path between {src!r} and {dst!r}")
+        next_hops = self._reached_table(src, dst).next_hops
         key_hash = None if flow_key is None else zlib.crc32(flow_key.encode("utf-8"))
         path = [src]
         node = src
         while node != dst:
-            nhs = next_hops[node]
+            nhs = next_hops(node)
             if len(nhs) == 1 or key_hash is None:
                 node = nhs[0]
             else:
@@ -165,10 +197,7 @@ class Router:
         """
         if src == dst:
             return [[src]]
-        table = self._table(dst)
-        if src not in table.next_hops:
-            raise ValueError(f"no path between {src!r} and {dst!r}")
-        next_hops = table.next_hops
+        next_hops = self._reached_table(src, dst).next_hops
         paths: List[List[str]] = []
         stack: List[str] = [src]
 
@@ -176,7 +205,7 @@ class Router:
             if node == dst:
                 paths.append(list(stack))
                 return
-            for nh in next_hops[node]:
+            for nh in next_hops(node):
                 stack.append(nh)
                 expand(nh)
                 stack.pop()
@@ -210,7 +239,7 @@ class Router:
             cached = memo.get(node)
             if cached is not None:
                 return cached
-            best = node_cost(node) + min(cost(nh) for nh in next_hops[node])
+            best = node_cost(node) + min(cost(nh) for nh in next_hops(node))
             memo[node] = best
             return best
 
@@ -224,15 +253,13 @@ class Router:
         """
         if src == dst:
             return [src]
-        table = self._table(dst)
-        if src not in table.next_hops:
-            raise ValueError(f"no path between {src!r} and {dst!r}")
+        table = self._reached_table(src, dst)
         cost = self._wake_dp(table)
         next_hops = table.next_hops
         path = [src]
         node = src
         while node != dst:
-            nhs = next_hops[node]
+            nhs = next_hops(node)
             if len(nhs) == 1:
                 node = nhs[0]
             else:
@@ -256,10 +283,7 @@ class Router:
         """Wake cost of the cheapest equal-cost path between two nodes."""
         if src == dst:
             return self._node_wake_cost(src)
-        table = self._table(dst)
-        if src not in table.next_hops:
-            raise ValueError(f"no path between {src!r} and {dst!r}")
-        return self._wake_dp(table)(src)
+        return self._wake_dp(self._reached_table(src, dst))(src)
 
     # ------------------------------------------------------------------
     def links_on_path(self, path: List[str]) -> List[Tuple[Link, str, str]]:
@@ -278,7 +302,9 @@ class Router:
         return [self.topology.switches[n] for n in path if n in self.topology.switches]
 
     def invalidate_cache(self) -> None:
-        """Drop all next-hop tables (called after mutating the topology)."""
+        """Drop all next-hop tables and the adjacency snapshot (called after
+        mutating the topology)."""
         self._tables.clear()
+        self._adj = None
         self._hops_cache.clear()
         self.epoch += 1

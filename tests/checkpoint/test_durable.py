@@ -19,6 +19,8 @@ from repro.telemetry import session as telemetry
 #: ~0.026 simulated seconds of work: cuts every 5 ms give five checkpoints.
 MODEL = dict(n_servers=64, n_jobs=400, seed=13)
 EVERY_S = 0.005
+#: Result fields describing the session that ran, not the simulated model.
+SESSION_FIELDS = ("wall_seconds", "restored_events", "restored_jobs")
 
 
 class _Killed(Exception):
@@ -26,10 +28,10 @@ class _Killed(Exception):
 
 
 def _observe(**kwargs):
-    """Report fields (minus wall-clock) and the full metrics snapshot."""
+    """Report fields (minus session timing) and the full metrics snapshot."""
     with telemetry.session(trace=False, metrics=True) as sess:
         result = run_scalability(audit="strict", **MODEL, **kwargs)
-    fields = {k: v for k, v in vars(result).items() if k != "wall_seconds"}
+    fields = {k: v for k, v in vars(result).items() if k not in SESSION_FIELDS}
     return fields, sess.metrics.snapshot()
 
 
@@ -73,6 +75,34 @@ class TestRestoreIdentity:
         ))
         assert durable_run == _observe(pool=True)
         assert os.path.exists(path)
+
+
+class TestRestoredRates:
+    def test_rates_count_only_the_restored_sessions_work(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "run.ckpt")
+        _die_after_checkpoint(monkeypatch, 2)
+        with pytest.raises(_Killed):
+            run_scalability(**MODEL, pool=True, durability=DurabilityOptions(
+                checkpoint_path=path, checkpoint_every_s=EVERY_S,
+            ))
+        monkeypatch.undo()
+        cut_events = durable.read_checkpoint(path)[0]["events_executed"]
+        result = run_scalability(**MODEL, pool=True,
+                                 durability=DurabilityOptions(restore_from=path))
+        assert 0 < result.restored_events == cut_events < result.events_executed
+        assert 0 < result.restored_jobs < result.n_jobs == MODEL["n_jobs"]
+        assert result.wall_seconds > 0
+        assert result.events_per_second == (
+            (result.events_executed - cut_events) / result.wall_seconds
+        )
+        assert result.jobs_per_wall_second == (
+            (result.n_jobs - result.restored_jobs) / result.wall_seconds
+        )
+
+    def test_plain_run_rates_cover_the_whole_run(self):
+        result = run_scalability(**MODEL, pool=True)
+        assert result.restored_events == result.restored_jobs == 0
+        assert result.events_per_second == result.events_executed / result.wall_seconds
 
 
 class TestRestoreRefusals:
