@@ -8,6 +8,8 @@ uninterrupted ``run()`` would.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.engine import Engine, SimulationError
@@ -85,3 +87,10 @@ class TestRunBefore:
         engine.run_before(1.0)
         with pytest.raises(SimulationError):
             engine.run_before(0.25)
+
+    def test_rejects_horizon_just_behind_clock(self):
+        engine = Engine()
+        engine.post_at(0.5, lambda: None)
+        engine.run_before(1.0)
+        with pytest.raises(SimulationError):
+            engine.run_before(math.nextafter(0.5, -math.inf))
