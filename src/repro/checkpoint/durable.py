@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.checkpoint.format import check_restorable, read_checkpoint, write_checkpoint
 from repro.checkpoint.lock import FileLock
+from repro.core.heap import settled_build
 
 #: Pickle protocol for world snapshots (matches the sweep journal's choice).
 _PICKLE_PROTOCOL = 4
@@ -117,10 +118,15 @@ class SignalLatch:
 
 
 def load_world(path: str, experiment: str, fingerprint: str) -> Any:
-    """The world pickled in checkpoint ``path``, refused on a model mismatch."""
+    """The world pickled in checkpoint ``path``, refused on a model mismatch.
+
+    Unpickled under :func:`~repro.core.heap.settled_build`, like a world
+    built from scratch.
+    """
     header, payload = read_checkpoint(path)
     check_restorable(header, experiment, fingerprint, path)
-    return pickle.loads(payload)
+    with settled_build():
+        return pickle.loads(payload)
 
 
 def _next_cut(t: float, every_s: float) -> float:

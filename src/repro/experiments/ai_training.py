@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import LinkConfig, ServerConfig, xeon_e5_2680_server
 from repro.core.engine import Engine
+from repro.core.heap import settled_build
 from repro.core.invariants import audit_collective, audit_run
 from repro.core.rng import RandomSource
 from repro.jobs.task import Job
@@ -80,16 +81,21 @@ def build_ai_cluster(
     ranks_per_server: int = 1,
     server_config: Optional[ServerConfig] = None,
 ) -> AiCluster:
-    """Build fat-tree + servers + packet network + group placement."""
-    topo = fat_tree(engine, k, link_config=LinkConfig(rate_bps=link_rate_bps))
-    config = server_config or xeon_e5_2680_server(n_cores=n_cores)
-    servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
-    # express=False: a ring keeps every group link busy in both directions,
-    # which the train path batches per direction; express engagement would
-    # repeatedly engage and materialize against the reverse traffic.
-    network = PacketNetwork(engine, topo, fast_path=True, express=False)
-    placement = GroupPlacementPolicy(topo, ranks_per_server=ranks_per_server)
-    scheduler = GlobalScheduler(engine, servers, policy=placement, network=network)
+    """Build fat-tree + servers + packet network + group placement.
+
+    Built under :func:`~repro.core.heap.settled_build`, like
+    :func:`~repro.experiments.common.build_farm`.
+    """
+    with settled_build():
+        topo = fat_tree(engine, k, link_config=LinkConfig(rate_bps=link_rate_bps))
+        config = server_config or xeon_e5_2680_server(n_cores=n_cores)
+        servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
+        # express=False: a ring keeps every group link busy in both directions,
+        # which the train path batches per direction; express engagement would
+        # repeatedly engage and materialize against the reverse traffic.
+        network = PacketNetwork(engine, topo, fast_path=True, express=False)
+        placement = GroupPlacementPolicy(topo, ranks_per_server=ranks_per_server)
+        scheduler = GlobalScheduler(engine, servers, policy=placement, network=network)
     ts = telemetry.ACTIVE
     if ts is not None:
         ts.attach_engine(engine)

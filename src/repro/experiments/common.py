@@ -8,6 +8,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import ServerConfig
 from repro.core.engine import Engine
+from repro.core.heap import settled_build
 from repro.core.invariants import AuditReport, audit_run
 from repro.core.rng import RandomSource
 from repro.scheduling.global_scheduler import GlobalScheduler
@@ -77,25 +78,30 @@ def build_farm(
     ``pool=True`` attaches a :class:`~repro.server.pool.ServerPool` so
     settled-idle servers ride pooled state machines instead of per-server
     engine events — bit-identical observables, farm-scale speed.
+
+    The farm is built under :func:`~repro.core.heap.settled_build`: a farm
+    that makes up most of the heap is frozen out of cyclic GC passes, and
+    the farm an earlier call built is released when this one starts.
     """
     if n_servers <= 0:
         raise ValueError(f"need at least one server, got {n_servers}")
-    engine = engine or Engine()
-    if servers is None:
-        servers = [Server(engine, server_config, server_id=i) for i in range(n_servers)]
-    scheduler = GlobalScheduler(
-        engine,
-        servers,
-        policy=policy,
-        network=network,
-        use_global_queue=use_global_queue,
-        eligible_provider=eligible_provider,
-    )
-    server_pool: Optional[ServerPool] = None
-    if pool:
-        server_pool = ServerPool(engine)
-        for server in servers:
-            server_pool.adopt(server)
+    with settled_build():
+        engine = engine or Engine()
+        if servers is None:
+            servers = [Server(engine, server_config, server_id=i) for i in range(n_servers)]
+        scheduler = GlobalScheduler(
+            engine,
+            servers,
+            policy=policy,
+            network=network,
+            use_global_queue=use_global_queue,
+            eligible_provider=eligible_provider,
+        )
+        server_pool: Optional[ServerPool] = None
+        if pool:
+            server_pool = ServerPool(engine)
+            for server in servers:
+                server_pool.adopt(server)
     ts = telemetry.ACTIVE
     if ts is not None:
         ts.attach_engine(engine)

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.config import LinkConfig, ServerConfig, xeon_e5_2680_server
 from repro.core.engine import Engine
+from repro.core.heap import settled_build
 from repro.core.invariants import audit_run as audit_invariants
 from repro.core.rng import RandomSource
 from repro.core.stats import CdfResult
@@ -122,28 +123,33 @@ def build_joint_cluster(
     switch_idle_threshold_s: float = 2.0,
     server_config: Optional[ServerConfig] = None,
 ) -> JointCluster:
-    """Build topology + servers + manager + scheduler on ``engine``."""
-    topo = fat_tree(engine, k, link_config=LinkConfig(rate_bps=link_rate_bps))
-    config = server_config or xeon_e5_2680_server(n_cores=n_cores)
-    servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
-    router = Router(topo)
-    network = FlowNetwork(engine, topo, router)
-    manager = JointEnergyManager(
-        engine,
-        servers,
-        topo,
-        router=router,
-        mode=mode,
-        tau_s=tau_s,
-        switch_idle_threshold_s=switch_idle_threshold_s,
-    )
-    scheduler = GlobalScheduler(
-        engine,
-        servers,
-        policy=manager.make_policy(),
-        network=network,
-        eligible_provider=manager.eligible_servers,
-    )
+    """Build topology + servers + manager + scheduler on ``engine``.
+
+    Built under :func:`~repro.core.heap.settled_build`, like
+    :func:`~repro.experiments.common.build_farm`.
+    """
+    with settled_build():
+        topo = fat_tree(engine, k, link_config=LinkConfig(rate_bps=link_rate_bps))
+        config = server_config or xeon_e5_2680_server(n_cores=n_cores)
+        servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
+        router = Router(topo)
+        network = FlowNetwork(engine, topo, router)
+        manager = JointEnergyManager(
+            engine,
+            servers,
+            topo,
+            router=router,
+            mode=mode,
+            tau_s=tau_s,
+            switch_idle_threshold_s=switch_idle_threshold_s,
+        )
+        scheduler = GlobalScheduler(
+            engine,
+            servers,
+            policy=manager.make_policy(),
+            network=network,
+            eligible_provider=manager.eligible_servers,
+        )
     return JointCluster(
         engine=engine,
         topo=topo,

@@ -15,7 +15,6 @@ which records wall-clock seconds and the parallel speedup.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import platform
@@ -455,12 +454,6 @@ def run_bench(
     # Pooled vs exact A/B at the 4,096-server point (quick mode shrinks the
     # job count, not the farm, so the pooled fast path is always exercised at
     # scale); full mode adds the 65,536-server point from the tentpole claim.
-    # Every earlier section left survivors on the heap; collect and freeze
-    # them so generational GC sweeps during the farm runs don't traverse
-    # megabytes of unrelated bench state (worth several percent on the gated
-    # metric).
-    gc.collect()
-    gc.freeze()
     n_scal_jobs = 5_000 if quick else 50_000
     # Best-of-2 on BOTH paths of the A/B: a single 4-second sample is at the
     # mercy of host noise, and pool_speedup divides the two — sampling them
@@ -512,7 +505,6 @@ def run_bench(
     # Collective data plane: the committed 1,024-rank ring-allreduce point
     # runs full-size in quick mode too — it IS the gate, and the strict
     # conservation audit inside doubles as a correctness check at scale.
-    gc.collect()
     result["collective"] = bench_collective()
     return result
 

@@ -7,12 +7,18 @@ and accumulates call counts and wall-clock time keyed by handler
 performance PRs; the hook-disabled fast path is benchmarked at <1% overhead
 (``repro bench``, ``telemetry`` section).
 
+While its telemetry session is active the profiler also counts CPython's
+cyclic-GC passes and their wall-clock per generation (through
+``gc.callbacks``).  Collector time is otherwise charged to whichever handler
+happened to allocate, or to no handler at all during a world's build.
+
 Summaries are plain dicts so per-sweep-point profiles can cross process
 boundaries and be merged into one fleet-wide table.
 """
 
 from __future__ import annotations
 
+import gc
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -28,6 +34,10 @@ def handler_key(callback: Callable[..., Any]) -> str:
     return type(callback).__name__
 
 
+#: CPython's collector generations, youngest first.
+GC_GENERATIONS = 3
+
+
 class DispatchProfiler:
     """Accumulates per-handler [calls, total_s, max_s] across dispatches.
 
@@ -39,6 +49,9 @@ class DispatchProfiler:
         self._stats: Dict[str, List[float]] = {}
         self.events = 0
         self.wall_s = 0.0
+        #: Cyclic-GC [passes, total_s] per generation, youngest first.
+        self.gc_stats: List[List[float]] = [[0, 0.0] for _ in range(GC_GENERATIONS)]
+        self._gc_t0 = 0.0
 
     # ------------------------------------------------------------------
     def attach(self, engine) -> None:
@@ -49,6 +62,24 @@ class DispatchProfiler:
         # (same function + same instance), never ``is``.
         if engine.dispatch_hook == self._dispatch:
             engine.set_dispatch_hook(None)
+
+    def watch_gc(self) -> None:
+        """Start counting cyclic-GC passes (a no-op if already counting)."""
+        if self._on_gc not in gc.callbacks:
+            gc.callbacks.append(self._on_gc)
+
+    def unwatch_gc(self) -> None:
+        """Stop counting cyclic-GC passes (a no-op if not counting)."""
+        if self._on_gc in gc.callbacks:
+            gc.callbacks.remove(self._on_gc)
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._gc_t0 = perf_counter()
+        else:
+            rec = self.gc_stats[info["generation"]]
+            rec[0] += 1
+            rec[1] += perf_counter() - self._gc_t0
 
     def _dispatch(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
         t0 = perf_counter()
@@ -69,7 +100,8 @@ class DispatchProfiler:
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:
-        """JSON-serialisable profile: totals plus per-handler stats."""
+        """JSON-serialisable profile: totals, per-handler and per-GC-generation
+        stats."""
         return {
             "events": self.events,
             "wall_s": self.wall_s,
@@ -77,6 +109,7 @@ class DispatchProfiler:
                 key: {"calls": rec[0], "total_s": rec[1], "max_s": rec[2]}
                 for key, rec in self._stats.items()
             },
+            "gc": [{"passes": rec[0], "total_s": rec[1]} for rec in self.gc_stats],
         }
 
     def merge(self, summary: Optional[dict]) -> None:
@@ -94,6 +127,9 @@ class DispatchProfiler:
                 rec[1] += stats["total_s"]
                 if stats["max_s"] > rec[2]:
                     rec[2] = stats["max_s"]
+        for rec, stats in zip(self.gc_stats, summary.get("gc", ())):
+            rec[0] += stats["passes"]
+            rec[1] += stats["total_s"]
 
     @classmethod
     def from_summaries(cls, summaries: Iterable[Optional[dict]]) -> "DispatchProfiler":
@@ -114,9 +150,15 @@ class DispatchProfiler:
 
     def top_table(self, k: int = 10) -> str:
         """The hot-handler table, ready to print."""
+        per_gen = ", ".join(
+            f"gen{gen} {passes}/{total_s:.3f}s"
+            for gen, (passes, total_s) in enumerate(self.gc_stats)
+        )
         lines = [
             f"event-loop profile: {self.events} events, "
             f"{self.wall_s:.3f}s dispatch wall-clock",
+            f"gc: {sum(rec[0] for rec in self.gc_stats)} cyclic-collector passes, "
+            f"{sum(rec[1] for rec in self.gc_stats):.3f}s (passes/time: {per_gen})",
             f"{'handler':<40} {'calls':>10} {'total(s)':>10} "
             f"{'mean(us)':>10} {'max(us)':>10} {'share':>7}",
         ]

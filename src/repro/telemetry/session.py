@@ -102,6 +102,8 @@ class TelemetrySession:
         return doc
 
     def close(self) -> None:
+        if self.profiler is not None:
+            self.profiler.unwatch_gc()
         if self._stream_fh is not None:
             try:
                 self._stream_fh.close()
@@ -120,22 +122,34 @@ def current() -> Optional[TelemetrySession]:
     return ACTIVE
 
 
+def _switch(sess: Optional[TelemetrySession]) -> None:
+    """Make ``sess`` the active session.
+
+    Only the active session's profiler counts collector passes, so a sweep
+    point's passes are not also counted by the session that captures it.
+    """
+    global ACTIVE
+    if ACTIVE is not None and ACTIVE.profiler is not None:
+        ACTIVE.profiler.unwatch_gc()
+    ACTIVE = sess
+    if sess is not None and sess.profiler is not None:
+        sess.profiler.watch_gc()
+
+
 def activate(sess: TelemetrySession) -> Optional[TelemetrySession]:
     """Make ``sess`` the active session; returns the one it displaced.
 
     Nesting is deliberate: a sweep point captured inside an inline sweep
     swaps its own child session in and restores the parent afterwards.
     """
-    global ACTIVE
     prev = ACTIVE
-    ACTIVE = sess
+    _switch(sess)
     return prev
 
 
 def deactivate(prev: Optional[TelemetrySession] = None) -> None:
     """Clear the active session (or restore ``prev`` from :func:`activate`)."""
-    global ACTIVE
-    ACTIVE = prev
+    _switch(prev)
 
 
 @contextmanager

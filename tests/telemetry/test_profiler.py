@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 from repro.core.engine import Engine
 from repro.telemetry.profiler import DispatchProfiler, handler_key
 
@@ -97,3 +99,54 @@ class TestProfiling:
             "hot": {"calls": 2, "total_s": 5.0, "max_s": 4.0},
         }})
         assert [row[0] for row in prof.top(2)] == ["hot", "cold"]
+
+
+class TestGcAccounting:
+    def test_watch_counts_passes_per_generation(self):
+        prof = DispatchProfiler()
+        gc.disable()  # only the explicit passes below
+        try:
+            prof.watch_gc()
+            gc.collect(0)
+            gc.collect(0)
+            gc.collect(1)
+            prof.unwatch_gc()
+            gc.collect(0)  # not watched any more
+        finally:
+            gc.enable()
+        gens = prof.summary()["gc"]
+        assert [g["passes"] for g in gens] == [2, 1, 0]
+        assert all(g["total_s"] >= 0.0 for g in gens)
+
+    def test_watch_and_unwatch_are_idempotent(self):
+        before = list(gc.callbacks)
+        prof = DispatchProfiler()
+        prof.watch_gc()
+        prof.watch_gc()
+        assert len(gc.callbacks) == len(before) + 1
+        prof.unwatch_gc()
+        prof.unwatch_gc()
+        assert gc.callbacks == before
+
+    def test_merge_sums_gc_counts_across_points(self):
+        point = {"events": 0, "wall_s": 0.0, "handlers": {}, "gc": [
+            {"passes": 3, "total_s": 0.5},
+            {"passes": 1, "total_s": 0.25},
+            {"passes": 0, "total_s": 0.0},
+        ]}
+        merged = DispatchProfiler.from_summaries([point, point, None])
+        assert merged.summary()["gc"] == [
+            {"passes": 6, "total_s": 1.0},
+            {"passes": 2, "total_s": 0.5},
+            {"passes": 0, "total_s": 0.0},
+        ]
+        gc_lines = [ln for ln in merged.top_table().splitlines() if ln.startswith("gc:")]
+        assert gc_lines == [
+            "gc: 8 cyclic-collector passes, 1.500s "
+            "(passes/time: gen0 6/1.000s, gen1 2/0.500s, gen2 0/0.000s)"
+        ]
+
+    def test_merge_accepts_summaries_without_gc(self):
+        prof = DispatchProfiler()
+        prof.merge({"events": 1, "wall_s": 1.0, "handlers": {}})
+        assert sum(g["passes"] for g in prof.summary()["gc"]) == 0

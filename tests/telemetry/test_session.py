@@ -7,6 +7,7 @@ whole trace is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 
@@ -121,6 +122,41 @@ class TestFarmIntegration:
         with telemetry.session(categories=("power",)) as sess:
             _run_small_farm()
         assert {ev[1] for ev in sess.recorder.events} == {"power"}
+
+    def test_profiled_run_reports_gc_passes_and_restores_callbacks(self):
+        before = list(gc.callbacks)
+        with telemetry.session(profile=True) as sess:
+            _run_small_farm()
+            gc.collect(0)
+        assert gc.callbacks == before
+        assert sess.profiler.summary()["gc"][0]["passes"] >= 1
+        assert "gc:" in sess.profiler.top_table()
+        assert "gc" not in sess.payload().get("metrics", {})
+
+    def test_only_the_active_profiler_counts_gc_passes(self):
+        gc.disable()  # only the explicit passes below
+        try:
+            with telemetry.session(profile=True) as parent:
+                with telemetry.session(profile=True) as child:
+                    gc.collect(0)
+                gc.collect(1)
+        finally:
+            gc.enable()
+        passes = lambda sess: [g["passes"] for g in sess.profiler.summary()["gc"]]  # noqa: E731
+        assert passes(child) == [1, 0, 0]
+        assert passes(parent) == [0, 1, 0]
+
+    def test_close_removes_gc_callback(self):
+        before = list(gc.callbacks)
+        sess = TelemetrySession(profile=True)
+        prev = telemetry.activate(sess)
+        try:
+            assert len(gc.callbacks) == len(before) + 1
+            sess.close()
+            assert gc.callbacks == before
+        finally:
+            telemetry.deactivate(prev)
+        assert gc.callbacks == before
 
     def test_profiler_attached_by_build_farm(self):
         with telemetry.session(profile=True) as sess:

@@ -392,3 +392,15 @@ class TestObservabilityExecution:
         out = capsys.readouterr().out
         assert "event-loop profile" in out
         assert "handler" in out
+
+    def test_profile_reports_gc_passes_outside_metrics(self, capsys, tmp_path):
+        import gc
+        import json
+
+        callbacks = list(gc.callbacks)
+        json_path = tmp_path / "m.json"
+        main(self._TINY + ["--profile", "--metrics", str(json_path)])
+        out = capsys.readouterr().out
+        assert gc.callbacks == callbacks
+        assert [ln for ln in out.splitlines() if ln.startswith("gc:")]
+        assert "gc" not in json_path.read_text()
