@@ -51,6 +51,18 @@ class SimulationError(RuntimeError):
     """
 
 
+def _past_time_message(time: float, now: float) -> str:
+    if math.isnan(time):
+        return f"cannot schedule event at t=NaN (current time t={now})"
+    return f"cannot schedule event at t={time} before current time t={now}"
+
+
+def _bad_delay_message(delay: float) -> str:
+    if math.isnan(delay):
+        return "cannot schedule event after a NaN delay"
+    return f"negative delay {delay}"
+
+
 class EventHandle:
     """A cancellable scheduled event.
 
@@ -177,17 +189,17 @@ class Engine:
         is allocated.  Use :meth:`schedule_at` when the event may need to be
         cancelled.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
-            )
+        # Written as ``not >=`` so a NaN time fails too: ``nan < now`` is
+        # False, and a NaN entry would run out of order and poison the clock.
+        if not time >= self._now:
+            raise SimulationError(_past_time_message(time, self._now))
         heapq.heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` after ``delay`` seconds; not cancellable."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise SimulationError(_bad_delay_message(delay))
         self.post_at(self._now + delay, callback, *args)
 
     # ------------------------------------------------------------------
@@ -195,10 +207,8 @@ class Engine:
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
-            )
+        if not time >= self._now:
+            raise SimulationError(_past_time_message(time, self._now))
         handle = EventHandle(time, self._seq, callback, args, self)
         heapq.heappush(self._heap, (time, self._seq, None, handle))
         self._seq += 1
@@ -206,8 +216,8 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise SimulationError(_bad_delay_message(delay))
         return self.schedule_at(self._now + delay, callback, *args)
 
     # ------------------------------------------------------------------

@@ -170,6 +170,8 @@ def register_farm_metrics(
             "packets_delivered", "packets_dropped", "bytes_delivered",
             "transfers_stranded",
             "trains_engaged", "trains_express", "trains_materialized",
+            "trains_materialized_enqueue", "trains_materialized_route",
+            "packet_hops", "packet_hops_held",
         ):
             if hasattr(network, name):
                 registry.register_counter(

@@ -19,6 +19,7 @@ every flow is bottlenecked somewhere) are enforced by property-based tests.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.engine import Engine, EventHandle
@@ -200,8 +201,10 @@ class FlowNetwork:
         Same-server transfers complete after ``local_transfer_delay_s`` (data
         never leaves the machine).  Returns the created flow, if any.
         """
-        if size_bytes < 0:
-            raise ValueError(f"negative transfer size {size_bytes}")
+        if not 0 <= size_bytes < math.inf:
+            raise ValueError(
+                f"transfer size must be finite and non-negative, got {size_bytes}"
+            )
         if src_server_id == dst_server_id or size_bytes == 0:
             self.engine.post(self.local_transfer_delay_s, callback)
             return None

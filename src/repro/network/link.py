@@ -10,12 +10,10 @@ demand, which proportionally reduces active port power.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import LinkConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.network.switch import Port
+from repro.network.switch import LineCardState, Port, PortState
 
 
 class Link:
@@ -29,7 +27,9 @@ class Link:
         self.config = config
         self.current_rate_bps = config.rate_bps
         # Ports indexed by the node the port belongs to (switch endpoints only).
-        self.ports: Dict[str, "Port"] = {}
+        self.ports: Dict[str, Port] = {}
+        # The same ports in attach order, for the per-transmission loops.
+        self._ports: Tuple[Port, ...] = ()
         # Independent per-direction counters of active users (flows/packets).
         self._active: Dict[Tuple[str, str], int] = {
             (u, v): 0,
@@ -53,19 +53,14 @@ class Link:
             return self.u
         raise ValueError(f"{node!r} is not an endpoint of {self}")
 
-    def direction(self, src: str, dst: str) -> Tuple[str, str]:
-        """Validate and normalise a direction tuple for this link."""
-        if (src, dst) not in self._active:
-            raise ValueError(f"({src!r}, {dst!r}) is not a direction of {self}")
-        return (src, dst)
-
-    def attach_port(self, node: str, port: "Port") -> None:
+    def attach_port(self, node: str, port: Port) -> None:
         """Bind the switch-side port terminating this link at ``node``."""
         if node not in (self.u, self.v):
             raise ValueError(f"{node!r} is not an endpoint of {self}")
         if node in self.ports:
             raise ValueError(f"{self} already has a port at {node!r}")
         self.ports[node] = port
+        self._ports += (port,)
         port.link = self
 
     # ------------------------------------------------------------------
@@ -73,11 +68,12 @@ class Link:
     # ------------------------------------------------------------------
     def begin_activity(self, src: str, dst: str) -> float:
         """Traffic begins traversing ``src -> dst``; returns wake latency."""
-        key = self.direction(src, dst)
-        self._active[key] += 1
+        self._active[(src, dst)] += 1
         wake = 0.0
-        for port in self.ports.values():
-            wake = max(wake, port.begin_activity())
+        for port in self._ports:
+            port_wake = port.begin_activity()
+            if port_wake > wake:
+                wake = port_wake
         return wake
 
     def end_activity(self, src: str, dst: str, quiet_since: Optional[float] = None) -> None:
@@ -86,25 +82,42 @@ class Link:
         ``quiet_since`` settles a batched end that logically happened at an
         earlier instant (see :meth:`Port.end_activity`).
         """
-        key = self.direction(src, dst)
+        key = (src, dst)
         if self._active[key] <= 0:
             raise RuntimeError(f"no active traffic on {self} {key}")
         self._active[key] -= 1
-        for port in self.ports.values():
+        for port in self._ports:
             port.end_activity(quiet_since)
 
     def cancel_activity(self, src: str, dst: str) -> None:
         """Unwind one ``begin_activity`` without timer side effects (used by
         the packet-train fast path when a reserved window never opened)."""
-        key = self.direction(src, dst)
+        key = (src, dst)
         if self._active[key] <= 0:
             raise RuntimeError(f"no active traffic on {self} {key}")
         self._active[key] -= 1
-        for port in self.ports.values():
+        for port in self._ports:
             port.cancel_activity()
 
+    def awake(self) -> bool:
+        """True when ending and re-beginning activity now would change nothing.
+
+        That holds while every port on the link and its line card is ACTIVE
+        and no line card has a sleep timer pending: a begin then charges no
+        wake latency and changes no state, and the LPI timer an end arms is
+        cancelled by the begin that follows it.  The per-packet path keeps a
+        busy queue's activity open across back-to-back packets only then.
+        """
+        for port in self._ports:
+            if port.state is not PortState.ACTIVE:
+                return False
+            card = port.linecard
+            if card.state is not LineCardState.ACTIVE or card._sleep_timer is not None:
+                return False
+        return True
+
     def active_count(self, src: str, dst: str) -> int:
-        return self._active[self.direction(src, dst)]
+        return self._active[(src, dst)]
 
     @property
     def busy(self) -> bool:
@@ -128,7 +141,7 @@ class Link:
         if selected != self.current_rate_bps:
             self.current_rate_bps = selected
             factor = selected / self.config.rate_bps
-            for port in self.ports.values():
+            for port in self._ports:
                 port.set_rate_factor(factor)
         return self.current_rate_bps
 

@@ -5,7 +5,10 @@ messages are split into MTU-sized packets routed hop by hop.  Each directed
 link has an output queue at its sending node; a packet occupies the link for
 ``size / rate`` seconds, then propagates to the next node.  Port/line-card
 power states are driven by actual transmissions, so idle ports drop to LPI
-between packets — the effect the §V-B switch validation measures.
+between packets — the effect the §V-B switch validation measures.  A queue
+that sends packets back-to-back over an awake link keeps the link's activity
+open between them instead of ending and re-beginning it, which would change
+nothing there (``Link.awake``; DESIGN.md, "Per-packet path").
 
 Queuing delay, per-switch forwarding and (optional, finite) packet buffers
 with tail-drop are modeled; drops are counted, stranded transfers are
@@ -33,6 +36,7 @@ for the eligibility gates and the equivalence argument.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -51,12 +55,16 @@ _PACKETIZATION_CACHE_SIZE = 1024
 
 
 class Packet:
-    """One packet traversing a fixed route."""
+    """One packet traversing a fixed route.
+
+    ``queues`` holds the output queue of each hop of ``path``; the network
+    resolves it once per transfer and sets it before the first hop.
+    """
 
     _ids = itertools.count()
 
-    __slots__ = ("packet_id", "size_bytes", "path", "hop_index", "sent_at",
-                 "on_delivered", "on_dropped")
+    __slots__ = ("packet_id", "size_bytes", "path", "queues", "hop_index",
+                 "sent_at", "on_delivered", "on_dropped")
 
     def __init__(
         self,
@@ -66,8 +74,8 @@ class Packet:
         on_delivered: Optional[Callable[["Packet"], None]] = None,
         on_dropped: Optional[Callable[["Packet"], None]] = None,
     ):
-        if size_bytes <= 0:
-            raise ValueError(f"packet size must be positive, got {size_bytes}")
+        if not 0.0 < size_bytes < math.inf:
+            raise ValueError(f"packet size must be positive and finite, got {size_bytes}")
         self.packet_id = next(Packet._ids)
         self.size_bytes = float(size_bytes)
         self.path = path
@@ -89,6 +97,7 @@ class _OutputQueue:
         self.link = link
         self.src = src
         self.dst = dst
+        self.key = (src, dst)
         self.queue: Deque[Packet] = deque()
         self.transmitting = False
 
@@ -96,12 +105,15 @@ class _OutputQueue:
         # A packet joining a hop a train reserved would contend with the
         # train's analytic schedule; fold the train back into per-packet
         # state first, then queue normally behind it.
-        train = self.network._reserved.get((self.src, self.dst))
-        if train is not None:
-            train.materialize()
-        limit = self.network.max_queue_packets
+        network = self.network
+        if network._reserved:
+            train = network._reserved.get(self.key)
+            if train is not None:
+                network.trains_materialized_enqueue += 1
+                train.materialize()
+        limit = network.max_queue_packets
         if limit is not None and len(self.queue) >= limit:
-            self.network.packets_dropped += 1
+            network.packets_dropped += 1
             if packet.on_dropped is not None:
                 packet.on_dropped(packet)
             return
@@ -112,13 +124,30 @@ class _OutputQueue:
     def _start_next(self) -> None:
         packet = self.queue.popleft()
         self.transmitting = True
+        self.network.packet_hops += 1
         wake = self.link.begin_activity(self.src, self.dst)
         tx_time = packet.size_bytes * 8.0 / self.link.current_rate_bps
         self.engine.post(wake + tx_time, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
-        self.link.end_activity(self.src, self.dst)
-        self.engine.post(self.link.propagation_delay_s, self.network._hop_arrived, packet)
+        link = self.link
+        network = self.network
+        if self.queue and link.awake():
+            # Back-to-back on awake ports: ending and re-beginning the
+            # activity here would change nothing (DESIGN.md, "Per-packet
+            # path"), so hold it open and start the next packet directly.
+            # Its wake latency would be 0.0, and 0.0 + tx_time == tx_time.
+            engine = self.engine
+            now = engine._now
+            engine.post_at(now + link.propagation_delay_s, network._hop_arrived, packet)
+            packet = self.queue.popleft()
+            network.packet_hops += 1
+            network.packet_hops_held += 1
+            engine.post_at(now + packet.size_bytes * 8.0 / link.current_rate_bps,
+                           self._tx_done, packet)
+            return
+        link.end_activity(self.src, self.dst)
+        self.engine.post(link.propagation_delay_s, network._hop_arrived, packet)
         if self.queue:
             self._start_next()
         else:
@@ -449,6 +478,15 @@ class _Train:
                 self.callback()
 
         post_at = self.engine.post_at
+        path, t0 = self.path, self.t0
+        queues = network._queues_on(path)
+
+        def make_packet(i: int, hop_index: int) -> Packet:
+            packet = Packet(sizes[i], path, t0, one_arrived)
+            packet.queues = queues
+            packet.hop_index = max(0, hop_index)
+            return packet
+
         at_hop: Dict[int, List[Tuple[int, Packet]]] = {}
         for i in range(n):
             for h in range(n_hops):
@@ -456,17 +494,17 @@ class _Train:
                 if h >= begun_hops or arrival > tm:
                     # Still propagating toward hop h (arrival >= tm: a hop
                     # is unbegun only while its first arrival is pending).
-                    packet = self._make_packet(i, h - 1, one_arrived)
+                    packet = make_packet(i, h - 1)
                     post_at(arrival, network._hop_arrived, packet)
                     break
                 if self.deps[h][i] > tm:
-                    packet = self._make_packet(i, h, one_arrived)
+                    packet = make_packet(i, h)
                     at_hop.setdefault(h, []).append((i, packet))
                     break
             else:
                 arrival = self._arrival(n_hops - 1, i)
                 if arrival > tm:
-                    packet = self._make_packet(i, n_hops - 1, one_arrived)
+                    packet = make_packet(i, n_hops - 1)
                     post_at(arrival, network._hop_arrived, packet)
                 else:
                     # Already delivered in the analytic world; settle stats.
@@ -475,8 +513,7 @@ class _Train:
                     network.packet_delay.record(arrival - self.t0)
                     state["remaining"] -= 1
         for h, entries in at_hop.items():
-            _link, u, v = self.hops[h]
-            queue = network._queue_for(u, v)
+            queue = queues[h]
             queue.transmitting = True
             # First packet is mid-transmission: its tx-done is already in
             # the analytic timetable; the rest wait in FIFO order.
@@ -496,12 +533,6 @@ class _Train:
             link, u, v = self.hops[h]
             deps = self.deps[h]
             link.end_activity(u, v, quiet_since=deps[bisect_right(deps, tm) - 1])
-
-    def _make_packet(self, i: int, hop_index: int,
-                     on_delivered: Callable[[Packet], None]) -> Packet:
-        packet = Packet(self.packets.sizes[i], self.path, self.t0, on_delivered)
-        packet.hop_index = max(0, hop_index)
-        return packet
 
 
 class PacketNetwork:
@@ -540,6 +571,14 @@ class PacketNetwork:
         self.trains_engaged = 0
         self.trains_express = 0
         self.trains_materialized = 0
+        # Materializations by cause: per-packet traffic reached a reserved
+        # hop (enqueue), or a new transfer/send_packet crossed one (route).
+        self.trains_materialized_enqueue = 0
+        self.trains_materialized_route = 0
+        # Hop transmissions on the per-packet path, and how many of them
+        # started back-to-back with the link activity held open.
+        self.packet_hops = 0
+        self.packet_hops_held = 0
         self.packet_delay = LatencyCollector("packet_delay")
 
     # ------------------------------------------------------------------
@@ -560,7 +599,8 @@ class PacketNetwork:
             raise ValueError(f"packet needs at least one hop, got path {path}")
         self._clear_reservations(path)
         packet = Packet(size_bytes, path, self.engine.now, on_delivered, on_dropped)
-        self._forward(packet)
+        packet.queues = queues = self._queues_on(path)
+        queues[0].enqueue(packet)
         return packet
 
     def transfer(
@@ -583,8 +623,10 @@ class PacketNetwork:
         delivery (see the module docstring); timestamps and power accounting
         are identical to per-packet simulation.
         """
-        if size_bytes < 0:
-            raise ValueError(f"negative transfer size {size_bytes}")
+        if not 0 <= size_bytes < math.inf:
+            raise ValueError(
+                f"transfer size must be finite and non-negative, got {size_bytes}"
+            )
         if src_server_id == dst_server_id or size_bytes == 0:
             self.engine.post(self.local_transfer_delay_s, callback)
             return
@@ -662,9 +704,13 @@ class PacketNetwork:
                 if on_drop is not None:
                     on_drop(packet)
 
+        now = self.engine.now
+        queues = self._queues_on(path)
+        first = queues[0]
         for size in sizes:
-            packet = Packet(size, path, self.engine.now, _one_arrived, _one_dropped)
-            self._forward(packet)
+            packet = Packet(size, path, now, _one_arrived, _one_dropped)
+            packet.queues = queues
+            first.enqueue(packet)
 
     # ------------------------------------------------------------------
     # Fast-path eligibility
@@ -712,6 +758,7 @@ class PacketNetwork:
         for u, v in zip(path, path[1:]):
             train = self._reserved.get((u, v))
             if train is not None:
+                self.trains_materialized_route += 1
                 train.materialize()
 
     # ------------------------------------------------------------------
@@ -726,21 +773,23 @@ class PacketNetwork:
             self._queues[key] = queue
         return queue
 
-    def _forward(self, packet: Packet) -> None:
-        u = packet.path[packet.hop_index]
-        v = packet.path[packet.hop_index + 1]
-        self._queue_for(u, v).enqueue(packet)
+    def _queues_on(self, path: List[str]) -> List[_OutputQueue]:
+        """The output queue of each hop of ``path``, in order."""
+        queue_for = self._queue_for
+        return [queue_for(u, v) for u, v in zip(path, path[1:])]
 
     def _hop_arrived(self, packet: Packet) -> None:
-        packet.hop_index += 1
-        if packet.hop_index >= len(packet.path) - 1:
-            self.packets_delivered += 1
-            self.bytes_delivered += packet.size_bytes
-            self.packet_delay.record(self.engine.now - packet.sent_at)
-            if packet.on_delivered is not None:
-                packet.on_delivered(packet)
+        hop = packet.hop_index + 1
+        packet.hop_index = hop
+        queues = packet.queues
+        if hop < len(queues):
+            queues[hop].enqueue(packet)
             return
-        self._forward(packet)
+        self.packets_delivered += 1
+        self.bytes_delivered += packet.size_bytes
+        self.packet_delay.record(self.engine.now - packet.sent_at)
+        if packet.on_delivered is not None:
+            packet.on_delivered(packet)
 
     # ------------------------------------------------------------------
     def queue_depth(self, src: str, dst: str) -> int:

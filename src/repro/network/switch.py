@@ -73,17 +73,26 @@ class Port:
 
     # ------------------------------------------------------------------
     def begin_activity(self) -> float:
-        """Traffic starts using this port; returns the wake latency to charge."""
+        """Traffic starts using this port; returns the wake latency to charge.
+
+        A sleeping line card wakes with the port and adds its exit latency.
+        """
+        card = self.linecard
         self._active_users += 1
         if self._active_users == 1:
-            self.linecard._note_port_busy()
-        self._cancel_lpi_timer()
+            card._busy_ports += 1
+        if self._lpi_timer is not None:
+            self._cancel_lpi_timer()
         wake = 0.0
-        if self.state is PortState.LPI:
-            wake = self.profile.lpi_exit_latency_s
         if self.state is not PortState.ACTIVE:
+            if self.state is PortState.LPI:
+                wake = self.profile.lpi_exit_latency_s
             self._set_state(PortState.ACTIVE)
-        wake += self.linecard.notify_activity()
+        if card._sleep_timer is not None:
+            card._cancel_sleep_timer()
+        if card.state is LineCardState.SLEEP:
+            card._set_state(LineCardState.ACTIVE)
+            wake += card.profile.sleep_exit_latency_s
         return wake
 
     def end_activity(self, quiet_since: Optional[float] = None) -> None:
@@ -99,7 +108,7 @@ class Port:
         self._active_users -= 1
         basis = self.engine.now if quiet_since is None else quiet_since
         if self._active_users == 0:
-            self.linecard._note_port_idle()
+            self.linecard._busy_ports -= 1
             if self._quiet_candidate is not None and self._quiet_candidate > basis:
                 basis = self._quiet_candidate
             self._quiet_candidate = None
@@ -118,7 +127,7 @@ class Port:
             raise RuntimeError(f"{self} has no active users to cancel")
         self._active_users -= 1
         if self._active_users == 0:
-            self.linecard._note_port_idle()
+            self.linecard._busy_ports -= 1
             if self._quiet_candidate is not None:
                 # Other traffic came and went while this reservation masked
                 # the count; the port really went quiet when that traffic
@@ -199,6 +208,8 @@ class LineCard:
         self.energy = EnergyAccount(f"{self}", self.profile.active_w, self.engine.now)
         # Count of ports with active users, maintained by the ports
         # themselves, so quiet checks are O(1) instead of scanning ports.
+        # A port's ``begin_activity`` also cancels this card's sleep timer
+        # and wakes it from SLEEP.
         self._busy_ports = 0
         self.ports: List[Port] = [Port(self, i) for i in range(n_ports)]
         self._sleep_timer: Optional[EventHandle] = None
@@ -206,27 +217,10 @@ class LineCard:
         self._arm_sleep_timer()
 
     # ------------------------------------------------------------------
-    def notify_activity(self) -> float:
-        """A port on this card saw traffic; wake the card if sleeping.
-
-        Returns the wake latency the traffic must absorb.
-        """
-        self._cancel_sleep_timer()
-        if self.state is LineCardState.SLEEP:
-            self._set_state(LineCardState.ACTIVE)
-            return self.profile.sleep_exit_latency_s
-        return 0.0
-
     def note_port_quiet(self) -> None:
         """A port went quiet; if all are quiet, start the sleep timer."""
         if self._busy_ports == 0:
             self._arm_sleep_timer()
-
-    def _note_port_busy(self) -> None:
-        self._busy_ports += 1
-
-    def _note_port_idle(self) -> None:
-        self._busy_ports -= 1
 
     @property
     def all_ports_quiet(self) -> bool:

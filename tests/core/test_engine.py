@@ -198,6 +198,43 @@ class TestFastPath:
         assert engine.peek_time() == 1.0
 
 
+class TestNanTimes:
+    """NaN passes ``time < now``; every scheduling guard must still refuse it."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("method", ["post_at", "schedule_at", "post", "schedule"])
+    def test_nan_rejected_naming_nan(self, engine, method):
+        with pytest.raises(SimulationError, match="NaN"):
+            getattr(engine, method)(self.NAN, lambda: None)
+        assert engine.queued_count() == 0
+
+    def test_nan_rejected_mid_run_leaves_clock_and_order_intact(self, engine):
+        # Before the guard, the NaN entry landed mid-heap, ran between 2.0
+        # and 3.0 and set the clock to NaN.
+        order = []
+        errors = []
+
+        def post(t):
+            try:
+                engine.post_at(t, lambda: order.append(engine.now))
+            except SimulationError as exc:
+                errors.append(str(exc))
+
+        for t in (3.0, 1.0, 2.0, self.NAN, 0.5, 1.5):
+            post(t)
+        engine.run()
+        assert order == [0.5, 1.0, 1.5, 2.0, 3.0]
+        assert engine.now == 3.0
+        assert len(errors) == 1 and "NaN" in errors[0]
+
+    def test_infinite_time_still_allowed(self, engine):
+        engine.post_at(float("inf"), lambda: None)
+        engine.run(until=10.0)
+        assert engine.now == 10.0
+        assert engine.pending_count() == 1
+
+
 class TestHeapCompaction:
     def test_mass_cancel_keeps_heap_bounded(self, engine):
         # The delay-timer worst case: 100K timers scheduled and immediately

@@ -1,30 +1,46 @@
-"""Equivalence tests for the packet-train / express data-plane fast path.
+"""Equivalence tests for the packet-network performance paths.
 
-The fast path is a pure performance optimisation: delivered timestamps,
-packet delays, port/line-card residencies and energies must be *bit-for-bit*
-identical to the per-packet model, whether a train runs to completion or is
-materialized back into packets by cross-traffic.  These tests run the same
-workload with ``fast_path`` on and off and diff every observable.
+The packet-train / express fast path is a pure performance optimisation:
+delivered timestamps, packet delays, port/line-card residencies, transitions
+and energies must be *bit-for-bit* identical to the per-packet model, whether
+a train runs to completion or is materialized back into packets by
+cross-traffic.  These tests run the same workload with ``fast_path`` on and
+off and diff every observable.
+
+The per-packet path itself keeps a busy queue's link activity open across
+back-to-back packets while every port and line card on the link is awake
+(``Link.awake``).  The hold tests diff it, event count included, against
+the same runs with that gate forced shut, which ends and re-begins the
+activity for every packet.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Engine
+from repro.network.link import Link
 from repro.network.packet import PacketNetwork
 from repro.network.topology import fat_tree, star
 
 HORIZON = 5.0
 
 
-def run_workload(events, *, fast_path, express=True, builder=None, mtu=1500.0):
-    """Run transfers at scheduled times; return (engine, topo, net, completions)."""
+def run_workload(events, *, fast_path, express=True, builder=None, mtu=1500.0,
+                 max_queue_packets=None, switch_events=()):
+    """Run transfers at scheduled times; return (engine, topo, net, completions).
+
+    ``switch_events`` holds ``(t, switch_name, action)`` triples calling
+    ``Switch.fail``/``repair``/``sleep`` mid-traffic.
+    """
     engine = Engine()
     topo = (builder or (lambda e: star(e, 8)))(engine)
     net = PacketNetwork(engine, topo, mtu_bytes=mtu,
+                        max_queue_packets=max_queue_packets,
                         fast_path=fast_path, express=express)
     completions = []
 
@@ -34,12 +50,18 @@ def run_workload(events, *, fast_path, express=True, builder=None, mtu=1500.0):
 
     for t, src, dst, size in events:
         engine.schedule_at(t, launch, src, dst, size)
+    for t, name, action in switch_events:
+        engine.schedule_at(t, getattr(topo.switches[name], action))
     engine.run(until=HORIZON)
     return engine, topo, net, completions
 
 
-def observables(topo, net, completions):
-    """Everything the fast path must leave unchanged, exactly."""
+def observables(topo, net, completions, engine=None):
+    """Everything the fast path must leave unchanged, exactly.
+
+    With ``engine`` the executed-event count is included too: the fast path
+    skips events by design, the per-packet hold must not.
+    """
     ports = []
     cards = []
     for name in sorted(topo.switches):
@@ -47,20 +69,26 @@ def observables(topo, net, completions):
         for lc in switch.linecards:
             cards.append((lc.state.value,
                           tuple(sorted(lc.tracker.residency(HORIZON).items())),
+                          tuple(sorted(lc.tracker.transitions.items())),
                           lc.energy_j(HORIZON)))
             for port in lc.ports:
                 ports.append((port.state.value,
                               tuple(sorted(port.tracker.residency(HORIZON).items())),
+                              tuple(sorted(port.tracker.transitions.items())),
                               port.energy.energy_j(HORIZON)))
-    return {
+    out = {
         "completions": sorted(completions),
         "packets_delivered": net.packets_delivered,
+        "packets_dropped": net.packets_dropped,
         "delays": sorted(net.packet_delay.samples),
         "switch_energy": [topo.switches[n].energy_j(HORIZON)
                           for n in sorted(topo.switches)],
         "ports": ports,
         "cards": cards,
     }
+    if engine is not None:
+        out["events_executed"] = engine.events_executed
+    return out
 
 
 def assert_equivalent(events, builder=None, mtu=1500.0):
@@ -206,3 +234,114 @@ def test_random_workloads_bit_match_per_packet_model(seed, n_transfers, topo_nam
         size = float(rng.integers(1, 40_000))
         events.append((t, src, dst, size))
     assert_equivalent(events, builder=builder, mtu=1000.0)
+
+
+# ----------------------------------------------------------------------
+# Per-packet hold: back-to-back packets keep the link activity open
+# ----------------------------------------------------------------------
+def _gate_shut(_link):
+    return False
+
+
+def run_observed(events, **kwargs):
+    engine, topo, net, done = run_workload(events, **kwargs)
+    return observables(topo, net, done, engine), net
+
+
+def test_burst_through_idle_port_leaves_one_lpi_transition():
+    # N packets injected at once queue back-to-back at h0 and again at the
+    # switch's h1-facing port (the first one there pays the LPI exit).
+    # Each port wakes once, stays ACTIVE for the whole burst and drops to
+    # LPI exactly once, lpi_timer_s after the burst's last departure.
+    n = 12
+    engine = Engine()
+    topo = star(engine, 2)
+    net = PacketNetwork(engine, topo, fast_path=False)
+    for _ in range(n):
+        net.send_packet("h0", "h1", 1500.0)
+    port = topo.link_between("sw0", "h1").ports["sw0"]
+    queue = net._queues[("sw0", "h1")]
+    departures, lpi_entries = [], []
+
+    def hook(time, callback, args):
+        if callback == queue._tx_done:
+            departures.append(time)
+        elif callback == port._enter_lpi:
+            lpi_entries.append(time)
+        callback(*args)
+
+    engine.set_dispatch_hook(hook)
+    engine.run(until=HORIZON)
+    assert net.packets_delivered == n
+    assert len(departures) == n
+    assert port.tracker.transitions == {("lpi", "active"): 1, ("active", "lpi"): 1}
+    assert lpi_entries == [departures[-1] + port.profile.lpi_timer_s]
+    # Both queues start once and hold for every later packet.
+    assert net.packet_hops == 2 * n
+    assert net.packet_hops_held == 2 * (n - 1)
+
+
+def test_fail_and_repair_mid_burst_match_end_and_begin():
+    # fail() sets every port OFF while packets are queued behind it, and the
+    # next packet's begin powers the port up again (a known model defect,
+    # kept as is).  repair() then drops the busy ports to LPI, so the next
+    # packet pays the LPI exit.  The hold must skip neither, so it falls back.
+    events = [(0.0, 0, 1, 60_000.0)]
+    actions = [(1e-4, "sw0", "fail"), (2e-4, "sw0", "repair")]
+    held, net = run_observed(events, fast_path=False, switch_events=actions)
+    with mock.patch.object(Link, "awake", _gate_shut):
+        unheld, _ = run_observed(events, fast_path=False, switch_events=actions)
+    assert held == unheld
+    assert net.packet_hops_held > 0
+    transitions = [dict(p[2]) for p in held["ports"]]
+    assert any(t.get(("off", "active")) for t in transitions)
+    assert any(t.get(("lpi", "active"), 0) >= 2 for t in transitions)
+
+
+SWITCH_ACTIONS = ("fail", "repair", "sleep")
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_transfers=st.integers(min_value=1, max_value=8),
+    topo_name=st.sampled_from(["star", "fat_tree"]),
+    path=st.sampled_from(["per-packet", "train", "express"]),
+    max_queue_packets=st.sampled_from([None, 4]),
+    n_switch_events=st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_hold_matches_end_and_begin_per_packet(seed, n_transfers, topo_name, path,
+                                               max_queue_packets, n_switch_events):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    if topo_name == "star":
+        builder, n_servers = (lambda e: star(e, 8)), 8
+    else:
+        builder, n_servers = (lambda e: fat_tree(e, 4)), 16
+    topo = builder(Engine())
+    events = []
+    for _ in range(n_transfers):
+        src, dst = (int(x) for x in rng.choice(n_servers, size=2, replace=False))
+        t = float(rng.integers(0, 2000)) * 1e-6
+        size = float(rng.integers(1, 40_000))
+        events.append((t, src, dst, size))
+    # Hit switches mid-traffic: the sender's edge switch, shortly after a
+    # transfer starts; a failed switch may be repaired while still busy.
+    switch_events = []
+    for _ in range(n_switch_events):
+        t, src, _dst, _size = events[int(rng.integers(len(events)))]
+        (name,) = topo.graph.neighbors(topo.server_node(src))
+        t += float(rng.integers(0, 100)) * 1e-6
+        action = SWITCH_ACTIONS[int(rng.integers(len(SWITCH_ACTIONS)))]
+        switch_events.append((t, name, action))
+        if action == "fail" and rng.random() < 0.9:
+            switch_events.append((t + float(rng.integers(1, 100)) * 1e-6, name, "repair"))
+    kwargs = dict(fast_path=path != "per-packet", express=path == "express",
+                  builder=builder, mtu=1000.0, max_queue_packets=max_queue_packets,
+                  switch_events=switch_events)
+    held, _ = run_observed(events, **kwargs)
+    with mock.patch.object(Link, "awake", _gate_shut):
+        unheld, net = run_observed(events, **kwargs)
+    assert net.packet_hops_held == 0
+    assert held == unheld

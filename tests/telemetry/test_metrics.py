@@ -135,3 +135,23 @@ class TestFarmMetricsSurface:
         assert counters["network.transfers_stranded"] == 0
         assert counters["scheduler.transfers_dropped"] == 0
         assert counters["scheduler.transfers_launched"] == 0
+
+    def test_packet_path_counters_say_which_path_engaged(self):
+        # The small all-to-all benchmark build: trains engage, then
+        # contention folds them back into packets, and most per-packet hop
+        # transmissions start back-to-back on a busy output queue.
+        from repro.experiments.ai_training import run_ai_training_point
+        from repro.telemetry import session as telemetry
+
+        with telemetry.session(trace=False) as ts:
+            run_ai_training_point(
+                algorithm="all_to_all", group_size=16, k=4, n_steps=1,
+                size_bytes=1e6, compute_jitter=0.1, seed=11, audit="strict",
+            )
+            counters = ts.metrics.snapshot()["counters"]
+        assert counters["network.packet_hops_held"] > 0
+        assert counters["network.packet_hops"] > counters["network.packet_hops_held"]
+        assert counters["network.trains_materialized"] > 0
+        assert (counters["network.trains_materialized_enqueue"]
+                + counters["network.trains_materialized_route"]
+                == counters["network.trains_materialized"])
