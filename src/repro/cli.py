@@ -27,8 +27,11 @@ with other model parameters.  Sweeps are durable point by point through
 ``--journal PATH --resume``.
 
 Every subcommand accepts ``--jobs N`` to evaluate independent sweep points
-on N worker processes (results are bit-identical to ``--jobs 1``; commands
-that run a single simulation accept and ignore it).  ``repro bench`` runs
+on up to N worker processes, never more than the host's CPUs (results are
+bit-identical to ``--jobs 1``; commands that run a single simulation accept
+and ignore it).  Sweep points are not retried: a point that raises stops the
+sweep unless ``--keep-going`` is given, and a point that overruns
+``--point-timeout S`` stops it regardless.  ``repro bench`` runs
 the core and network-data-plane microbenchmarks and records the performance
 trajectory in ``BENCH_core.json``.
 
@@ -44,6 +47,7 @@ Use ``--help`` on any subcommand for its knobs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -93,22 +97,27 @@ def _workload(name: str) -> WorkloadProfile:
         ) from None
 
 
-def _sweep_options(args: argparse.Namespace) -> Optional[SweepOptions]:
-    """Build a resilience policy from the common flags; None when untouched.
+def _positive(kind: type, what: str):
+    """argparse ``type=`` for a finite number > 0, parsed with ``kind``."""
 
-    Returning None keeps the zero-overhead legacy path for plain runs and
-    preserves raw exception propagation (no SweepError wrapping).
-    """
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _sweep_options(args: argparse.Namespace) -> SweepOptions:
+    """Build the sweep execution policy from the common flags."""
     if args.resume and not args.journal:
         raise SystemExit("--resume requires --journal PATH")
-    if not (
-        args.point_timeout or args.retries or args.keep_going or args.journal
-        or args.trace_dir
-    ):
-        return None
     return SweepOptions(
         point_timeout_s=args.point_timeout,
-        retries=args.retries,
         keep_going=args.keep_going,
         journal_path=args.journal,
         resume=args.resume,
@@ -453,26 +462,26 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=1, help="root RNG seed")
         p.add_argument(
-            "-j", "--jobs", type=int, default=1, metavar="N",
-            help="worker processes for independent sweep points "
-                 "(results are identical to --jobs 1)",
+            "-j", "--jobs", default=1, metavar="N",
+            type=_positive(int, "an integer >= 1"),
+            help="worker processes for independent sweep points, at most "
+                 "one per host CPU (results are identical to --jobs 1)",
         )
         resilience = p.add_argument_group(
             "resilient sweeps",
-            "per-point retry/timeout, checkpoint journal, and invariant audits",
+            "fail-fast point timeout, checkpoint journal, and invariant audits",
         )
         resilience.add_argument(
-            "--point-timeout", type=float, default=None, metavar="SECONDS",
-            help="kill and retry any sweep point that runs longer than this",
-        )
-        resilience.add_argument(
-            "--retries", type=int, default=0, metavar="N",
-            help="extra attempts per point after a failure or timeout",
+            "--point-timeout", default=None, metavar="SECONDS",
+            type=_positive(float, "a finite number of seconds > 0"),
+            help="stop the sweep if any point runs longer than this; "
+                 "completed points stay journaled for --resume",
         )
         resilience.add_argument(
             "--keep-going", action="store_true",
-            help="finish the sweep even if points fail; failed points are "
-                 "dropped from the report instead of aborting the run",
+            help="finish the sweep even if points raise; those points are "
+                 "dropped from the report instead of aborting the run (a "
+                 "timeout or a dead worker still stops it)",
         )
         resilience.add_argument(
             "--journal", default=None, metavar="PATH",

@@ -171,8 +171,8 @@ class Engine:
         The hook *replaces* the ``callback(*args)`` call and is responsible
         for invoking it (so a profiler can time exactly the dispatch).  Pass
         None to uninstall.  With no hook installed :meth:`run` executes the
-        exact pre-hook loop — the telemetry microbench in ``repro bench``
-        holds this fast path to <1% of baseline.  Installing a hook while
+        exact pre-hook loop; ``repro bench`` records what installing one
+        costs as ``telemetry.hook_overhead_pct``.  Installing a hook while
         :meth:`run` is executing takes effect on the next :meth:`run` call.
         """
         if hook is not None and not callable(hook):

@@ -1,4 +1,4 @@
-"""Resilient parallel sweep execution and performance benchmarking.
+"""Parallel, resumable sweep execution and performance benchmarking.
 
 Every case study in the paper (Figs. 4-11, Table I) is a *sweep*: the same
 seeded simulation repeated over a grid of parameter points.  Points are
@@ -9,11 +9,11 @@ This package provides:
 * :class:`~repro.runner.sweep.SweepSpec` / :class:`~repro.runner.sweep.SweepPoint`
   — a declarative, picklable description of a sweep;
 * :func:`~repro.runner.sweep.run_sweep` /
-  :func:`~repro.runner.sweep.run_sweep_detailed` — execute a spec
-  sequentially or on a supervised spawn-safe worker pool, with bit-identical
-  results either way.  :class:`~repro.runner.sweep.SweepOptions` adds the
-  resilience layer: per-point timeouts, retry with deterministic backoff,
-  worker-crash recovery, and checkpoint/resume through a
+  :func:`~repro.runner.sweep.run_sweep_detailed` — execute a spec through
+  one loop, in-process or on a spawn-safe worker pool, with bit-identical
+  results either way.  :class:`~repro.runner.sweep.SweepOptions` sets the
+  policy: a fail-fast per-point timeout, ``keep_going`` for points that
+  raise, and checkpoint/resume through a
   :class:`~repro.runner.journal.SweepJournal`;
 * :mod:`repro.runner.bench` — the ``repro bench`` microbenchmark harness that
   tracks the simulator's performance trajectory in ``BENCH_core.json``.
@@ -29,7 +29,6 @@ from repro.runner.sweep import (
     SweepResult,
     SweepSpec,
     derive_label,
-    derive_point_seed,
     host_cpus,
     run_sweep,
     run_sweep_detailed,
@@ -45,7 +44,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "derive_label",
-    "derive_point_seed",
     "host_cpus",
     "point_fingerprint",
     "run_sweep",

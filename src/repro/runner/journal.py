@@ -111,7 +111,7 @@ class SweepJournal:
         cached = journal.load()              # fingerprint -> [entry, ...]
         journal.open()
         journal.record(fingerprint, index=3, label="tau=0.1", status="ok",
-                       attempts=1, duration_s=2.5, value=point_result)
+                       duration_s=2.5, value=point_result)
         journal.close()
 
     ``load`` may be called before ``open``; opening appends to an existing
@@ -188,7 +188,6 @@ class SweepJournal:
         index: int,
         label: str,
         status: str,
-        attempts: int,
         duration_s: float,
         value: Any = None,
         error: Optional[str] = None,
@@ -206,7 +205,6 @@ class SweepJournal:
             "index": index,
             "label": label,
             "status": status,
-            "attempts": attempts,
             "duration_s": round(duration_s, 6),
         }
         if status == "ok":

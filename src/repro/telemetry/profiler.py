@@ -4,8 +4,8 @@ Wraps the engine's dispatch via :meth:`repro.core.engine.Engine.set_dispatch_hoo
 and accumulates call counts and wall-clock time keyed by handler
 (``OwnerClass.method`` for bound methods).  Profiling the *simulator itself*
 — which handlers burn the wall-clock on a 20K-server run — feeds future
-performance PRs; the hook-disabled fast path is benchmarked at <1% overhead
-(``repro bench``, ``telemetry`` section).
+performance work.  What the hook costs the engine loop is measured, not
+assumed: ``repro bench`` records it as ``telemetry.hook_overhead_pct``.
 
 While its telemetry session is active the profiler also counts CPython's
 cyclic-GC passes and their wall-clock per generation (through

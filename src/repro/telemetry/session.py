@@ -9,8 +9,8 @@ The simulator's emit sites follow one pattern::
         ts.power.complete("power", ...)
 
 With no session active this costs one module-global load and an ``is None``
-test — strictly zero-cost in the sense the ISSUE demands (verified by the
-``repro bench`` telemetry microbench).  The per-category attributes
+test; ``repro bench`` measures what the layer costs in its ``telemetry``
+section (``telemetry.hook_overhead_pct``).  The per-category attributes
 (``ts.task``, ``ts.power``, ...) are the recorder when that category is
 enabled and ``None`` otherwise, so category filtering is also one attribute
 load at the call site, never a set lookup per event.
@@ -182,7 +182,6 @@ class TelemetryCapture:
     profile: bool = False
     max_events: int = DEFAULT_MAX_EVENTS
     trace_dir: Optional[str] = None
-    keep_traces: str = "failed"  # "failed" | "all"
     return_payload: bool = True
     fsync: bool = False
 
@@ -191,7 +190,6 @@ class TelemetryCapture:
         cls,
         active: Optional[TelemetrySession],
         trace_dir: Optional[str] = None,
-        keep_traces: str = "failed",
         fsync: bool = False,
     ) -> Optional["TelemetryCapture"]:
         """Derive the capture spec for a sweep, or None if nothing to do."""
@@ -200,8 +198,7 @@ class TelemetryCapture:
         if active is None:
             return cls(
                 trace=True, metrics=False, profile=False,
-                trace_dir=trace_dir, keep_traces=keep_traces,
-                return_payload=False, fsync=fsync,
+                trace_dir=trace_dir, return_payload=False, fsync=fsync,
             )
         categories = (
             tuple(sorted(active.recorder.categories))
@@ -217,7 +214,6 @@ class TelemetryCapture:
                 else DEFAULT_MAX_EVENTS
             ),
             trace_dir=trace_dir,
-            keep_traces=keep_traces,
             return_payload=True,
             fsync=fsync,
         )
@@ -242,7 +238,7 @@ def capture_point(capture: TelemetryCapture, point) -> Any:
     ``point`` is duck-typed (needs ``.execute()``, ``.index``, ``.label``).
     The child session streams to ``capture.trace_dir`` while running, so a
     point killed by the watchdog leaves a readable post-mortem trace; traces
-    of successful points are deleted unless ``keep_traces == "all"``.
+    of successful points are deleted.
     """
     stream_path = capture.stream_path_for(point.index)
     if stream_path is not None:
@@ -265,7 +261,7 @@ def capture_point(capture: TelemetryCapture, point) -> Any:
     finally:
         deactivate(prev)
         sess.close()
-        if stream_path is not None and ok and capture.keep_traces != "all":
+        if stream_path is not None and ok:
             try:
                 os.remove(stream_path)
             except OSError:

@@ -32,6 +32,7 @@ def _run(capsys, argv) -> str:
 
 @pytest.mark.timeout(300)
 class TestAiTrainingDeterminism:
+    @pytest.mark.usefixtures("real_pool")
     def test_identical_across_worker_counts(self, capsys):
         serial = _run(capsys, BASE + ["-j", "1"])
         assert "step(s)" in serial

@@ -20,7 +20,7 @@ from repro.core.rng import RandomSource
 def _hard_test_timeout(request):
     """Abort tests marked ``@pytest.mark.timeout(N)`` after N wall seconds.
 
-    The subprocess-pool tests (worker crash recovery, watchdog kills) hang
+    The subprocess-pool tests (dead workers, point-timeout kills) hang
     rather than fail when supervision logic regresses; a SIGALRM tripwire
     turns that hang into a test failure.  Implemented here because the
     environment has no pytest-timeout plugin; SIGALRM only fires in the main
@@ -44,6 +44,19 @@ def _hard_test_timeout(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def real_pool(monkeypatch):
+    """Make ``jobs > 1`` sweeps spawn a real worker pool on any host.
+
+    Sweeps clamp their worker count to ``host_cpus()``.  On a 1-CPU host a
+    pool-vs-in-process determinism test would otherwise compare the
+    in-process path with itself.
+    """
+    import repro.runner.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod, "host_cpus", lambda: 64)
 
 
 @pytest.fixture

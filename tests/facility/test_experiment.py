@@ -83,13 +83,14 @@ class TestPhysics:
 
 
 class TestDeterminism:
+    @pytest.mark.usefixtures("real_pool")
     def test_pool_matches_inline_bit_identical(self):
         """Results AND reassembled telemetry must match across jobs=1 and a
-        real worker pool (SweepOptions pins pool semantics on any host)."""
+        real worker pool."""
         captures, results = [], []
-        for jobs, options in ((1, None), (2, SweepOptions())):
+        for jobs in (1, 2):
             with telemetry.session(trace=True, metrics=True) as sess:
-                values = run_sweep(_spec(), jobs=jobs, options=options)
+                values = run_sweep(_spec(), jobs=jobs)
             captures.append(json.dumps(sess.point_captures, sort_keys=True))
             results.append(repr(values))
         assert results[0] == results[1]

@@ -1,4 +1,4 @@
-"""Module-level worker functions for resilient-sweep tests.
+"""Module-level worker functions for sweep-runner tests.
 
 Spawn-based workers pickle callables by qualified name, so everything a
 sweep executes must live in an importable module — test functions defined
@@ -26,30 +26,14 @@ def always_raises(x: int) -> None:
     raise ValueError(f"point {x} is broken")
 
 
-def raises_then_succeeds(x: int, scratch_dir: str, fail_times: int = 1) -> int:
-    """Raise on the first ``fail_times`` calls, then return ``x``."""
-    marker = os.path.join(scratch_dir, f"raise-{x}.count")
-    count = int(open(marker).read()) if os.path.exists(marker) else 0
-    with open(marker, "w") as fh:
-        fh.write(str(count + 1))
-    if count < fail_times:
-        raise RuntimeError(f"transient failure #{count + 1} for point {x}")
-    return x
-
-
-def sleeps_then_succeeds(x: int, scratch_dir: str, sleep_s: float = 30.0) -> int:
-    """Hang (past any reasonable watchdog) on the first call, then return."""
-    marker = os.path.join(scratch_dir, f"sleep-{x}.marker")
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("attempted")
-        time.sleep(sleep_s)
-    return x
-
-
 def sleeps_forever(x: int, sleep_s: float = 60.0) -> int:
     time.sleep(sleep_s)
     return x
+
+
+def raises_keyboard_interrupt(x: int) -> int:
+    """Raise KeyboardInterrupt inside the point, as Ctrl-C does in a worker."""
+    raise KeyboardInterrupt
 
 
 def sigkill_self_once(x: int, scratch_dir: str) -> int:

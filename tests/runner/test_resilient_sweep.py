@@ -1,8 +1,9 @@
-"""Failure-matrix tests for the resilient sweep supervisor.
+"""Failure-matrix tests for the sweep loop.
 
-Covers the contract of :class:`SweepOptions`: retries with deterministic
-backoff, per-point timeout watchdog, worker-crash (SIGKILL) recovery,
-journal checkpointing, and resume-from-journal bit-identity with an
+Covers the contract of :class:`SweepOptions`: a point that raises is
+``failed`` (and stops the sweep unless ``keep_going``), a timeout or a dead
+worker stops the sweep, Ctrl-C raises ``SweepInterrupted``, and the journal
+makes a stopped or interrupted sweep resume bit-identically to an
 uninterrupted run.  Worker functions live in ``tests/runner/_workers.py``
 because spawn-based pools pickle callables by qualified name.
 """
@@ -10,12 +11,15 @@ because spawn-based pools pickle callables by qualified name.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.runner import (
     SweepError,
+    SweepInterrupted,
     SweepOptions,
     SweepSpec,
     derive_label,
@@ -23,15 +27,14 @@ from repro.runner import (
     run_sweep,
     run_sweep_detailed,
 )
-from repro.runner.journal import SweepJournal, stable_repr
-from repro.runner.sweep import _backoff_s
+from repro.runner.journal import SweepJournal, encode_result, stable_repr
 from repro.telemetry import session as telemetry
 from repro.telemetry.trace import read_stream
 from tests.runner import _workers as w
 
 
 # ----------------------------------------------------------------------
-# Labels (SweepSpec.from_grid used to drop them entirely)
+# Labels
 # ----------------------------------------------------------------------
 class TestDerivedLabels:
     def test_add_derives_label_from_kwargs(self):
@@ -43,71 +46,15 @@ class TestDerivedLabels:
         spec = SweepSpec("s")
         assert spec.add(w.double, label="mine", x=3).label == "mine"
 
-    def test_from_grid_labels_points(self):
-        spec = SweepSpec.from_grid("g", w.double, [{"x": 1}, {"x": 2}])
-        assert [p.label for p in spec.points] == ["x=1", "x=2"]
-
-    def test_from_grid_label_excludes_derived_seed(self):
-        spec = SweepSpec.from_grid("g", w.double, [{"x": 1}], base_seed=5)
-        assert spec.points[0].label == "x=1"
-        assert "seed" in spec.points[0].kwargs
-
-    def test_from_grid_label_keeps_pinned_seed(self):
-        spec = SweepSpec.from_grid(
-            "g", w.double, [{"x": 1, "seed": 9}], base_seed=5
-        )
-        assert spec.points[0].label == "x=1,seed=9"
-
-    def test_from_grid_label_fn_override(self):
-        spec = SweepSpec.from_grid(
-            "g", w.double, [{"x": 1}], label_fn=lambda kw: f"point-{kw['x']}"
-        )
-        assert spec.points[0].label == "point-1"
-
     def test_derive_label_truncates(self):
         label = derive_label({"key": "v" * 200})
         assert len(label) <= 80 and label.endswith("...")
 
 
 # ----------------------------------------------------------------------
-# Deterministic backoff
-# ----------------------------------------------------------------------
-class TestBackoff:
-    def test_backoff_is_deterministic(self):
-        opts = SweepOptions(retries=3, retry_backoff_s=1.0)
-        assert _backoff_s(opts, "fp", 1) == _backoff_s(opts, "fp", 1)
-
-    def test_backoff_grows_and_caps(self):
-        opts = SweepOptions(
-            retries=10, retry_backoff_s=1.0, retry_backoff_factor=2.0,
-            max_backoff_s=4.0,
-        )
-        values = [_backoff_s(opts, "fp", attempt) for attempt in (1, 2, 3, 9)]
-        # jitter is in [0.5, 1.5) x base; base is 1, 2, 4, then capped at 4
-        assert 0.5 <= values[0] < 1.5
-        assert 1.0 <= values[1] < 3.0
-        assert 2.0 <= values[2] < 6.0
-        assert 2.0 <= values[3] < 6.0  # capped base; jitter still per-attempt
-
-    def test_zero_base_disables_backoff(self):
-        opts = SweepOptions(retries=3, retry_backoff_s=0.0)
-        assert _backoff_s(opts, "fp", 1) == 0.0
-
-
-# ----------------------------------------------------------------------
-# Inline supervised execution (jobs=1 + options)
+# In-process execution (one worker, no timeout)
 # ----------------------------------------------------------------------
 class TestInlineResilience:
-    def test_retry_then_succeed(self, tmp_path):
-        spec = SweepSpec("s")
-        spec.add(w.raises_then_succeeds, x=5, scratch_dir=str(tmp_path),
-                 fail_times=2)
-        opts = SweepOptions(retries=2, retry_backoff_s=0.0)
-        result = run_sweep_detailed(spec, options=opts)
-        assert result.ok
-        assert result.outcomes[0].attempts == 3
-        assert result.values() == [5]
-
     def test_failure_without_keep_going_raises_sweep_error(self):
         spec = SweepSpec("s")
         spec.add(w.double, x=1)
@@ -127,22 +74,20 @@ class TestInlineResilience:
         values = run_sweep(spec, options=SweepOptions(keep_going=True))
         assert values == [2, None, 6]
 
-    def test_retries_exhausted_reports_attempts(self, tmp_path):
-        spec = SweepSpec("s")
-        spec.add(w.raises_then_succeeds, x=1, scratch_dir=str(tmp_path),
-                 fail_times=5)
-        opts = SweepOptions(retries=1, retry_backoff_s=0.0, keep_going=True)
-        result = run_sweep_detailed(spec, options=opts)
-        outcome = result.outcomes[0]
-        assert outcome.status == "failed"
-        assert outcome.attempts == 2
-        assert "transient failure" in outcome.error
-
     def test_legacy_path_propagates_raw_exception(self):
+        """Without options a failing point raises SweepError too; the
+        point's own exception, traceback included, is its __cause__."""
         spec = SweepSpec("s")
         spec.add(w.always_raises, x=1)
-        with pytest.raises(ValueError):  # not SweepError: options is None
+        with pytest.raises(SweepError) as excinfo:
             run_sweep(spec)
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, ValueError)
+        assert str(cause) == "point 1 is broken"
+        assert cause.__traceback__ is not None
+        assert str(excinfo.value) == (
+            "sweep 's' point x=1 failed: ValueError: point 1 is broken"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +189,30 @@ class TestJournalResume:
         cache = SweepJournal(journal_path).load()
         assert len(cache) == 1  # the torn line is skipped, not fatal
 
+    def test_journal_line_with_attempts_still_resumes(self, tmp_path):
+        """Journal lines once carried an ``attempts`` key; a journal written
+        in that format must still resume."""
+        journal_path = tmp_path / "sweep.jsonl"
+        spec = SweepSpec("s")
+        spec.add(w.double, x=1)
+        spec.add(w.double, x=2)
+        fingerprint = point_fingerprint("s", w.double, {"x": 1})
+        lines = [
+            {"kind": "sweep-journal", "sweep": "s", "version": 1},
+            {"attempts": 1, "duration_s": 0.001, "fingerprint": fingerprint,
+             "index": 0, "label": "x=1", "result": encode_result(2),
+             "status": "ok"},
+        ]
+        journal_path.write_text(
+            "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+        )
+        result = run_sweep_detailed(spec, options=SweepOptions(
+            journal_path=str(journal_path), resume=True))
+        assert result.values() == [2, 4]
+        assert [o.cached for o in result.outcomes] == [True, False]
+        appended = json.loads(journal_path.read_text().splitlines()[-1])
+        assert appended["index"] == 1 and "attempts" not in appended
+
     def test_resume_requires_journal(self):
         with pytest.raises(ValueError):
             SweepOptions(resume=True)
@@ -271,57 +240,26 @@ class TestFingerprint:
 
 
 # ----------------------------------------------------------------------
-# Worker pool: crash recovery and the timeout watchdog
+# Worker pool: fail-fast timeout, dead workers, Ctrl-C
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 @pytest.mark.timeout(120)
+@pytest.mark.usefixtures("real_pool")
 class TestPoolResilience:
     def test_parallel_matches_inline(self):
         spec = SweepSpec("s")
         for x in range(6):
             spec.add(w.double, x=x)
-        opts = SweepOptions(retries=1, retry_backoff_s=0.0)
-        assert run_sweep(spec, jobs=3, options=opts) == run_sweep(spec, jobs=1)
+        assert run_sweep(spec, jobs=3) == run_sweep(spec, jobs=1)
 
-    def test_sigkilled_worker_recovers_without_losing_results(self, tmp_path):
-        """One point SIGKILLs its worker; the pool is respawned, the victim
-        and any in-flight innocents are requeued, and every point completes
-        without retries being configured (a crash earns a grace attempt)."""
-        spec = SweepSpec("kill")
-        spec.add(w.sigkill_self_once, x=0, scratch_dir=str(tmp_path))
-        for x in range(1, 4):
-            spec.add(w.record_execution, x=x, scratch_dir=str(tmp_path))
-        values = run_sweep(spec, jobs=2, options=SweepOptions())
-        assert values == [0, 1, 2, 3]
-
-    def test_every_point_crashing_once_still_completes_with_retries(self, tmp_path):
-        """All points crash their worker on first execution; with a retry
-        budget the sweep still converges to full results.
-
-        Budget arithmetic: a broken pool cannot attribute the crash, so
-        every in-flight point's crash counter ticks.  Each point crashes
-        once itself and can in the worst scheduling be in flight for each
-        of the other 3 points' crashes — 4 counted crashes.  A point fails
-        when ``crashes > retries + 1``, so ``retries=3`` makes the worst
-        case deterministic instead of an interleaving lottery."""
-        spec = SweepSpec("kill-all")
-        for x in range(4):
-            spec.add(w.sigkill_self_once, x=x, scratch_dir=str(tmp_path))
-        opts = SweepOptions(retries=3, retry_backoff_s=0.0)
-        assert run_sweep(spec, jobs=2, options=opts) == [0, 1, 2, 3]
-
-    def test_timeout_kills_and_retries(self, tmp_path):
-        """A point sleeping far past the watchdog is killed and succeeds on
-        its second attempt (the sleep marker makes attempt 2 return fast)."""
-        spec = SweepSpec("hang")
-        spec.add(w.sleeps_then_succeeds, x=7, scratch_dir=str(tmp_path),
-                 sleep_s=60.0)
-        opts = SweepOptions(point_timeout_s=1.0, retries=1, retry_backoff_s=0.0)
-        result = run_sweep_detailed(spec, jobs=1, options=opts)
-        outcome = result.outcomes[0]
-        assert outcome.status == "ok"
-        assert outcome.attempts == 2
-        assert result.values() == [7]
+    def test_worker_exception_is_the_cause(self):
+        spec = SweepSpec("s")
+        spec.add(w.always_raises, x=1)
+        spec.add(w.double, x=2)
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(spec, jobs=2)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert "point 1 is broken" in str(excinfo.value)
 
     def test_timeout_without_retries_fails_point(self):
         spec = SweepSpec("hang")
@@ -331,19 +269,60 @@ class TestPoolResilience:
         assert result.outcomes[0].status == "timeout"
         assert "point timeout" in result.outcomes[0].error
 
-    def test_timeout_spares_innocent_poolmates(self, tmp_path):
-        """Killing the pool for one overrunner must not fail the points that
-        happened to be in flight beside it."""
-        spec = SweepSpec("mixed")
+    def test_timeout_stops_sweep_even_with_keep_going(self, tmp_path):
+        """A timeout stops the sweep: the overrunner is ``timeout`` and
+        every unfinished point ``skipped``; keep_going does not turn the
+        skipped points into silent None rows."""
+        spec = SweepSpec("hang")
         spec.add(w.sleeps_forever, x=0, sleep_s=60.0)
         for x in range(1, 4):
             spec.add(w.record_execution, x=x, scratch_dir=str(tmp_path))
-        opts = SweepOptions(point_timeout_s=2.0, keep_going=True)
-        result = run_sweep_detailed(spec, jobs=4, options=opts)
-        statuses = [o.status for o in result.outcomes]
-        assert statuses[0] == "timeout"
-        assert statuses[1:] == ["ok", "ok", "ok"]
-        assert result.values()[1:] == [1, 2, 3]
+        opts = SweepOptions(point_timeout_s=1.0, keep_going=True)
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(spec, jobs=1, options=opts)
+        result = excinfo.value.result
+        assert [o.status for o in result.outcomes] == [
+            "timeout", "skipped", "skipped", "skipped"
+        ]
+        assert excinfo.value.first_failure.index == 0
+        assert str(excinfo.value) == (
+            "sweep 'hang' point x=0,sleep_s=60 timeout: "
+            "exceeded point timeout of 1s"
+        )
+        assert not list(tmp_path.glob("ran-*.marker"))
+
+    def test_sigkilled_worker_stops_sweep_and_resume_completes(self, tmp_path):
+        """A worker SIGKILLed mid-point stops a journaled jobs=2 sweep with
+        SweepError, even under keep_going.  The points that completed are
+        journaled, and --resume returns the uninterrupted values."""
+        journal_path = str(tmp_path / "kill.jsonl")
+        spec = SweepSpec("kill")
+        spec.add(w.sigkill_self_once, x=0, scratch_dir=str(tmp_path))
+        for x in range(1, 4):
+            spec.add(w.record_execution, x=x, scratch_dir=str(tmp_path))
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(spec, jobs=2, options=SweepOptions(
+                journal_path=journal_path, keep_going=True))
+        first = excinfo.value.first_failure
+        assert first.status == "failed"
+        assert "BrokenProcessPool" in first.error
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        result = excinfo.value.result
+        done = [o.index for o in result.outcomes if o.ok]
+        assert 0 not in done
+
+        resumed = run_sweep_detailed(spec, jobs=2, options=SweepOptions(
+            journal_path=journal_path, resume=True))
+        assert resumed.values() == [0, 1, 2, 3]
+        assert [o.index for o in resumed.outcomes if o.cached] == done
+
+    def test_worker_keyboard_interrupt_raises_sweep_interrupted(self):
+        spec = SweepSpec("ctrl-c")
+        spec.add(w.raises_keyboard_interrupt, x=0)
+        spec.add(w.double, x=1)
+        with pytest.raises(SweepInterrupted):
+            run_sweep(spec, jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestTelemetryCapture:
@@ -355,6 +334,7 @@ class TestTelemetryCapture:
             spec.add(w.traced_work, x=x)
         return spec
 
+    @pytest.mark.usefixtures("real_pool")
     def test_pool_capture_matches_inline(self):
         """Per-point telemetry reassembled in point order must be identical
         whether points ran inline or out-of-order across pool workers."""

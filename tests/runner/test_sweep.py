@@ -16,25 +16,12 @@ import pytest
 
 from repro.experiments.delay_timer import run_delay_timer_sweep
 from repro.experiments.fault_resilience import run_fault_resilience_sweep
-from repro.runner import SweepPoint, SweepSpec, derive_point_seed, run_sweep
+from repro.runner import SweepPoint, SweepSpec, run_sweep
 from repro.workload.profiles import web_search_profile
 
 
 def _add(a, b):
     return a + b
-
-
-class TestDerivePointSeed:
-    def test_stable_across_calls(self):
-        assert derive_point_seed(42, 0) == derive_point_seed(42, 0)
-
-    def test_distinct_per_index_and_base(self):
-        seeds = {derive_point_seed(base, i) for base in (1, 2) for i in range(50)}
-        assert len(seeds) == 100
-
-    def test_positive_int64(self):
-        for i in range(100):
-            assert 0 <= derive_point_seed(7, i) < 2**63
 
 
 class TestSweepSpec:
@@ -45,17 +32,6 @@ class TestSweepSpec:
         assert (p0.index, p1.index) == (0, 1)
         assert p0.label == "a"
         assert len(spec) == 2
-
-    def test_from_grid_derives_missing_seeds(self):
-        grid = [{"x": 1}, {"x": 2, "seed": 99}, {"x": 3}]
-        spec = SweepSpec.from_grid("g", _add, grid, base_seed=5)
-        assert spec.points[0].kwargs["seed"] == derive_point_seed(5, 0)
-        assert spec.points[1].kwargs["seed"] == 99  # pinned seed is kept
-        assert spec.points[2].kwargs["seed"] == derive_point_seed(5, 2)
-
-    def test_from_grid_without_base_seed_adds_nothing(self):
-        spec = SweepSpec.from_grid("g", _add, [{"x": 1}])
-        assert "seed" not in spec.points[0].kwargs
 
     def test_point_execute(self):
         point = SweepPoint(index=0, fn=_add, kwargs={"a": 7, "b": 3})
@@ -82,6 +58,7 @@ def _point_reprs(sweep):
 
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("real_pool")
 class TestParallelDeterminism:
     """jobs=N output must equal jobs=1 exactly, per the determinism contract."""
 
@@ -111,9 +88,9 @@ class TestParallelDeterminism:
 
 
 class TestElasticWorkers:
-    """Without an explicit resilience policy, the worker count is clamped to
-    the host CPU count — an over-subscribed pool on a small host is pure
-    spawn tax (the 0.666x sweep "speedup" this repo's bench once recorded)."""
+    """Every sweep clamps its worker count to the host CPU count — an
+    over-subscribed pool on a small host is pure spawn tax (the 0.666x sweep
+    "speedup" this repo's bench once recorded)."""
 
     def _pid_spec(self, n=3):
         from tests.runner import _workers as w
@@ -138,8 +115,9 @@ class TestElasticWorkers:
         assert os.getpid() not in pids
 
     def test_explicit_options_keep_pool_semantics(self, monkeypatch):
-        """A caller that passed SweepOptions asked for worker isolation
-        (timeouts, crash containment) — CPU count must not override that."""
+        """Passing SweepOptions no longer skips the CPU clamp: on one CPU
+        the sweep runs in-process.  Only a point timeout still needs a
+        worker process, because a hung point can only be killed there."""
         import repro.runner.sweep as sweep_mod
         from repro.runner import SweepOptions, run_sweep_detailed
 
@@ -147,7 +125,27 @@ class TestElasticWorkers:
         result = run_sweep_detailed(
             self._pid_spec(2), jobs=2, options=SweepOptions()
         )
+        assert set(result.values()) == {os.getpid()}
+        result = run_sweep_detailed(
+            self._pid_spec(2), jobs=2,
+            options=SweepOptions(point_timeout_s=60.0),
+        )
         assert os.getpid() not in result.values()
+
+    @pytest.mark.parametrize("cpus, line", [
+        (1, "3 point(s) on 1 worker (in-process) "
+            "(requested jobs=4, host CPUs=1)"),
+        (2, "3 point(s) on 2 worker process(es) "
+            "(requested jobs=4, host CPUs=2)"),
+    ])
+    def test_worker_line_reports_requested_and_actual(
+        self, monkeypatch, capsys, cpus, line
+    ):
+        import repro.runner.sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, "host_cpus", lambda: cpus)
+        run_sweep(self._pid_spec(3), jobs=4)
+        assert f"[repro.sweep] 'pids': {line}" in capsys.readouterr().err
 
     def test_single_job_unaffected(self, monkeypatch):
         import repro.runner.sweep as sweep_mod

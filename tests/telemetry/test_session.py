@@ -208,8 +208,3 @@ class TestCapture:
             pass
         kept = sorted(os.listdir(tmp_path / "pm"))
         assert kept == ["point-00001.trace.jsonl"]
-
-    def test_capture_point_keep_all(self, tmp_path):
-        cap = TelemetryCapture(trace_dir=str(tmp_path / "pm"), keep_traces="all")
-        capture_point(cap, SweepPoint(index=0, fn=w.traced_work, kwargs={"x": 1}))
-        assert sorted(os.listdir(tmp_path / "pm")) == ["point-00000.trace.jsonl"]

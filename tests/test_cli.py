@@ -6,6 +6,12 @@ import pytest
 
 from repro.cli import build_parser, main
 
+ALL_COMMANDS = (
+    "provisioning", "make-trace", "delay-timer", "residency", "joint",
+    "validate-server", "validate-switch", "faults", "facility-carbon",
+    "ai-training", "scalability", "bench",
+)
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -39,6 +45,39 @@ class TestParser:
 
     def test_jobs_short_flag(self):
         assert build_parser().parse_args(["delay-timer", "-j", "2"]).jobs == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jobs", "0"), ("--jobs", "two"),
+        ("--point-timeout", "0"), ("--point-timeout", "-1"),
+        ("--point-timeout", "nan"), ("--point-timeout", "inf"),
+    ])
+    def test_bad_sweep_flag_values_are_usage_errors(self, capsys, flag, value):
+        for command in ALL_COMMANDS:
+            extra = ["--out", "x.txt"] if command == "make-trace" else []
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, *extra, f"{flag}={value}"])
+            assert exc.value.code == 2, command
+            err = capsys.readouterr().err
+            assert "usage:" in err and flag in err, command
+
+    def test_retries_flag_is_gone(self, capsys):
+        for command in ALL_COMMANDS:
+            extra = ["--out", "x.txt"] if command == "make-trace" else []
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, *extra, "--retries", "1"])
+            assert exc.value.code == 2, command
+        capsys.readouterr()
+
+    def test_sweep_options_always_built(self):
+        from repro.cli import _sweep_options
+        from repro.runner import SweepOptions
+
+        args = build_parser().parse_args(["delay-timer"])
+        assert _sweep_options(args) == SweepOptions()
+        args = build_parser().parse_args(
+            ["delay-timer", "--point-timeout", "0.5"]
+        )
+        assert _sweep_options(args) == SweepOptions(point_timeout_s=0.5)
 
     def test_sweep_thresholds_parsing(self):
         args = build_parser().parse_args(
@@ -212,6 +251,41 @@ class TestExecution:
         assert exc.value.code == 2
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_sweep_interrupt_and_resume_smoke(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Ctrl-C after a journaled sweep's first point: exit 130 with the
+        resume hint, then --resume prints exactly what a plain run does."""
+        import os
+        import signal
+
+        from repro.runner.journal import SweepJournal
+
+        real_record = SweepJournal.record
+
+        def record(self, fingerprint, **fields):
+            real_record(self, fingerprint, **fields)
+            os.kill(os.getpid(), signal.SIGINT)
+
+        journal = str(tmp_path / "sweep.jsonl")
+        base = ["delay-timer", "--taus", "0", "0.1", "--utilizations", "0.3",
+                "--servers", "2", "--duration", "2"]
+        monkeypatch.setattr(SweepJournal, "record", record)
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--journal", journal])
+        monkeypatch.undo()
+        assert exc.value.code == 130
+        err = capsys.readouterr().err
+        assert "1/2 sweep points completed" in err
+        assert f"--journal {journal} --resume" in err
+        with open(journal) as fh:
+            assert sum('"status": "ok"' in line for line in fh) >= 1
+
+        main(base + ["--journal", journal, "--resume"])
+        resumed = capsys.readouterr().out
+        main(base)
+        assert resumed == capsys.readouterr().out
+
     def test_bench_quick_smoke(self, capsys, tmp_path):
         import json
 
@@ -348,6 +422,7 @@ class TestObservabilityExecution:
         "--servers", "2", "--duration", "2",
     ]
 
+    @pytest.mark.usefixtures("real_pool")
     def test_trace_export_is_valid_and_jobs_invariant(self, capsys, tmp_path):
         from repro.telemetry import validate_chrome_trace
 
