@@ -112,6 +112,9 @@ def _positive(kind: type, what: str):
     return parse
 
 
+_seconds = _positive(float, "a finite number of seconds > 0")
+
+
 def _sweep_options(args: argparse.Namespace) -> SweepOptions:
     """Build the sweep execution policy from the common flags."""
     if args.resume and not args.journal:
@@ -472,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fail-fast point timeout, checkpoint journal, and invariant audits",
         )
         resilience.add_argument(
-            "--point-timeout", default=None, metavar="SECONDS",
-            type=_positive(float, "a finite number of seconds > 0"),
+            "--point-timeout", default=None, metavar="SECONDS", type=_seconds,
             help="stop the sweep if any point runs longer than this; "
                  "completed points stay journaled for --resume",
         )
@@ -560,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("provisioning", help="Fig. 4: threshold provisioning")
     p.add_argument("--servers", type=int, default=50)
-    p.add_argument("--duration", type=float, default=120.0)
+    p.add_argument("--duration", type=_seconds, default=120.0)
     p.add_argument("--rate", type=float, default=2000.0, help="mean jobs/s")
     p.add_argument("--day-length", type=float, default=60.0)
     p.add_argument("--min-load", type=float, default=0.5)
@@ -575,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-trace", help="synthesize an arrival trace file")
     p.add_argument("--style", choices=("wikipedia", "nlanr"), default="wikipedia")
-    p.add_argument("--duration", type=float, default=3600.0)
+    p.add_argument("--duration", type=_seconds, default=3600.0)
     p.add_argument("--rate", type=float, default=100.0)
     p.add_argument("--day-length", type=float, default=3600.0)
     p.add_argument("--out", required=True)
@@ -589,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utilizations", type=float, nargs="+", default=[0.1, 0.3, 0.6])
     p.add_argument("--servers", type=int, default=20)
     p.add_argument("--cores", type=int, default=2)
-    p.add_argument("--duration", type=float, default=15.0)
+    p.add_argument("--duration", type=_seconds, default=15.0)
     common(p)
     p.set_defaults(fn=_cmd_delay_timer)
 
@@ -599,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.1, 0.3, 0.5, 0.7, 0.9])
     p.add_argument("--servers", type=int, default=10)
     p.add_argument("--cores", type=int, default=10)
-    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--duration", type=_seconds, default=60.0)
     common(p)
     p.set_defaults(fn=_cmd_residency)
 
@@ -612,13 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_joint)
 
     p = sub.add_parser("validate-server", help="Fig. 12: server power validation")
-    p.add_argument("--duration", type=float, default=1000.0)
+    p.add_argument("--duration", type=_seconds, default=1000.0)
     p.add_argument("--rate", type=float, default=120.0)
     common(p)
     p.set_defaults(fn=_cmd_validate_server)
 
     p = sub.add_parser("validate-switch", help="Figs. 13/14: switch power validation")
-    p.add_argument("--duration", type=float, default=7200.0)
+    p.add_argument("--duration", type=_seconds, default=7200.0)
     p.add_argument("--rate", type=float, default=400.0)
     common(p)
     p.set_defaults(fn=_cmd_validate_switch)
@@ -633,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--servers", type=int, default=20)
     p.add_argument("--cores", type=int, default=2)
     p.add_argument("--utilization", type=float, default=0.3)
-    p.add_argument("--duration", type=float, default=60.0)
+    p.add_argument("--duration", type=_seconds, default=60.0)
     p.add_argument("--retry-limit", type=int, default=3,
                    help="re-dispatch attempts before a task's job is failed")
     p.add_argument("--slo", type=float, default=None,
@@ -658,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zones", type=int, default=2,
                    help="thermal zones the farm is partitioned into")
     p.add_argument("--utilization", type=float, default=0.6)
-    p.add_argument("--duration", type=float, default=40.0)
+    p.add_argument("--duration", type=_seconds, default=40.0)
     p.add_argument("--thermal-limit", type=float, default=45.0,
                    help="zone temperature (°C) at which DVFS throttling engages")
     common(p)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Type, TypeVar
@@ -246,10 +247,13 @@ class LinkConfig(ConfigMixin):
     adaptive_rates_bps: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
-            raise ValueError(f"link rate must be positive, got {self.rate_bps}")
-        if self.propagation_delay_s < 0:
-            raise ValueError("propagation delay must be non-negative")
+        if not 0 < self.rate_bps < math.inf:
+            raise ValueError(f"rate_bps must be finite and positive, got {self.rate_bps}")
+        if not 0 <= self.propagation_delay_s < math.inf:
+            raise ValueError(
+                "propagation_delay_s must be finite and non-negative, "
+                f"got {self.propagation_delay_s}"
+            )
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,9 @@ steps (compute → gradient collective → barrier, :mod:`repro.collective`).
 The group is bin-packed onto the fewest edge switches by the network-aware
 :class:`~repro.scheduling.placement.GroupPlacementPolicy`, and the gradient
 exchange rides the packet-train fast path of
-:class:`~repro.network.packet.PacketNetwork` (express mode off: ring phases
-keep both link directions busy, which train mode batches and express mode
-would thrash).
+:class:`~repro.network.packet.PacketNetwork`, which batches each link
+direction on its own, so ring phases that keep both directions busy stay
+on trains.
 
 Reported per (algorithm × group size) cell: step time, network residency
 (mean concurrent transfers in flight), and energy per training step — the
@@ -90,10 +90,7 @@ def build_ai_cluster(
         topo = fat_tree(engine, k, link_config=LinkConfig(rate_bps=link_rate_bps))
         config = server_config or xeon_e5_2680_server(n_cores=n_cores)
         servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
-        # express=False: a ring keeps every group link busy in both directions,
-        # which the train path batches per direction; express engagement would
-        # repeatedly engage and materialize against the reverse traffic.
-        network = PacketNetwork(engine, topo, fast_path=True, express=False)
+        network = PacketNetwork(engine, topo)
         placement = GroupPlacementPolicy(topo, ranks_per_server=ranks_per_server)
         scheduler = GlobalScheduler(engine, servers, policy=placement, network=network)
     ts = telemetry.ACTIVE

@@ -169,7 +169,7 @@ def register_farm_metrics(
             "flows_completed", "flows_rerouted", "flows_stranded", "bits_delivered",
             "packets_delivered", "packets_dropped", "bytes_delivered",
             "transfers_stranded",
-            "trains_engaged", "trains_express", "trains_materialized",
+            "trains_engaged", "trains_materialized",
             "trains_materialized_enqueue", "trains_materialized_route",
             "packet_hops", "packet_hops_held",
         ):

@@ -38,20 +38,8 @@ class Link:
 
     # ------------------------------------------------------------------
     @property
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.u, self.v)
-
-    @property
     def propagation_delay_s(self) -> float:
         return self.config.propagation_delay_s
-
-    def other_end(self, node: str) -> str:
-        """The opposite endpoint of ``node``."""
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise ValueError(f"{node!r} is not an endpoint of {self}")
 
     def attach_port(self, node: str, port: Port) -> None:
         """Bind the switch-side port terminating this link at ``node``."""
@@ -89,16 +77,6 @@ class Link:
         for port in self._ports:
             port.end_activity(quiet_since)
 
-    def cancel_activity(self, src: str, dst: str) -> None:
-        """Unwind one ``begin_activity`` without timer side effects (used by
-        the packet-train fast path when a reserved window never opened)."""
-        key = (src, dst)
-        if self._active[key] <= 0:
-            raise RuntimeError(f"no active traffic on {self} {key}")
-        self._active[key] -= 1
-        for port in self._ports:
-            port.cancel_activity()
-
     def awake(self) -> bool:
         """True when ending and re-beginning activity now would change nothing.
 
@@ -118,10 +96,6 @@ class Link:
 
     def active_count(self, src: str, dst: str) -> int:
         return self._active[(src, dst)]
-
-    @property
-    def busy(self) -> bool:
-        return any(count > 0 for count in self._active.values())
 
     # ------------------------------------------------------------------
     # Adaptive link rate (ALR)

@@ -24,13 +24,12 @@ analytically from the classic pipeline recurrence
 
 and scheduled as roughly one begin + one end event per hop (instead of ~2
 events per packet per hop), reading port/line-card wake latencies live at
-each hop's window start so power accounting is unchanged.  When every
-relevant power timer provably cannot fire mid-train, the *express* path
-collapses the whole transfer to a single completion event.  The moment any
-other packet touches a link the train reserved, the train *materializes*
-back into ordinary per-packet simulation with identical state, so delivered
-timestamps are bit-for-bit those of the per-packet model.  See DESIGN.md
-for the eligibility gates and the equivalence argument.
+each hop's window start so power accounting is unchanged.  The moment any
+other packet touches a link direction the train reserved, the train
+*materializes* back into ordinary per-packet simulation with identical
+state, so delivered timestamps are bit-for-bit those of the per-packet
+model.  See DESIGN.md for the eligibility gates and the equivalence
+argument.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.core.engine import Engine, EventHandle
 from repro.core.stats import LatencyCollector
 from repro.network.link import Link
 from repro.network.routing import Router
-from repro.network.switch import PortState, LineCardState
 from repro.network.topology import Topology
 from repro.telemetry import session as telemetry
 
@@ -153,10 +151,6 @@ class _OutputQueue:
         else:
             self.transmitting = False
 
-    @property
-    def depth(self) -> int:
-        return len(self.queue) + (1 if self.transmitting else 0)
-
 
 class _Packetization:
     """One transfer size split into MTU packets, shared by every transfer of
@@ -190,25 +184,20 @@ class _Packetization:
 
 
 class _Train:
-    """One in-flight fast-path transfer (packet train or express).
+    """One in-flight packet train.
 
-    In **train** mode the pipeline advances hop by hop: each hop's window
-    event calls ``begin_activity`` (reading the true wake latency at that
-    instant), derives the per-packet departure times analytically, and
-    schedules the hop's ``end_activity`` plus the next hop's window.  In
-    **express** mode every wake latency is provably zero and no power timer
-    can fire mid-train, so the entire schedule is computed up front, all
-    hops begin immediately, and a single completion event settles the
-    accounting.
+    The pipeline advances hop by hop: each hop's window event calls
+    ``begin_activity`` (reading the true wake latency at that instant),
+    derives the per-packet departure times analytically, and schedules the
+    hop's ``end_activity`` plus the next hop's window.
 
     ``materialize()`` converts the remaining analytic schedule back into
     real :class:`Packet` objects and per-packet events with identical
-    timestamps; it runs whenever competing traffic touches a reserved link.
+    timestamps; it runs whenever competing traffic touches a reserved hop.
     """
 
     __slots__ = ("network", "engine", "path", "hops", "packets", "callback",
-                 "t0", "mode", "alive", "deps", "begun", "window_open",
-                 "handles", "port_restores", "card_restores", "hop_ends")
+                 "t0", "alive", "deps", "begun", "window_open", "handles")
 
     def __init__(self, network: "PacketNetwork", path: List[str],
                  hops: List[Tuple[Link, str, str]], packets: _Packetization,
@@ -220,19 +209,13 @@ class _Train:
         self.packets = packets
         self.callback = callback
         self.t0 = self.engine.now
-        self.mode = "train"
         self.alive = False
         # deps[h] = per-packet departure times off hop h (None until the
-        # hop's window begins in train mode; all precomputed in express).
+        # hop's window begins).
         self.deps: List[Optional[List[float]]] = [None] * len(hops)
-        self.begun = 0  # hops whose window has begun (train mode)
+        self.begun = 0  # hops whose window has begun
         self.window_open = [False] * len(hops)  # begun but end not yet run
         self.handles: List[EventHandle] = []
-        # Timer state cancelled by the express up-front begin_activity calls,
-        # kept so materialize() can restore hops whose window never opened.
-        self.port_restores: List[List[Tuple[object, Optional[float]]]] = []
-        self.card_restores: Dict[int, Tuple[object, Optional[float]]] = {}
-        self.hop_ends: List[float] = []
 
     # ------------------------------------------------------------------
     # Analytic pipeline schedule
@@ -268,10 +251,10 @@ class _Train:
         return self.deps[h][i] + self.hops[h][0].propagation_delay_s
 
     # ------------------------------------------------------------------
-    # Train mode: hop-by-hop windows with live wake latencies
+    # Hop-by-hop windows with live wake latencies
     # ------------------------------------------------------------------
     def engage(self) -> None:
-        """Start in train mode; hop 0's window opens immediately."""
+        """Start the train; hop 0's window opens immediately."""
         self.alive = True
         self._reserve()
         self.network.trains_engaged += 1
@@ -298,81 +281,11 @@ class _Train:
         link.end_activity(u, v)
 
     # ------------------------------------------------------------------
-    # Express mode: one completion event for the whole transfer
-    # ------------------------------------------------------------------
-    def try_express(self) -> bool:
-        """Engage in express mode if zero-wake delivery is provable.
-
-        Requires every port on the route ACTIVE (and every line card awake
-        with no cross-traffic), and every LPI/sleep timer unable to fire
-        before the train clears, so each hop's wake latency is exactly 0 and
-        the full schedule is known now.  Returns False (leaving no trace)
-        when any gate fails.
-        """
-        hops = self.hops
-        for h in range(len(hops)):
-            self.deps[h] = self._hop_departures(h, 0.0)
-        self.hop_ends = [deps[-1] for deps in self.deps]
-        t_end = self._arrival(len(hops) - 1, len(self.packets.sizes) - 1)
-        horizon = t_end - self.t0
-        for h, (link, _u, _v) in enumerate(hops):
-            for port in link.ports.values():
-                if port.state is not PortState.ACTIVE:
-                    return False
-                if port.profile.lpi_timer_s <= horizon:
-                    return False
-                timer = port._lpi_timer
-                if timer is not None and timer.pending and timer.time <= t_end:
-                    return False
-                # The hop's busy window must end early enough that arming
-                # its LPI timer from the completion event is still exact.
-                if self.hop_ends[h] + port.profile.lpi_timer_s <= t_end:
-                    return False
-                card = port.linecard
-                if card.state is not LineCardState.ACTIVE:
-                    return False
-                if not card.all_ports_quiet:
-                    return False
-                sleep_s = card.profile.sleep_timer_s
-                if sleep_s is not None and sleep_s <= horizon:
-                    return False
-                timer = card._sleep_timer
-                if timer is not None and timer.pending and timer.time <= t_end:
-                    return False
-        # All gates passed: take the links now, remembering the timers the
-        # begins cancel so an aborted window can be restored exactly.
-        self.mode = "express"
-        self.alive = True
-        self._reserve()
-        for link, u, v in hops:
-            restores: List[Tuple[object, Optional[float]]] = []
-            for port in link.ports.values():
-                timer = port._lpi_timer
-                restores.append(
-                    (port, timer.time if timer is not None and timer.pending else None)
-                )
-                card = port.linecard
-                if id(card) not in self.card_restores:
-                    timer = card._sleep_timer
-                    self.card_restores[id(card)] = (
-                        card,
-                        timer.time if timer is not None and timer.pending else None,
-                    )
-            self.port_restores.append(restores)
-            link.begin_activity(u, v)
-        self.handles.append(self.engine.schedule_at(t_end, self._complete))
-        self.network.trains_express += 1
-        return True
-
-    # ------------------------------------------------------------------
     # Completion and stats settlement
     # ------------------------------------------------------------------
     def _complete(self) -> None:
         self.alive = False
         self._unreserve()
-        if self.mode == "express":
-            for h, (link, u, v) in enumerate(self.hops):
-                link.end_activity(u, v, quiet_since=self.hop_ends[h])
         network = self.network
         last = len(self.hops) - 1
         t0 = self.t0
@@ -387,26 +300,19 @@ class _Train:
     # Reservation bookkeeping
     # ------------------------------------------------------------------
     def _reserve(self) -> None:
+        # Hop windows read wake latencies live and the link is full duplex
+        # (per-direction queues, rates and activity), so a train holds only
+        # its own direction: opposite-direction trains coexist, the pattern
+        # every collective phase produces.
         reserved = self.network._reserved
         for _link, u, v in self.hops:
             reserved[(u, v)] = self
-            if self.mode == "express":
-                # Express precomputed the whole schedule assuming untouched
-                # ports, so even reverse-direction traffic (which shares the
-                # same ports) must fold it back.  Windowed trains read wake
-                # latencies live at each hop start and the link is full
-                # duplex (per-direction queues, rates and activity), so they
-                # hold only their own direction — opposite-direction trains
-                # coexist, the pattern every collective phase produces.
-                reserved[(v, u)] = self
 
     def _unreserve(self) -> None:
         reserved = self.network._reserved
         for _link, u, v in self.hops:
             if reserved.get((u, v)) is self:
                 del reserved[(u, v)]
-            if reserved.get((v, u)) is self:
-                del reserved[(v, u)]
 
     # ------------------------------------------------------------------
     # Materialization: fold back into per-packet simulation
@@ -414,12 +320,12 @@ class _Train:
     def materialize(self) -> None:
         """Replace the analytic schedule with equivalent per-packet state.
 
-        Called when competing traffic touches a reserved link.  Every train
+        Called when competing traffic touches a reserved hop.  Every train
         packet is located on the route at the current instant (in service,
         queued, in propagation, or already delivered) from the departure
-        tables, real :class:`Packet` objects and events are created for the
-        remainder, and link activity held by windows that never opened is
-        returned (restoring the power timers those windows cancelled).
+        tables, and real :class:`Packet` objects and events are created for
+        the remainder.  An open window with no packet left in service ends
+        its link activity at the instant the per-packet model ended it.
         """
         if not self.alive:
             return
@@ -429,10 +335,7 @@ class _Train:
         tm = self.engine.now
         ts = telemetry.ACTIVE
         if ts is not None and ts.net is not None:
-            ts.net.instant(
-                "net", "train-materialize", "net/trains", tm,
-                args={"mode": self.mode},
-            )
+            ts.net.instant("net", "train-materialize", "net/trains", tm)
         for handle in self.handles:
             if handle.pending:
                 handle.cancel()
@@ -441,33 +344,8 @@ class _Train:
         n = len(sizes)
         n_hops = len(self.hops)
 
-        if self.mode == "express":
-            # Windows that never opened are unwound as if their begin had
-            # never happened, restoring the timers it cancelled; opened
-            # windows keep their held activity for settlement below.
-            # Window starts are strictly increasing, so opened is a prefix.
-            begun_hops = n_hops
-            for h in range(1, n_hops):
-                if self._arrival(h - 1, 0) > tm:
-                    begun_hops = h
-                    break
-            kept_cards = set()
-            for h in range(begun_hops):
-                link = self.hops[h][0]
-                kept_cards.update(id(p.linecard) for p in link.ports.values())
-            for h in range(begun_hops, n_hops):
-                link, u, v = self.hops[h]
-                link.cancel_activity(u, v)
-                for port, deadline in self.port_restores[h]:
-                    if deadline is not None:
-                        port._arm_lpi_timer_at(deadline)
-            for card, deadline in self.card_restores.values():
-                if deadline is not None and id(card) not in kept_cards:
-                    card._arm_sleep_timer_at(deadline)
-            held = list(range(begun_hops))
-        else:
-            begun_hops = self.begun
-            held = [h for h in range(begun_hops) if self.window_open[h]]
+        begun_hops = self.begun
+        held = [h for h in range(begun_hops) if self.window_open[h]]
 
         network = self.network
         state = {"remaining": n}
@@ -522,11 +400,11 @@ class _Train:
             for _i, packet in entries[1:]:
                 queue.queue.append(packet)
         # A held window with no in-service packet is either past its last
-        # departure (end event pending at exactly ``tm``, or an express hop
-        # already quiet) or in an ulp-scale scheduling gap between
-        # back-to-back packets.  Either way the per-packet model has already
-        # ended the activity at the last departure instant: settle that end
-        # now, with the LPI deadline it would have armed.
+        # departure (end event pending at exactly ``tm``) or in an ulp-scale
+        # scheduling gap between back-to-back packets.  Either way the
+        # per-packet model has already ended the activity at the last
+        # departure instant: settle that end now, with the LPI deadline it
+        # would have armed.
         for h in held:
             if h in at_hop:
                 continue
@@ -547,10 +425,13 @@ class PacketNetwork:
         max_queue_packets: Optional[int] = None,
         local_transfer_delay_s: float = 0.0,
         fast_path: bool = True,
-        express: bool = True,
     ):
-        if mtu_bytes <= 0:
-            raise ValueError(f"MTU must be positive, got {mtu_bytes}")
+        if not 0 < mtu_bytes < math.inf:
+            raise ValueError(f"mtu_bytes must be finite and positive, got {mtu_bytes}")
+        if max_queue_packets is not None and max_queue_packets < 1:
+            raise ValueError(
+                f"max_queue_packets must be None or >= 1, got {max_queue_packets}"
+            )
         self.engine = engine
         self.topology = topology
         self.router = router or Router(topology)
@@ -558,7 +439,6 @@ class PacketNetwork:
         self.max_queue_packets = max_queue_packets
         self.local_transfer_delay_s = local_transfer_delay_s
         self.fast_path = fast_path
-        self.express = express
         self._queues: Dict[Tuple[str, str], _OutputQueue] = {}
         self._reserved: Dict[Tuple[str, str], _Train] = {}
         # size_bytes -> its packetization under this network's MTU.
@@ -569,7 +449,6 @@ class PacketNetwork:
         self.bytes_delivered = 0.0
         self.transfers_stranded = 0
         self.trains_engaged = 0
-        self.trains_express = 0
         self.trains_materialized = 0
         # Materializations by cause: per-packet traffic reached a reserved
         # hop (enqueue), or a new transfer/send_packet crossed one (route).
@@ -619,9 +498,9 @@ class PacketNetwork:
         and fires ``on_drop`` (once, with the dropped packet) so experiments
         fail loudly instead of waiting forever.
 
-        On an idle route the transfer is modeled as a packet train / express
-        delivery (see the module docstring); timestamps and power accounting
-        are identical to per-packet simulation.
+        A transfer of two or more packets on an idle route is modeled as a
+        packet train (see the module docstring); timestamps and power
+        accounting are identical to per-packet simulation.
         """
         if not 0 <= size_bytes < math.inf:
             raise ValueError(
@@ -664,26 +543,17 @@ class PacketNetwork:
                 rec.end("net", "transfer", "net/transfers", self.engine.now, xid)
                 inner_callback()
 
-        if self.fast_path and self.max_queue_packets is None:
+        # Single-packet trains gain nothing over per-packet events.
+        if self.fast_path and self.max_queue_packets is None and n_packets >= 2:
             hops = self.router.links_on_path(path)
             if self._train_eligible(path, hops):
-                train = _Train(self, path, hops, packets, callback)
-                if self.express and train.try_express():
-                    if rec is not None:
-                        rec.instant(
-                            "net", "train-express", "net/trains",
-                            self.engine.now, args={"packets": n_packets},
-                        )
-                    return
-                if n_packets >= 2:
-                    if rec is not None:
-                        rec.instant(
-                            "net", "train-engage", "net/trains",
-                            self.engine.now, args={"packets": n_packets},
-                        )
-                    train.engage()
-                    return
-                # Single-packet trains gain nothing over per-packet events.
+                if rec is not None:
+                    rec.instant(
+                        "net", "train-engage", "net/trains",
+                        self.engine.now, args={"packets": n_packets},
+                    )
+                _Train(self, path, hops, packets, callback).engage()
+                return
 
         # Per-packet fallback.  Materialize any trains holding links on this
         # path *before* injecting, so resumed events are posted in the same
@@ -737,8 +607,8 @@ class PacketNetwork:
                 return False
             if link.active_count(u, v):
                 return False
-            # An entry for (u, v) is either a train on this direction or an
-            # express train holding its reverse; both forbid batching here.
+            # A train may hold (u, v) before its window there opens or after
+            # it ends.
             if (u, v) in reserved:
                 return False
             for port in link.ports.values():
@@ -790,17 +660,6 @@ class PacketNetwork:
         self.packet_delay.record(self.engine.now - packet.sent_at)
         if packet.on_delivered is not None:
             packet.on_delivered(packet)
-
-    # ------------------------------------------------------------------
-    def queue_depth(self, src: str, dst: str) -> int:
-        """Current output-queue depth (packets) for a directed hop.
-
-        Packets inside an in-flight train are not visible here until the
-        train materializes; reserved hops report 0.
-        """
-        key = (src, dst)
-        queue = self._queues.get(key)
-        return queue.depth if queue is not None else 0
 
     def __repr__(self) -> str:
         return (

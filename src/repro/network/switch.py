@@ -116,27 +116,6 @@ class Port:
         elif self._quiet_candidate is None or basis > self._quiet_candidate:
             self._quiet_candidate = basis
 
-    def cancel_activity(self) -> None:
-        """Forget one ``begin_activity`` without any timer side effects.
-
-        Used by the packet-train fast path to unwind reservations whose
-        busy window never actually opened; the caller restores any timer it
-        recorded before the begin.
-        """
-        if self._active_users <= 0:
-            raise RuntimeError(f"{self} has no active users to cancel")
-        self._active_users -= 1
-        if self._active_users == 0:
-            self.linecard._busy_ports -= 1
-            if self._quiet_candidate is not None:
-                # Other traffic came and went while this reservation masked
-                # the count; the port really went quiet when that traffic
-                # ended, so arm the timer the live call would have armed.
-                self._arm_lpi_timer_at(
-                    self._quiet_candidate + self.profile.lpi_timer_s
-                )
-                self._quiet_candidate = None
-
     @property
     def busy(self) -> bool:
         return self._active_users > 0
@@ -232,12 +211,6 @@ class LineCard:
             return
         self._cancel_sleep_timer()
         self._sleep_timer = self.engine.schedule(self.profile.sleep_timer_s, self._enter_sleep)
-
-    def _arm_sleep_timer_at(self, deadline: float) -> None:
-        if self.profile.sleep_timer_s is None:
-            return
-        self._cancel_sleep_timer()
-        self._sleep_timer = self.engine.schedule_at(deadline, self._enter_sleep)
 
     def _cancel_sleep_timer(self) -> None:
         if self._sleep_timer is not None and self._sleep_timer.pending:

@@ -327,7 +327,7 @@ def bench_collective(
         )
     config = small_cloud_server(n_cores=1)
     servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
-    net = PacketNetwork(engine, topo, fast_path=True, express=False)
+    net = PacketNetwork(engine, topo)
     scheduler = GlobalScheduler(
         engine, servers, policy=GroupPlacementPolicy(topo), network=net
     )

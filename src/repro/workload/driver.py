@@ -30,6 +30,10 @@ class WorkloadDriver:
     ):
         if max_jobs is not None and max_jobs <= 0:
             raise ValueError(f"max_jobs must be positive, got {max_jobs}")
+        if until is not None and not until > engine.now:
+            raise ValueError(
+                f"until must be later than the clock ({engine.now}), got {until}"
+            )
         self.engine = engine
         self.scheduler = scheduler
         self.arrival_process = arrival_process

@@ -125,7 +125,7 @@ class TestGoalReplay:
             Server(engine, small_cloud_server(n_cores=2), server_id=i)
             for i in range(topo.n_servers)
         ]
-        net = PacketNetwork(engine, topo, fast_path=True, express=False)
+        net = PacketNetwork(engine, topo)
         scheduler = GlobalScheduler(
             engine, servers, policy=GroupPlacementPolicy(topo), network=net
         )

@@ -1,11 +1,12 @@
 """Equivalence tests for the packet-network performance paths.
 
-The packet-train / express fast path is a pure performance optimisation:
-delivered timestamps, packet delays, port/line-card residencies, transitions
-and energies must be *bit-for-bit* identical to the per-packet model, whether
-a train runs to completion or is materialized back into packets by
-cross-traffic.  These tests run the same workload with ``fast_path`` on and
-off and diff every observable.
+The packet-train fast path is a pure performance optimisation: delivered
+timestamps, packet delays, port/line-card residencies, transitions and
+energies must be *bit-for-bit* identical to the per-packet model, whether a
+train runs to completion or is materialized back into packets by
+cross-traffic, on cold routes and on warm ones whose ports are still ACTIVE.
+These tests run the same workload with ``fast_path`` on and off and diff
+every observable.
 
 The per-packet path itself keeps a busy queue's link activity open across
 back-to-back packets while every port and line card on the link is awake
@@ -30,7 +31,7 @@ from repro.network.topology import fat_tree, star
 HORIZON = 5.0
 
 
-def run_workload(events, *, fast_path, express=True, builder=None, mtu=1500.0,
+def run_workload(events, *, fast_path, builder=None, mtu=1500.0,
                  max_queue_packets=None, switch_events=()):
     """Run transfers at scheduled times; return (engine, topo, net, completions).
 
@@ -41,7 +42,7 @@ def run_workload(events, *, fast_path, express=True, builder=None, mtu=1500.0,
     topo = (builder or (lambda e: star(e, 8)))(engine)
     net = PacketNetwork(engine, topo, mtu_bytes=mtu,
                         max_queue_packets=max_queue_packets,
-                        fast_path=fast_path, express=express)
+                        fast_path=fast_path)
     completions = []
 
     def launch(src, dst, size):
@@ -108,12 +109,12 @@ def test_single_uncontended_transfer_bit_matches():
     assert net.trains_engaged == 1
 
 
-def test_express_engages_on_warm_route_and_bit_matches():
+def test_train_engages_on_warm_route_and_bit_matches():
     # First transfer warms the ports out of LPI; the second finds every
-    # port ACTIVE with all timers far away, so it goes express.
+    # port ACTIVE with its LPI timer pending, and rides a train too.
     events = [(0.0, 0, 1, 4000.0), (2e-4, 0, 1, 4000.0)]
     net = assert_equivalent(events)
-    assert net.trains_express >= 1
+    assert net.trains_engaged == 2
 
 
 def test_cross_traffic_materializes_train():
@@ -174,7 +175,6 @@ def test_fast_path_reduces_events_at_least_4x():
 def test_fast_path_flag_off_disables_batching():
     _, _, net, _ = run_workload([(0.0, 0, 1, 30_000.0)], fast_path=False)
     assert net.trains_engaged == 0
-    assert net.trains_express == 0
 
 
 # ----------------------------------------------------------------------
@@ -219,20 +219,35 @@ def test_unstranded_transfers_complete_without_on_drop():
     seed=st.integers(min_value=0, max_value=10_000),
     n_transfers=st.integers(min_value=1, max_value=8),
     topo_name=st.sampled_from(["star", "fat_tree"]),
+    warm=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_random_workloads_bit_match_per_packet_model(seed, n_transfers, topo_name):
+def test_random_workloads_bit_match_per_packet_model(seed, n_transfers, topo_name,
+                                                     warm):
     import numpy as np
 
     rng = np.random.default_rng(seed)
     builder = (lambda e: star(e, 8)) if topo_name == "star" else (lambda e: fat_tree(e, 4))
     n_servers = 8 if topo_name == "star" else 16
     events = []
-    for _ in range(n_transfers):
-        src, dst = (int(x) for x in rng.choice(n_servers, size=2, replace=False))
-        t = float(rng.integers(0, 2000)) * 1e-6
-        size = float(rng.integers(1, 40_000))
-        events.append((t, src, dst, size))
+    if warm:
+        # Warm routes: 3 pairs repeat, each start 50-600 us after the last,
+        # inside the 1 ms LPI timer, so later trains find ACTIVE ports whose
+        # LPI timers are pending.
+        pairs = [tuple(int(x) for x in rng.choice(n_servers, size=2, replace=False))
+                 for _ in range(3)]
+        t = 0.0
+        for _ in range(n_transfers):
+            src, dst = pairs[int(rng.integers(len(pairs)))]
+            size = float(rng.integers(1, 40_000))
+            events.append((t, src, dst, size))
+            t += float(rng.integers(50, 601)) * 1e-6
+    else:
+        for _ in range(n_transfers):
+            src, dst = (int(x) for x in rng.choice(n_servers, size=2, replace=False))
+            t = float(rng.integers(0, 2000)) * 1e-6
+            size = float(rng.integers(1, 40_000))
+            events.append((t, src, dst, size))
     assert_equivalent(events, builder=builder, mtu=1000.0)
 
 
@@ -305,7 +320,7 @@ SWITCH_ACTIONS = ("fail", "repair", "sleep")
     seed=st.integers(min_value=0, max_value=10_000),
     n_transfers=st.integers(min_value=1, max_value=8),
     topo_name=st.sampled_from(["star", "fat_tree"]),
-    path=st.sampled_from(["per-packet", "train", "express"]),
+    path=st.sampled_from(["per-packet", "train"]),
     max_queue_packets=st.sampled_from([None, 4]),
     n_switch_events=st.integers(min_value=0, max_value=4),
 )
@@ -337,9 +352,8 @@ def test_hold_matches_end_and_begin_per_packet(seed, n_transfers, topo_name, pat
         switch_events.append((t, name, action))
         if action == "fail" and rng.random() < 0.9:
             switch_events.append((t + float(rng.integers(1, 100)) * 1e-6, name, "repair"))
-    kwargs = dict(fast_path=path != "per-packet", express=path == "express",
-                  builder=builder, mtu=1000.0, max_queue_packets=max_queue_packets,
-                  switch_events=switch_events)
+    kwargs = dict(fast_path=path == "train", builder=builder, mtu=1000.0,
+                  max_queue_packets=max_queue_packets, switch_events=switch_events)
     held, _ = run_observed(events, **kwargs)
     with mock.patch.object(Link, "awake", _gate_shut):
         unheld, net = run_observed(events, **kwargs)

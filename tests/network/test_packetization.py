@@ -39,8 +39,8 @@ def deliver(size, **network_kwargs):
     """One transfer of ``size`` on a fresh network over warm ports.
 
     A first transfer on a second network takes the ports out of LPI, so
-    express delivery can engage while the measured network's byte counter
-    still starts from zero.
+    the measured transfer runs on warm ports while the measured network's
+    byte counter still starts from zero.
     """
     engine = Engine()
     # Fast links keep even the largest size inside every port's LPI timer.
@@ -69,15 +69,13 @@ def test_cached_sizes_bit_match_the_loop(size):
 @pytest.mark.parametrize("size", SIZES)
 def test_bytes_delivered_equal_on_every_path(size):
     expected = bits([sum(loop_sizes(size, MTU))])
-    express = deliver(size, fast_path=True, express=True)
-    train = deliver(size, fast_path=True, express=False)
+    train = deliver(size, fast_path=True)
     per_packet = deliver(size, fast_path=False)
-    assert express.trains_express == 1
     n_packets = len(loop_sizes(size, MTU))
-    # Single-packet transfers skip the windowed train.
+    # Single-packet transfers skip the train.
     assert train.trains_engaged == (1 if n_packets >= 2 else 0)
-    assert per_packet.trains_engaged == per_packet.trains_express == 0
-    for net in (express, train, per_packet):
+    assert per_packet.trains_engaged == 0
+    for net in (train, per_packet):
         assert bits([net.bytes_delivered]) == expected
         assert net.packets_delivered == n_packets
 

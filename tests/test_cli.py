@@ -11,6 +11,10 @@ ALL_COMMANDS = (
     "validate-server", "validate-switch", "faults", "facility-carbon",
     "ai-training", "scalability", "bench",
 )
+DURATION_COMMANDS = (
+    "provisioning", "make-trace", "delay-timer", "residency",
+    "validate-server", "validate-switch", "faults", "facility-carbon",
+)
 
 
 class TestParser:
@@ -59,6 +63,16 @@ class TestParser:
             assert exc.value.code == 2, command
             err = capsys.readouterr().err
             assert "usage:" in err and flag in err, command
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_bad_duration_is_a_usage_error(self, capsys, value):
+        for command in DURATION_COMMANDS:
+            extra = ["--out", "x.txt"] if command == "make-trace" else []
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, *extra, "--duration", value])
+            assert exc.value.code == 2, command
+            err = capsys.readouterr().err
+            assert "usage:" in err and "--duration" in err, command
 
     def test_retries_flag_is_gone(self, capsys):
         for command in ALL_COMMANDS:

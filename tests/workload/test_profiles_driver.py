@@ -128,3 +128,11 @@ class TestWorkloadDriver:
         factory = SingleTaskJobFactory(DeterministicService(0.001), rng)
         with pytest.raises(ValueError):
             WorkloadDriver(engine, scheduler, TraceProcess([1.0]), factory, max_jobs=0)
+
+    @pytest.mark.parametrize("until", [float("nan"), 0.0, 0.5])
+    def test_until_must_be_later_than_the_clock(self, rng, until):
+        engine, scheduler = self._farm()
+        engine.run(until=0.5)
+        factory = SingleTaskJobFactory(DeterministicService(0.001), rng)
+        with pytest.raises(ValueError, match="until must be later"):
+            WorkloadDriver(engine, scheduler, TraceProcess([1.0]), factory, until=until)
