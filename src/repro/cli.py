@@ -97,15 +97,16 @@ def _workload(name: str) -> WorkloadProfile:
         ) from None
 
 
-def _positive(kind: type, what: str):
-    """argparse ``type=`` for a finite number > 0, parsed with ``kind``."""
+def _positive(kind: type, what: str, zero_ok: bool = False):
+    """argparse ``type=`` for a finite number > 0 (>= 0 with ``zero_ok``),
+    parsed with ``kind``."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not 0 < value < math.inf:
+        if not (0 <= value < math.inf if zero_ok else 0 < value < math.inf):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
@@ -113,6 +114,9 @@ def _positive(kind: type, what: str):
 
 
 _seconds = _positive(float, "a finite number of seconds > 0")
+_count = _positive(int, "an integer >= 1")
+#: A delay timer: τ = 0 sleeps as soon as the server is idle.
+_tau = _positive(float, "a finite number of seconds >= 0", zero_ok=True)
 
 
 def _sweep_options(args: argparse.Namespace) -> SweepOptions:
@@ -466,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1, help="root RNG seed")
         p.add_argument(
             "-j", "--jobs", default=1, metavar="N",
-            type=_positive(int, "an integer >= 1"),
+            type=_count,
             help="worker processes for independent sweep points, at most "
                  "one per host CPU (results are identical to --jobs 1)",
         )
@@ -561,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("provisioning", help="Fig. 4: threshold provisioning")
-    p.add_argument("--servers", type=int, default=50)
+    p.add_argument("--servers", type=_count, default=50)
     p.add_argument("--duration", type=_seconds, default=120.0)
     p.add_argument("--rate", type=float, default=2000.0, help="mean jobs/s")
     p.add_argument("--day-length", type=float, default=60.0)
@@ -586,11 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delay-timer", help="Fig. 5: single delay timer sweep")
     p.add_argument("--workload", default="web-search", choices=sorted(WORKLOADS))
-    p.add_argument("--taus", type=float, nargs="+",
+    p.add_argument("--taus", type=_tau, nargs="+",
                    default=[0.0, 0.01, 0.05, 0.1, 0.4, 1.0, 5.0])
     p.add_argument("--utilizations", type=float, nargs="+", default=[0.1, 0.3, 0.6])
-    p.add_argument("--servers", type=int, default=20)
-    p.add_argument("--cores", type=int, default=2)
+    p.add_argument("--servers", type=_count, default=20)
+    p.add_argument("--cores", type=_count, default=2)
     p.add_argument("--duration", type=_seconds, default=15.0)
     common(p)
     p.set_defaults(fn=_cmd_delay_timer)
@@ -599,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="web-search", choices=sorted(WORKLOADS))
     p.add_argument("--utilizations", type=float, nargs="+",
                    default=[0.1, 0.3, 0.5, 0.7, 0.9])
-    p.add_argument("--servers", type=int, default=10)
-    p.add_argument("--cores", type=int, default=10)
+    p.add_argument("--servers", type=_count, default=10)
+    p.add_argument("--cores", type=_count, default=10)
     p.add_argument("--duration", type=_seconds, default=60.0)
     common(p)
     p.set_defaults(fn=_cmd_residency)
@@ -608,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint", help="Fig. 11: joint server-network energy")
     p.add_argument("--utilizations", type=float, nargs="+", default=[0.3, 0.6])
     p.add_argument("--fat-tree-k", type=int, default=4)
-    p.add_argument("--num-jobs", type=int, default=2000,
+    p.add_argument("--num-jobs", type=_count, default=2000,
                    help="simulated jobs per grid point")
     common(p)
     p.set_defaults(fn=_cmd_joint)
@@ -632,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="server mean-time-between-failures values (s)")
     p.add_argument("--mttr", type=float, default=5.0,
                    help="server mean-time-to-repair (s)")
-    p.add_argument("--servers", type=int, default=20)
-    p.add_argument("--cores", type=int, default=2)
+    p.add_argument("--servers", type=_count, default=20)
+    p.add_argument("--cores", type=_count, default=2)
     p.add_argument("--utilization", type=float, default=0.3)
     p.add_argument("--duration", type=_seconds, default=60.0)
     p.add_argument("--retry-limit", type=int, default=3,
@@ -655,9 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(facility_carbon.DEFAULT_CARBON_PROFILES),
                    choices=list(CARBON_PROFILES),
                    help="carbon-intensity profiles to sweep")
-    p.add_argument("--servers", type=int, default=8)
-    p.add_argument("--cores", type=int, default=2)
-    p.add_argument("--zones", type=int, default=2,
+    p.add_argument("--servers", type=_count, default=8)
+    p.add_argument("--cores", type=_count, default=2)
+    p.add_argument("--zones", type=_count, default=2,
                    help="thermal zones the farm is partitioned into")
     p.add_argument("--utilization", type=float, default=0.6)
     p.add_argument("--duration", type=_seconds, default=40.0)
@@ -671,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="extension: synchronized training steps over collectives "
              "(group size × algorithm sweep)",
     )
-    p.add_argument("--group-sizes", type=int, nargs="+", metavar="P",
+    p.add_argument("--group-sizes", type=_count, nargs="+", metavar="P",
                    default=[4, 8, 16],
                    help="worker-group sizes (ranks) to sweep")
     p.add_argument("--algorithms", nargs="+", metavar="ALG",
@@ -679,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(ai_training.ALGORITHMS),
                    help="gradient-collective algorithms to sweep")
     p.add_argument("--fat-tree-k", type=int, default=4)
-    p.add_argument("--steps", type=int, default=4,
+    p.add_argument("--steps", type=_count, default=4,
                    help="synchronized training steps per job")
     p.add_argument("--compute", type=float, default=0.05,
                    help="forward/backward compute time per step (s)")
@@ -701,10 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ai_training)
 
     p = sub.add_parser("scalability", help="Table I: >20K-server scalability")
-    p.add_argument("--servers", type=int, default=20_480)
-    p.add_argument("--num-jobs", type=int, default=200_000,
+    p.add_argument("--servers", type=_count, default=20_480)
+    p.add_argument("--num-jobs", type=_count, default=200_000,
                    help="simulated jobs to push through the farm")
-    p.add_argument("--sizes", type=int, nargs="+", metavar="N",
+    p.add_argument("--sizes", type=_count, nargs="+", metavar="N",
                    help="sweep several farm sizes instead of a single run")
     pool_group = p.add_mutually_exclusive_group()
     pool_group.add_argument("--pool", action="store_true", dest="force_pool",

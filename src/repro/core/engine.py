@@ -146,6 +146,9 @@ class Engine:
         self._cancelled = 0  # cancelled EventHandles still sitting in the heap
         self._dispatch_hook: Optional[Callable[[float, Callable[..., Any], tuple], None]] = None
         self.events_executed = 0
+        #: Handles cancelled while still queued (cancelling a fired or
+        #: already-cancelled handle does not count).
+        self.events_cancelled = 0
 
     # ------------------------------------------------------------------
     # Clock
@@ -158,6 +161,15 @@ class Engine:
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
+    @property
+    def events_scheduled(self) -> int:
+        """Events ever queued, on both surfaces.  Each one has executed, been
+        cancelled while queued, or is still pending::
+
+            events_scheduled == events_executed + events_cancelled + pending_count()
+        """
+        return self._seq
+
     @property
     def dispatch_hook(self) -> Optional[Callable[[float, Callable[..., Any], tuple], None]]:
         """The installed dispatch hook, or None (the fast path)."""
@@ -415,6 +427,7 @@ class Engine:
 
     def _note_cancelled(self) -> None:
         """A queued handle was cancelled; compact when garbage dominates."""
+        self.events_cancelled += 1
         self._cancelled += 1
         if self._cancelled * 2 > len(self._heap) >= COMPACTION_MIN_HEAP:
             self._compact()

@@ -130,9 +130,13 @@ def register_farm_metrics(
     metrics when one session runs several farms.
     """
     engine, sched = farm.engine, farm.scheduler
-    registry.register_counter(
-        f"{prefix}engine.events_executed", lambda: engine.events_executed
-    )
+    # Scheduled = executed + cancelled + still pending: the cancelled share
+    # is the timer churn (delay, core-C6 and package-C6 timers re-armed
+    # before they fire).
+    for name in ("events_executed", "events_scheduled", "events_cancelled"):
+        registry.register_counter(
+            f"{prefix}engine.{name}", (lambda n=name: getattr(engine, n))
+        )
     registry.register_gauge(f"{prefix}engine.sim_time_s", lambda: engine.now)
     for name in (
         "jobs_submitted", "jobs_completed", "jobs_failed",

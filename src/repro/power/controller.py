@@ -17,6 +17,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import Server
 
 
+def check_tau(tau_s: Optional[float]) -> None:
+    """Reject a delay timer the engine cannot run: NaN or negative.
+
+    Written as ``not >=`` so NaN fails here, at construction, instead of at
+    the first idle server with an engine error.
+    """
+    if tau_s is not None and not tau_s >= 0:
+        raise ValueError(f"delay timer must be non-negative, got {tau_s}")
+
+
 class ServerPowerController:
     """Base controller: all hooks are no-ops; attach() may be called for
     several servers (a single controller instance can manage a whole farm).
@@ -78,8 +88,7 @@ class DelayTimerController(ServerPowerController):
     """
 
     def __init__(self, engine: Engine, tau_s: Optional[float], sleep_level: str = "s3"):
-        if tau_s is not None and tau_s < 0:
-            raise ValueError(f"delay timer must be non-negative, got {tau_s}")
+        check_tau(tau_s)
         self.engine = engine
         self.tau_s = tau_s
         self.sleep_level = sleep_level
@@ -114,6 +123,7 @@ class DelayTimerController(ServerPowerController):
 
     def set_tau(self, server: "Server", tau_s: Optional[float]) -> None:
         """Retune one server's timer (used by pool policies that migrate servers)."""
+        check_tau(tau_s)
         server.ensure_materialized()
         self._per_server_tau[server.server_id] = tau_s
         self._cancel_timer(server)
@@ -140,5 +150,5 @@ class DelayTimerController(ServerPowerController):
 
     def _cancel_timer(self, server: "Server") -> None:
         handle = self._timers.pop(server.server_id, None)
-        if handle is not None and handle.pending:
-            handle.cancel()
+        if handle is not None:
+            handle.cancel()  # a no-op once the timer has fired

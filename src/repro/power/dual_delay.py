@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Sequence
 
 from repro.core.engine import Engine
-from repro.power.controller import DelayTimerController
+from repro.power.controller import DelayTimerController, check_tau
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import Server
@@ -40,8 +40,8 @@ class DualDelayTimerPolicy:
             raise ValueError(
                 f"high_pool_size {high_pool_size} outside 1..{len(servers)}"
             )
-        if tau_low_s < 0 or tau_high_s < 0:
-            raise ValueError("delay timers must be non-negative")
+        check_tau(tau_high_s)
+        check_tau(tau_low_s)
         self.engine = engine
         self.servers = list(servers)
         self.high_pool: List["Server"] = self.servers[:high_pool_size]

@@ -159,7 +159,7 @@ class JointEnergyManager(DelayTimerController):
             return min(candidates, key=lambda s: (s.pending_task_count, s.server_id))
         # Consolidate: first active server that can start the task now.
         for server in self.active_order:
-            if server.can_execute and server.find_available_core() is not None:
+            if server.can_start_task():
                 return server
         # Active set saturated: activate the cheapest additional server in
         # the background.  The triggering task still goes to an already-awake

@@ -29,6 +29,10 @@ from repro.telemetry import session as telemetry
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import Server
 
+# Enum members bound once (each ``Enum.MEMBER`` read is a Python-level call
+# in CPython 3.11; see repro.server.core_unit).
+_READY, _QUEUED = TaskState.READY, TaskState.QUEUED
+
 
 class _TransferDone:
     """Completion callback for one result transfer.
@@ -167,7 +171,7 @@ class GlobalScheduler:
                 args={"type": job.job_type, "tasks": len(job.tasks)},
             )
         for task in job.root_tasks():
-            task.state = TaskState.READY
+            task.state = _READY
             self._place_task(task)
 
     # ------------------------------------------------------------------
@@ -197,7 +201,7 @@ class GlobalScheduler:
         server = self.policy.select_server(task, candidates)
         if server is None:
             if self.use_global_queue:
-                task.state = TaskState.QUEUED
+                task.state = _QUEUED
                 self.global_queue.append(task)
                 return
             server = LeastLoadedPolicy().select_server(task, candidates)
@@ -217,7 +221,7 @@ class GlobalScheduler:
                 },
             )
         self._placements[task] = server
-        sources = self._pending_sources.pop(task, [])
+        sources = self._pending_sources.pop(task, ())
         launched = False
         for src_server_id, size_bytes in sources:
             if size_bytes > 0 and src_server_id != server.server_id and self.network is not None:
@@ -305,7 +309,7 @@ class GlobalScheduler:
     def _redispatch(self, task: Task) -> None:
         if task.job.failed:
             return
-        task.state = TaskState.READY
+        task.state = _READY
         self._place_task(task)
 
     def _fail_job(self, job: Job) -> None:
@@ -336,7 +340,8 @@ class GlobalScheduler:
         if job.failed:
             # A sibling exhausted its retry budget; the job is already
             # written off — don't expand children or record completion.
-            self._drain_global_queue(server)
+            if self.global_queue:
+                self._drain_global_queue(server)
             return
         ts = telemetry.ACTIVE
         if (
@@ -358,7 +363,7 @@ class GlobalScheduler:
                 (server.server_id, transfer_bytes)
             )
             if child.remaining_parents == 0:
-                child.state = TaskState.READY
+                child.state = _READY
                 self._place_task(child)
         if job.task_finished(task, now):
             self.active_jobs -= 1
@@ -388,19 +393,23 @@ class GlobalScheduler:
                 self.slo_violations += 1
             if self.on_job_complete is not None:
                 self.on_job_complete(job)
-        self._drain_global_queue(server)
+        if self.global_queue:
+            self._drain_global_queue(server)
 
     def _drain_global_queue(self, server: "Server") -> None:
-        """A server freed capacity; let it pull from the global task queue."""
+        """A server freed capacity; let it pull from the global task queue.
+
+        It pulls at most one task per core free when the drain starts.  A
+        pulled task whose parents ran elsewhere waits for its result
+        transfers and takes no core until they land, so the free-core check
+        alone would let one freed core pull the whole queue.
+        """
         if not self.use_global_queue or not self.global_queue:
             return
-        while (
-            self.global_queue
-            and server.can_execute
-            and server.find_available_core() is not None
-        ):
-            task = self.global_queue.popleft()
-            self._assign(task, server)
+        free = server.total_cores - server.running_task_count
+        while free > 0 and self.global_queue and server.can_start_task():
+            free -= 1
+            self._assign(self.global_queue.popleft(), server)
 
     # ------------------------------------------------------------------
     # Introspection

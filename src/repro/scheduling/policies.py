@@ -93,14 +93,14 @@ class PackingPolicy(DispatchPolicy):
     def select_server(
         self, task: Task, candidates: Sequence["Server"]
     ) -> Optional["Server"]:
-        servers = self._order() if self._order is not None else list(candidates)
+        servers = candidates
         if self._order is not None:
             allowed = set(id(s) for s in candidates)
-            servers = [s for s in servers if id(s) in allowed]
+            servers = [s for s in self._order() if id(s) in allowed]
         if not servers:
             return None
         for server in servers:
-            if server.can_execute and server.find_available_core() is not None:
+            if server.can_start_task():
                 return server
         awake = [s for s in servers if s.can_execute]
         pool = awake or servers
@@ -152,10 +152,10 @@ class PowerObliviousPackingPolicy(DispatchPolicy):
     def select_server(
         self, task: Task, candidates: Sequence["Server"]
     ) -> Optional["Server"]:
-        servers = self._order() if self._order is not None else list(candidates)
+        servers = candidates
         if self._order is not None:
             allowed = set(id(s) for s in candidates)
-            servers = [s for s in servers if id(s) in allowed]
+            servers = [s for s in self._order() if id(s) in allowed]
         if not servers:
             return None
         for server in servers:
@@ -178,9 +178,7 @@ class CapacityGatedPolicy(DispatchPolicy):
     def select_server(
         self, task: Task, candidates: Sequence["Server"]
     ) -> Optional["Server"]:
-        ready = [
-            s for s in candidates if s.can_execute and s.find_available_core() is not None
-        ]
+        ready = [s for s in candidates if s.can_start_task()]
         if not ready:
             return None
         return self.base.select_server(task, ready)

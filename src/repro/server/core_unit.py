@@ -26,7 +26,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: 2-bit-per-core encoding of the C-state, packed into ``Processor._state_mask``
 #: so package-level checks and the per-mask power cache are integer compares.
-_MASK_CODE = {CoreState.ACTIVE: 0, CoreState.C1: 1, CoreState.C6: 2}
+#: Keyed by the state's string value: in CPython 3.11 hashing an enum member
+#: and reading its ``.value`` are Python-level calls.
+_MASK_CODE = {CoreState.ACTIVE.value: 0, CoreState.C1.value: 1, CoreState.C6.value: 2}
+
+# Enum members bound once: in CPython 3.11 every ``CoreState.C1`` read goes
+# through ``EnumType``'s Python-level ``__getattr__`` hook, and this module
+# makes several per task.
+_ACTIVE, _C1, _C6 = CoreState.ACTIVE, CoreState.C1, CoreState.C6
+_RUNNING, _QUEUED, _FINISHED = TaskState.RUNNING, TaskState.QUEUED, TaskState.FINISHED
 
 
 class Core:
@@ -85,13 +93,14 @@ class Core:
             raise RuntimeError(f"{self} is busy with {self.current_task}")
         now = self.engine._now
         self._cancel_c6_timer()
+        proc = self.processor
         wake_delay = 0.0
-        if self.state is CoreState.C6:
-            wake_delay = self.processor.config.core_profile.c6_exit_latency_s
-        self._set_state(CoreState.ACTIVE)
+        if self.state is _C6:
+            wake_delay = proc.config.core_profile.c6_exit_latency_s
+        self._set_state(_ACTIVE)
         self.current_task = task
-        self.processor._busy += 1
-        task.state = TaskState.RUNNING
+        proc._busy += 1
+        task.state = _RUNNING
         task.start_time = now
         finish_at = now + extra_start_delay + wake_delay + self.execution_time(task)
         self._completion = self.engine.schedule_at(finish_at, self._complete)
@@ -106,14 +115,14 @@ class Core:
         if self.current_task is None:
             return None
         task = self.current_task
-        if self._completion is not None and self._completion.pending:
+        if self._completion is not None:
             self._completion.cancel()
         self._completion = None
         self.current_task = None
         self.processor._busy -= 1
-        task.state = TaskState.QUEUED
+        task.state = _QUEUED
         task.start_time = None
-        self._set_state(CoreState.C1)
+        self._set_state(_C1)
         self._arm_c6_timer()
         return task
 
@@ -122,14 +131,14 @@ class Core:
         if self.current_task is not None:
             raise RuntimeError(f"cannot force C6 on busy {self}")
         self._cancel_c6_timer()
-        self._set_state(CoreState.C6)
+        self._set_state(_C6)
 
     def wake_to_idle(self) -> None:
         """Bring a C6 core to C1 without a task (used on system wake)."""
         if self.current_task is not None:
             return
-        if self.state is CoreState.C6:
-            self._set_state(CoreState.C1)
+        if self.state is _C6:
+            self._set_state(_C1)
             self._arm_c6_timer()
 
     # ------------------------------------------------------------------
@@ -137,16 +146,16 @@ class Core:
         task = self.current_task
         assert task is not None
         now = self.engine._now
+        proc = self.processor
         self._completion = None
         self.current_task = None
-        self.processor._busy -= 1
-        task.state = TaskState.FINISHED
+        proc._busy -= 1
+        task.state = _FINISHED
         task.finish_time = now
         self.tasks_completed += 1
         ts = telemetry.ACTIVE
         if ts is not None and ts.task is not None:
             rec = ts.task
-            proc = self.processor
             # seq_id, not Job.job_id: job ids come from a process-global
             # counter and would differ between --jobs 1 and --jobs 4 runs.
             jid = rec.seq_id("job", task.job)
@@ -158,22 +167,27 @@ class Core:
                 now - task.start_time,
                 args={"job": jid, "type": task.task_type},
             )
-        self._set_state(CoreState.C1)
+        self._set_state(_C1)
         # Deferred arming: completion callbacks often either hand this core a
         # new task (which would cancel the timer straight away) or capture the
         # whole server into the pool (which detaches it).  Arming afterwards —
         # at the same timestamp and therefore the same deadline — skips that
         # schedule/cancel churn.  ServerPool.try_capture knows a just-completed
         # C1 core with no handle is due at now + core_c6_timer_s.
-        self.processor.on_core_complete(self, task)
-        server = self.processor._server
+        server = proc._server
+        if server is not None:
+            server._on_core_complete(self, task)
         if (
             self.current_task is None
-            and self.state is CoreState.C1
+            and self.state is _C1
             and self._c6_timer is None
             and (server is None or server._pool_slot < 0)
         ):
-            self._arm_c6_timer()
+            # _arm_c6_timer inlined; ``not timer < 0`` lets a NaN timer
+            # through to schedule_at, which refuses it as before.
+            timer = proc.config.core_c6_timer_s
+            if timer is not None and not timer < 0:
+                self._c6_timer = self.engine.schedule_at(now + timer, self._enter_c6)
 
     # ------------------------------------------------------------------
     # Pool fast-path support (repro.server.pool)
@@ -186,7 +200,7 @@ class Core:
         :class:`repro.server.pool.ServerPool` at capture; the deadline is
         re-armed verbatim by :meth:`restore_c6_deadline` on materialization.
         """
-        if self.state is CoreState.C6:
+        if self.state is _C6:
             return float("-inf")
         handle = self._c6_timer
         if handle is not None and handle.pending:
@@ -209,15 +223,16 @@ class Core:
         self._c6_timer = self.engine.schedule(timer, self._enter_c6)
 
     def _cancel_c6_timer(self) -> None:
-        if self._c6_timer is not None and self._c6_timer.pending:
+        # cancel() is a no-op on a fired or cancelled handle.
+        if self._c6_timer is not None:
             self._c6_timer.cancel()
-        self._c6_timer = None
+            self._c6_timer = None
 
     def _enter_c6(self) -> None:
         self._c6_timer = None
-        if self.current_task is not None or self.state is not CoreState.C1:
+        if self.current_task is not None or self.state is not _C1:
             return
-        self._set_state(CoreState.C6)
+        self._set_state(_C6)
 
     def _set_state(self, state: CoreState) -> None:
         if state is self.state:
@@ -234,24 +249,25 @@ class Core:
             )
         self._state_since = now
         self.state = state
+        value = state._value_
         proc = self.processor
         shift = self._mask_shift
         proc._state_mask = (proc._state_mask & ~(3 << shift)) | (
-            _MASK_CODE[state] << shift
+            _MASK_CODE[value] << shift
         )
-        self.tracker.set_state(state.value, now)
-        proc.on_core_state_change(self)
+        self.tracker.set_state(value, now)
+        proc.on_core_state_change()
 
     # ------------------------------------------------------------------
     def power_w(self) -> float:
         """Instantaneous core power at the current C-state and frequency."""
         profile = self.processor.config.core_profile
-        if self.state is CoreState.ACTIVE:
+        if self.state is _ACTIVE:
             ratio = (
                 self.processor.frequency_ghz / self.processor.config.nominal_frequency_ghz
             )
             return profile.active_w * ratio**profile.dvfs_exponent
-        if self.state is CoreState.C1:
+        if self.state is _C1:
             return profile.c1_w
         return profile.c6_w
 

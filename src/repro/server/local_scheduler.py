@@ -24,6 +24,10 @@ from repro.server.core_unit import Core
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import Server
 
+# Bound once (each ``Enum.MEMBER`` read is a Python-level call in CPython
+# 3.11; see core_unit).
+_QUEUED = TaskState.QUEUED
+
 
 class LocalScheduler:
     """Interface shared by local scheduling policies."""
@@ -61,7 +65,7 @@ class UnifiedQueueScheduler(LocalScheduler):
         self._queue: Deque[Task] = deque()
 
     def enqueue(self, task: Task) -> None:
-        task.state = TaskState.QUEUED
+        task.state = _QUEUED
         self._queue.append(task)
 
     def dispatch(self) -> None:
@@ -99,7 +103,7 @@ class PerCoreQueueScheduler(LocalScheduler):
         }
 
     def enqueue(self, task: Task) -> None:
-        task.state = TaskState.QUEUED
+        task.state = _QUEUED
         # Prefer an idle core outright; otherwise the shortest queue, and
         # among equals the fastest core (heterogeneity awareness).
         core = min(

@@ -338,6 +338,8 @@ class ServerPool:
         if len(stages) > 1:
             stages.sort(key=_stage_key)
 
+        # Each stage goes through the server's own accounting step, so the
+        # replayed values are the exact floats the event path would produce.
         for t, kind, obj in stages:
             if kind == 0:
                 core = obj
@@ -352,7 +354,7 @@ class ServerPool:
                 proc = obj
                 proc.package_state = PackageState.PC6
                 proc.tracker.set_state("PC6", t)
-            self._stage_update(server, t)
+            server._update_accounts(t)
 
         if commit_applied:
             t = commit
@@ -371,17 +373,17 @@ class ServerPool:
             # Same update cadence as Server.sleep(): once after the forced
             # C-state cascade (category becomes PkgC6), once after the system
             # state flips (category becomes SysSleep).
-            self._stage_update(server, t)
+            server._update_accounts(t)
             server._sleep_target = _LEVEL_TO_STATE[self._level[slot]]
             server._wake_pending = False
             server._system_state = SystemState.ENTERING_SLEEP
             server._state_since = t
-            self._stage_update(server, t)
+            server._update_accounts(t)
             if done_applied:
                 server._system_state = server._sleep_target
                 server._state_since = done
                 server._transition = None
-                self._stage_update(server, done)
+                server._update_accounts(done)
             else:
                 server._transition = engine.schedule_at(
                     done, server._sleep_entry_complete
@@ -428,16 +430,6 @@ class ServerPool:
                 self.materialize(server)
                 n += 1
         return n
-
-    def _stage_update(self, server: "Server", t: float) -> None:
-        # Mirrors Server._update_power + Server._update_residency at time t,
-        # reusing the server's own power model so replayed values are the
-        # exact floats the event path would have produced.
-        cpu, dram, plat = server._component_powers()
-        server.cpu_energy.set_power(cpu, t)
-        server.dram_energy.set_power(dram, t)
-        server.platform_energy.set_power(plat, t)
-        server.residency.set_state(server._residency_category(), t)
 
     # ------------------------------------------------------------------
     # Cohorts

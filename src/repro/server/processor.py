@@ -8,17 +8,21 @@ sub-millisecond exit latency paid by the next task.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.engine import Engine, EventHandle
 from repro.core.stats import StateTracker
 from repro.core.config import ProcessorConfig
-from repro.jobs.task import Task
 from repro.server.core_unit import Core
 from repro.server.states import CoreState, PackageState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import Server
+
+# Enum members bound once (each ``Enum.MEMBER`` read is a Python-level call
+# in CPython 3.11; see core_unit).
+_ACTIVE, _C1 = CoreState.ACTIVE, CoreState.C1
+_PC0, _PC6 = PackageState.PC0, PackageState.PC6
 
 
 class Processor:
@@ -54,9 +58,8 @@ class Processor:
         self.tracker = StateTracker(PackageState.PC0.value, engine.now)
         self._pc6_timer: Optional[EventHandle] = None
         self._refresh_power_cache()
-        # Wired by the owning Server.
-        self.on_task_complete: Optional[Callable[[Core, Task], None]] = None
-        self.on_power_change: Optional[Callable[[], None]] = None
+        # The owning Server, which cores and this package report to; a
+        # standalone processor reports to nobody.
         self._server: Optional["Server"] = None
 
     # ------------------------------------------------------------------
@@ -90,8 +93,8 @@ class Processor:
         this package's cores.
         """
         self._cancel_pc6_timer()
-        if self.package_state is PackageState.PC6:
-            self._set_package_state(PackageState.PC0)
+        if self.package_state is _PC6:
+            self._set_package_state(_PC0)
             return self.config.package_profile.pc6_exit_latency_s
         return 0.0
 
@@ -124,28 +127,26 @@ class Processor:
                 raise RuntimeError(f"cannot sleep {self.server_label}: {core} is busy")
             core.force_c6()
         self._cancel_pc6_timer()
-        self._set_package_state(PackageState.PC6)
+        self._set_package_state(_PC6)
 
     def wake_from_sleep(self) -> None:
         """Return package and cores to the working state after system wake."""
-        self._set_package_state(PackageState.PC0)
+        self._set_package_state(_PC0)
         for core in self.cores:
             core.wake_to_idle()
 
     # ------------------------------------------------------------------
     # Core callbacks
     # ------------------------------------------------------------------
-    def on_core_complete(self, core: Core, task: Task) -> None:
-        if self.on_task_complete is not None:
-            self.on_task_complete(core, task)
-
-    def on_core_state_change(self, core: Core) -> None:
+    def on_core_state_change(self) -> None:
+        """A core changed C-state: drive the package C-state, then the
+        server's energy and residency accounts."""
         if self._state_mask == self._all_c6_mask:
             self._arm_pc6_timer()
         else:
             self._cancel_pc6_timer()
-            if self.package_state is PackageState.PC6:
-                self._set_package_state(PackageState.PC0)
+            if self.package_state is _PC6:
+                self._set_package_state(_PC0)
         self._notify_power_change()
 
     # ------------------------------------------------------------------
@@ -157,7 +158,7 @@ class Processor:
         Returns ``-inf`` if the package is already in PC6 and None if no timer
         is pending (the pool derives the deadline from the core cascade).
         """
-        if self.package_state is PackageState.PC6:
+        if self.package_state is _PC6:
             return float("-inf")
         handle = self._pc6_timer
         if handle is not None and handle.pending:
@@ -176,32 +177,36 @@ class Processor:
     # Package C6 timer
     # ------------------------------------------------------------------
     def _arm_pc6_timer(self) -> None:
-        if not self.allow_package_c6 or self.package_state is PackageState.PC6:
+        if not self.allow_package_c6 or self.package_state is _PC6:
             return
         if self._pc6_timer is not None and self._pc6_timer.pending:
             return
         self._pc6_timer = self.engine.schedule(self.config.package_c6_timer_s, self._enter_pc6)
 
     def _cancel_pc6_timer(self) -> None:
-        if self._pc6_timer is not None and self._pc6_timer.pending:
+        # cancel() is a no-op on a fired or cancelled handle.
+        if self._pc6_timer is not None:
             self._pc6_timer.cancel()
-        self._pc6_timer = None
+            self._pc6_timer = None
 
     def _enter_pc6(self) -> None:
         self._pc6_timer = None
-        if all(c.state is CoreState.C6 for c in self.cores):
-            self._set_package_state(PackageState.PC6)
+        if self._state_mask == self._all_c6_mask:
+            self._set_package_state(_PC6)
 
     def _set_package_state(self, state: PackageState) -> None:
         if state is self.package_state:
             return
         self.package_state = state
-        self.tracker.set_state(state.value, self.engine.now)
+        self.tracker.set_state(state._value_, self.engine._now)
         self._notify_power_change()
 
     def _notify_power_change(self) -> None:
-        if self.on_power_change is not None:
-            self.on_power_change()
+        """Bring the owning server's energy and residency accounts up to
+        date (unless it holds notifications during a dispatch)."""
+        server = self._server
+        if server is not None and not server._notify_held:
+            server._update_accounts(self.engine._now)
 
     # ------------------------------------------------------------------
     # Power
@@ -235,11 +240,7 @@ class Processor:
         exactly) over cached per-state powers: this is the farm hot path's
         innermost loop.
         """
-        uncore = (
-            self._uncore_pc6
-            if self.package_state is PackageState.PC6
-            else self._uncore_pc0
-        )
+        uncore = self._uncore_pc6 if self.package_state is _PC6 else self._uncore_pc0
         total = self._cores_power_cache.get(self._state_mask)
         if total is None:
             active_w, c1_w, c6_w = self._active_w, self._c1_w, self._c6_w
@@ -247,9 +248,7 @@ class Processor:
             for core in self.cores:
                 state = core.state
                 total = total + (
-                    active_w
-                    if state is CoreState.ACTIVE
-                    else c1_w if state is CoreState.C1 else c6_w
+                    active_w if state is _ACTIVE else c1_w if state is _C1 else c6_w
                 )
             self._cores_power_cache[self._state_mask] = total
         return uncore + total

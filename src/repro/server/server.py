@@ -35,6 +35,14 @@ from repro.telemetry import session as telemetry
 
 SLEEP_LEVELS = {"s3": SystemState.S3, "s5": SystemState.S5}
 
+# Enum members bound once (each ``Enum.MEMBER`` read is a Python-level call
+# in CPython 3.11; see core_unit).
+_S0, _ENTERING = SystemState.S0, SystemState.ENTERING_SLEEP
+_S3, _S5, _WAKING, _FAILED = (
+    SystemState.S3, SystemState.S5, SystemState.WAKING, SystemState.FAILED,
+)
+_PC6 = PackageState.PC6
+
 
 class Server:
     """One simulated server (Fig. 2 of the paper)."""
@@ -53,8 +61,8 @@ class Server:
         self.server_id = server_id
         self.name = name or f"{config.name}-{server_id}"
         self.auto_wake_on_arrival = auto_wake_on_arrival
-        self._system_state = SystemState.S0
-        self._sleep_target = SystemState.S3
+        self._system_state = _S0
+        self._sleep_target = _S3
         self._wake_pending = False
         self._transition: Optional[EventHandle] = None
         # Pool fast path (see repro.server.pool): while captured, _pool_slot
@@ -79,33 +87,38 @@ class Server:
             for i in range(config.n_sockets)
         ]
         for proc in self.processors:
-            proc.on_task_complete = self._on_core_complete
-            proc.on_power_change = self._on_power_change
             proc._server = self
-        # Single-socket fast path: component powers in S0/ENTERING_SLEEP are
-        # a pure function of (core-state mask, package state, any-busy,
-        # P-state), so cache the computed tuples; entries are produced by the
-        # general path below and are therefore bit-identical to a fresh
-        # computation.  The map is shared across every server built from
-        # this config object at the same P-state, so a homogeneous farm
-        # warms it once rather than once per server.
+        # Single-socket fast path: component powers and the residency
+        # category in S0/ENTERING_SLEEP are a pure function of (core-state
+        # mask, package state, any-busy, P-state), so cache the computed
+        # tuples; entries are produced by the general path below and are
+        # therefore bit-identical to a fresh computation.  The map is shared
+        # across every server built from this config object at the same
+        # P-state, so a homogeneous farm warms it once rather than once per
+        # server.
         self._single_proc = self.processors[0] if len(self.processors) == 1 else None
         self._repoint_cpower_cache()
-        # Constant (cpu, dram, platform) tuples for the states whose draw
-        # doesn't depend on core/package state; same expressions as the
-        # branches they replace, evaluated once.
-        plat = config.platform
-        core_profile = config.processor.core_profile
-        pkg_profile = config.processor.package_profile
-        self._p_failed = (0.0, 0.0, 0.0)
-        self._p_s3 = (0.0, plat.dram_selfrefresh_w, plat.s3_w)
-        self._p_s5 = (0.0, 0.0, plat.s5_w)
-        self._p_waking = (
-            config.n_sockets
-            * (pkg_profile.pc0_w + config.processor.n_cores * core_profile.c1_w),
-            plat.dram_active_w,
-            plat.wake_w,
-        )
+        # Constant (cpu, dram, platform, category) tuples for the states
+        # whose draw doesn't depend on core/package state, built once per
+        # config object and shared by every server built from it.
+        draws = config.__dict__.get("_constant_draws")
+        if draws is None:
+            plat = config.platform
+            core_profile = config.processor.core_profile
+            pkg_profile = config.processor.package_profile
+            draws = config.__dict__["_constant_draws"] = (
+                (0.0, 0.0, 0.0, ResidencyCategory.FAILED),
+                (0.0, plat.dram_selfrefresh_w, plat.s3_w, ResidencyCategory.SYS_SLEEP),
+                (0.0, 0.0, plat.s5_w, ResidencyCategory.SYS_SLEEP),
+                (
+                    config.n_sockets
+                    * (pkg_profile.pc0_w + config.processor.n_cores * core_profile.c1_w),
+                    plat.dram_active_w,
+                    plat.wake_w,
+                    ResidencyCategory.WAKE_UP,
+                ),
+            )
+        self._p_failed, self._p_s3, self._p_s5, self._p_waking = draws
         self._all_cores: List[Core] = [
             core for proc in self.processors for core in proc.cores
         ]
@@ -127,8 +140,7 @@ class Server:
         self.repair_count = 0
         self.tags: Dict[str, object] = {}
         self._state_since = now  # start of the current system_state interval
-        self._update_power()
-        self._update_residency()
+        self._update_accounts(now)
 
     # ------------------------------------------------------------------
     # Pool fast path
@@ -180,15 +192,16 @@ class Server:
     # ------------------------------------------------------------------
     def submit_task(self, task: Task) -> None:
         """Accept a task from the global scheduler (or the network)."""
-        self.ensure_materialized()
-        if self._system_state is SystemState.FAILED:
+        if self._pool_slot >= 0:
+            self._pool.materialize(self)
+        if self._system_state is _FAILED:
             raise RuntimeError(f"cannot submit task to failed server {self.name}")
         self.tasks_submitted += 1
         task.server_id = self.server_id
         self.local_scheduler.enqueue(task)
         if self.power_controller is not None:
             self.power_controller.on_task_arrival(self, task)
-        if self._system_state is SystemState.S0:
+        if self._system_state is _S0:
             self.local_scheduler.dispatch()
         elif self.auto_wake_on_arrival:
             self.request_wake()
@@ -196,7 +209,25 @@ class Server:
     @property
     def can_execute(self) -> bool:
         """True while the platform is in S0 and cores may start tasks."""
-        return self.system_state is SystemState.S0
+        if self._pool_slot >= 0:
+            return self._pool.virtual_system_state(self) is _S0
+        return self._system_state is _S0
+
+    def can_start_task(self) -> bool:
+        """True when a task submitted now would start at once: the server is
+        in S0 and some core is free.
+
+        A pooled server answers from its virtual state; it is idle, so every
+        core is free.
+        """
+        if self._pool_slot >= 0:
+            return self._pool.virtual_system_state(self) is _S0
+        if self._system_state is not _S0:
+            return False
+        for proc in self.processors:
+            if proc._busy < proc.config.n_cores:
+                return True
+        return False
 
     def all_cores(self) -> List[Core]:
         """Every core across all sockets."""
@@ -226,8 +257,7 @@ class Server:
             core.assign(task, extra_start_delay=delay)
         finally:
             self._notify_held = False
-        self._update_power()
-        self._update_residency()
+        self._update_accounts(self.engine._now)
 
     def preempt_core(self, core: Core) -> Optional[Task]:
         """Abort the task running on ``core`` and hand the core new work.
@@ -240,8 +270,7 @@ class Server:
         task = core.preempt()
         if task is not None:
             self.local_scheduler.on_core_free(core)
-            self._update_power()
-            self._update_residency()
+            self._update_accounts(self.engine._now)
         return task
 
     def _on_core_complete(self, core: Core, task: Task) -> None:
@@ -281,7 +310,10 @@ class Server:
     @property
     def is_idle(self) -> bool:
         """No running and no queued tasks."""
-        return self.pending_task_count == 0
+        for proc in self.processors:
+            if proc._busy:
+                return False
+        return self.local_scheduler.queued_count == 0
 
     @property
     def total_cores(self) -> int:
@@ -300,16 +332,16 @@ class Server:
         if level not in SLEEP_LEVELS:
             raise ValueError(f"unknown sleep level {level!r}; expected one of {list(SLEEP_LEVELS)}")
         self.ensure_materialized()
-        if self._system_state is not SystemState.S0 or not self.is_idle:
+        if self._system_state is not _S0 or not self.is_idle:
             return False
         self._sleep_target = SLEEP_LEVELS[level]
         self._wake_pending = False
         for proc in self.processors:
             proc.force_sleep()
-        self._set_system_state(SystemState.ENTERING_SLEEP)
+        self._set_system_state(_ENTERING)
         entry = (
             self.config.platform.s3_entry_latency_s
-            if self._sleep_target is SystemState.S3
+            if self._sleep_target is _S3
             else self.config.platform.s5_entry_latency_s
         )
         self._transition = self.engine.schedule(entry, self._sleep_entry_complete)
@@ -318,9 +350,9 @@ class Server:
     def request_wake(self) -> None:
         """Ask a sleeping (or falling-asleep) server to return to S0."""
         self.ensure_materialized()
-        if self._system_state in (SystemState.S0, SystemState.WAKING, SystemState.FAILED):
+        if self._system_state in (_S0, _WAKING, _FAILED):
             return
-        if self._system_state is SystemState.ENTERING_SLEEP:
+        if self._system_state is _ENTERING:
             self._wake_pending = True
             return
         self._begin_wake()
@@ -333,17 +365,17 @@ class Server:
             self._begin_wake()
 
     def _begin_wake(self) -> None:
-        self._set_system_state(SystemState.WAKING)
+        self._set_system_state(_WAKING)
         exit_latency = (
             self.config.platform.s3_exit_latency_s
-            if self._sleep_target is SystemState.S3
+            if self._sleep_target is _S3
             else self.config.platform.s5_exit_latency_s
         )
         self._transition = self.engine.schedule(exit_latency, self._wake_complete)
 
     def _wake_complete(self) -> None:
         self._transition = None
-        self._set_system_state(SystemState.S0)
+        self._set_system_state(_S0)
         for proc in self.processors:
             proc.wake_from_sleep()
         if self.power_controller is not None:
@@ -359,7 +391,7 @@ class Server:
     def is_failed(self) -> bool:
         """True while the server is down due to an injected fault."""
         # Pooled servers are never FAILED, so the raw field is always right.
-        return self._system_state is SystemState.FAILED
+        return self._system_state is _FAILED
 
     def fail(self) -> List[Task]:
         """Crash the server: abort in-flight work, drop the local queue.
@@ -370,7 +402,7 @@ class Server:
         server is a no-op returning no tasks.
         """
         self.ensure_materialized()
-        if self._system_state is SystemState.FAILED:
+        if self._system_state is _FAILED:
             return []
         if self._transition is not None and self._transition.pending:
             self._transition.cancel()
@@ -385,16 +417,16 @@ class Server:
         for proc in self.processors:
             proc.force_sleep()
         self.failure_count += 1
-        self._set_system_state(SystemState.FAILED)
+        self._set_system_state(_FAILED)
         self._notify_availability()
         return lost
 
     def repair(self) -> bool:
         """Return a failed server to S0, ready to accept work again."""
-        if self._system_state is not SystemState.FAILED:
+        if self._system_state is not _FAILED:
             return False
         self.repair_count += 1
-        self._set_system_state(SystemState.S0)
+        self._set_system_state(_S0)
         for proc in self.processors:
             proc.wake_from_sleep()
         self._notify_availability()
@@ -420,18 +452,11 @@ class Server:
             )
         self._state_since = self.engine.now
         self._system_state = state
-        self._update_power()
-        self._update_residency()
+        self._update_accounts(self.engine._now)
 
     # ------------------------------------------------------------------
     # Power and residency accounting
     # ------------------------------------------------------------------
-    def _on_power_change(self) -> None:
-        if self._notify_held:
-            return
-        self._update_power()
-        self._update_residency()
-
     def _repoint_cpower_cache(self) -> None:
         """Bind ``_cpower_cache`` to the shared per-(config, P-state) map.
 
@@ -443,26 +468,28 @@ class Server:
         proc1 = self._single_proc
         freq = proc1.frequency_ghz if proc1 is not None else None
         shared = self.config.__dict__.setdefault("_cpower_caches", {})
-        self._cpower_cache: Dict[int, Tuple[float, float, float]] = shared.setdefault(
-            freq, {}
+        self._cpower_cache: Dict[int, Tuple[float, float, float, str]] = (
+            shared.setdefault(freq, {})
         )
 
-    def _component_powers(self) -> Tuple[float, float, float]:
-        """(cpu, dram, platform) draw; several calls per task at farm scale.
+    def _component_powers(self) -> Tuple[float, float, float, str]:
+        """(cpu, dram, platform) draw plus the Fig.-8 residency category.
 
         Reads ``_system_state`` directly: every caller runs on the exact
         per-server path (or inside a pool replay, which maintains it).
         Explicit accumulation loops match the former ``sum(genexpr)`` float
-        order exactly.
+        order exactly.  The category is cached with the draw because it is
+        a function of the same key: entering sleep is SysSleep, any busy
+        core Active, a package in PC6 PkgC6, anything else Idle.
         """
         state = self._system_state
-        if state is SystemState.FAILED:
+        if state is _FAILED:
             return self._p_failed
-        if state is SystemState.S3:
+        if state is _S3:
             return self._p_s3
-        if state is SystemState.S5:
+        if state is _S5:
             return self._p_s5
-        if state is SystemState.WAKING:
+        if state is _WAKING:
             # Components ramp at full draw while resuming; the CPU is modelled
             # at package-active/core-halt power for the wake duration.
             return self._p_waking
@@ -471,13 +498,13 @@ class Server:
         key = None
         if proc1 is not None:
             # Packed int key: (mask, in-PC6, any-busy, entering-sleep).
-            # Processor.set_frequency clears the cache, so the P-state
+            # Processor.set_frequency repoints the cache, so the P-state
             # needn't be part of the key.
             key = (
                 (proc1._state_mask << 3)
-                | ((proc1.package_state is PackageState.PC6) << 2)
+                | ((proc1.package_state is _PC6) << 2)
                 | ((proc1._busy > 0) << 1)
-                | (state is SystemState.ENTERING_SLEEP)
+                | (state is _ENTERING)
             )
             hit = self._cpower_cache.get(key)
             if hit is not None:
@@ -493,19 +520,45 @@ class Server:
                 break
         dram = platform.dram_active_w if any_busy else platform.dram_idle_w
         other = platform.other_active_w if any_busy else platform.other_idle_w
-        if state is SystemState.ENTERING_SLEEP:
+        if state is _ENTERING:
             other = platform.other_idle_w
             dram = platform.dram_idle_w
-        result = (cpu, dram, other)
+            category = ResidencyCategory.SYS_SLEEP
+        elif any_busy:
+            category = ResidencyCategory.ACTIVE
+        else:
+            category = ResidencyCategory.PKG_C6
+            for proc in self.processors:
+                if proc.package_state is not _PC6:
+                    category = ResidencyCategory.IDLE
+                    break
+        result = (cpu, dram, other, category)
         if key is not None:
             self._cpower_cache[key] = result
         return result
 
-    def _update_power(self) -> None:
-        now = self.engine._now
-        cpu, dram, plat = self._component_powers()
+    def _update_accounts(self, now: float) -> None:
+        """Accrue each component's energy up to ``now``, then take up the
+        current state's draw and residency category.
+
+        Runs several times per dispatched task, so the cache hit of
+        :meth:`_component_powers` is repeated inline (same key).
+        """
+        proc = self._single_proc
+        state = self._system_state
+        draw = None
+        if proc is not None and (state is _S0 or state is _ENTERING):
+            draw = self._cpower_cache.get(
+                (proc._state_mask << 3)
+                | ((proc.package_state is _PC6) << 2)
+                | ((proc._busy > 0) << 1)
+                | (state is _ENTERING)
+            )
+        if draw is None:
+            draw = self._component_powers()
+        cpu, dram, plat, category = draw
         # Inlined EnergyAccount.set_power (same accrual expression, minus the
-        # backwards-time guard): this runs several times per dispatched task.
+        # backwards-time guard).
         acct = self.cpu_energy
         acct._energy_j += acct._power_w * (now - acct._since)
         acct._power_w = cpu
@@ -518,26 +571,7 @@ class Server:
         acct._energy_j += acct._power_w * (now - acct._since)
         acct._power_w = plat
         acct._since = now
-
-    def _residency_category(self) -> str:
-        state = self._system_state
-        if state is SystemState.FAILED:
-            return ResidencyCategory.FAILED
-        if state in (SystemState.S3, SystemState.S5, SystemState.ENTERING_SLEEP):
-            return ResidencyCategory.SYS_SLEEP
-        if state is SystemState.WAKING:
-            return ResidencyCategory.WAKE_UP
-        procs = self.processors
-        for proc in procs:
-            if proc._busy:
-                return ResidencyCategory.ACTIVE
-        for proc in procs:
-            if proc.package_state is not PackageState.PC6:
-                return ResidencyCategory.IDLE
-        return ResidencyCategory.PKG_C6
-
-    def _update_residency(self) -> None:
-        self.residency.set_state(self._residency_category(), self.engine._now)
+        self.residency.set_state(category, now)
 
     # ------------------------------------------------------------------
     # Telemetry accessors
@@ -546,7 +580,7 @@ class Server:
     def power_w(self) -> float:
         """Total instantaneous server power (CPU + DRAM + platform)."""
         self.ensure_materialized()
-        cpu, dram, plat = self._component_powers()
+        cpu, dram, plat, _ = self._component_powers()
         return cpu + dram + plat
 
     @property

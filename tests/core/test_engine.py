@@ -140,6 +140,29 @@ class TestCancellation:
         assert engine.peek_time() is None
         assert engine.pending_count() == 0
 
+    def test_scheduled_events_split_into_executed_cancelled_pending(self, engine):
+        fired = engine.schedule(1.0, lambda: None)
+        engine.post(1.0, lambda: None)
+        cancelled = engine.schedule(2.0, lambda: None)
+        engine.schedule(3.0, lambda: None)
+        cancelled.cancel()
+        cancelled.cancel()  # a repeat cancel is not counted again
+        engine.run(until=2.5)
+        fired.cancel()  # nor is cancelling a fired handle
+        assert engine.events_scheduled == 4
+        assert engine.events_executed == 2
+        assert engine.events_cancelled == 1
+        assert engine.pending_count() == 1
+        # Compaction drops cancelled entries but keeps the count.
+        handles = [engine.schedule(5.0, lambda: None) for _ in range(COMPACTION_MIN_HEAP)]
+        for handle in handles:
+            handle.cancel()
+        assert engine.queued_count() < COMPACTION_MIN_HEAP
+        assert engine.events_cancelled == 1 + COMPACTION_MIN_HEAP
+        assert engine.events_scheduled == (
+            engine.events_executed + engine.events_cancelled + engine.pending_count()
+        )
+
 
 class TestFastPath:
     def test_post_events_run_in_time_order(self, engine):

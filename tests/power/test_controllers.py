@@ -84,6 +84,20 @@ class TestDelayTimer:
         with pytest.raises(ValueError):
             DelayTimerController(Engine(), tau_s=-1.0)
 
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            DelayTimerController(Engine(), tau_s=float("nan"))
+
+    @pytest.mark.parametrize("tau", [float("nan"), -0.5])
+    def test_set_tau_rejects_bad_values(self, fast_sleep_config, tau):
+        engine = Engine()
+        controller = DelayTimerController(engine, tau_s=1.0)
+        server = make_server(engine, fast_sleep_config, controller)
+        with pytest.raises(ValueError, match="non-negative"):
+            controller.set_tau(server, tau)
+        # The rejected value left the server's timer as it was.
+        assert controller.tau_for(server) == 1.0
+
     def test_server_wakes_for_new_task_and_resleeps(self, fast_sleep_config):
         engine = Engine()
         controller = DelayTimerController(engine, tau_s=0.2)
@@ -162,3 +176,7 @@ class TestDualDelayTimer:
         with pytest.raises(ValueError):
             DualDelayTimerPolicy(engine, servers, high_pool_size=1,
                                  tau_high_s=-1.0, tau_low_s=0.1)
+        for taus in ((float("nan"), 0.1), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="non-negative"):
+                DualDelayTimerPolicy(engine, servers, high_pool_size=1,
+                                     tau_high_s=taus[0], tau_low_s=taus[1])

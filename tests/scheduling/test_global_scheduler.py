@@ -200,6 +200,36 @@ class TestGlobalQueue:
             scheduler.submit_job(single_task_job(1.0))
         assert scheduler.total_pending_tasks() == 3
 
+    def test_drain_pulls_one_task_per_free_core(self):
+        # Two leaves of a fan-out queue centrally.  A pulled leaf whose
+        # parent ran elsewhere waits for its result transfer and takes no
+        # core, so the first server to free one core must not pull both:
+        # the second leaf goes to the next server that frees.
+        engine = Engine()
+        network = FlowNetwork(engine, star(engine, 3))
+        _, _, scheduler = make_farm(
+            n_servers=3, n_cores=1, network=network, engine=engine,
+            policy=CapacityGatedPolicy(LeastLoadedPolicy()),
+            use_global_queue=True,
+        )
+        job = Job()
+        root = job.add_task(1.0, name="root")
+        leaves = [job.add_task(1.0, name=f"leaf{i}") for i in range(3)]
+        job.add_edges((root.index, leaf.index, 1e6) for leaf in leaves)
+        scheduler.submit_job(job)
+        scheduler.submit_job(single_task_job(1.5))
+        scheduler.submit_job(single_task_job(1.6))
+        engine.run(until=1.0)
+        assert scheduler.global_queue_length == 2
+        engine.run(until=1.55)
+        # Server 1 freed its core at 1.5 s and pulled one leaf only.
+        assert scheduler.global_queue_length == 1
+        engine.run()
+        assert job.finished
+        assert [leaf.server_id for leaf in leaves] == [0, 1, 2]
+        assert leaves[1].start_time == pytest.approx(1.508, abs=0.005)
+        assert leaves[2].start_time == pytest.approx(1.608, abs=0.005)
+
     def test_without_global_queue_tasks_queue_locally(self):
         engine, servers, scheduler = make_farm(n_servers=1, n_cores=1)
         for _ in range(3):

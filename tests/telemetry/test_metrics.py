@@ -155,3 +155,32 @@ class TestFarmMetricsSurface:
         assert (counters["network.trains_materialized_enqueue"]
                 + counters["network.trains_materialized_route"]
                 == counters["network.trains_materialized"])
+
+    def test_event_counters_account_for_every_scheduled_event(self):
+        # --metrics shows timer churn: every scheduled event has executed,
+        # been cancelled while queued, or is still pending at the cut.
+        from repro.core.config import onoff_cloud_server
+        from repro.experiments.common import build_farm, drive, register_farm_metrics
+        from repro.power.controller import DelayTimerController
+        from repro.scheduling.policies import PackingPolicy
+        from repro.workload.arrivals import PoissonProcess
+        from repro.workload.profiles import web_search_profile
+
+        farm = build_farm(4, onoff_cloud_server(n_cores=2), policy=PackingPolicy(), seed=3)
+        controller = DelayTimerController(farm.engine, 0.1)
+        for server in farm.servers:
+            server.attach_controller(controller)
+        arrivals = PoissonProcess(200.0, farm.rng.stream("arrivals"))
+        factory = web_search_profile().job_factory(farm.rng.stream("service"))
+        drive(farm, arrivals, factory, duration_s=2.0, drain=False, audit="strict")
+        reg = MetricsRegistry()
+        register_farm_metrics(reg, farm)
+        counters = reg.snapshot()["counters"]
+        pending = farm.engine.pending_count()
+        assert pending > 0
+        assert counters["engine.events_cancelled"] > 0
+        assert counters["engine.events_scheduled"] == (
+            counters["engine.events_executed"]
+            + counters["engine.events_cancelled"]
+            + pending
+        )

@@ -15,6 +15,19 @@ DURATION_COMMANDS = (
     "provisioning", "make-trace", "delay-timer", "residency",
     "validate-server", "validate-switch", "faults", "facility-carbon",
 )
+#: Every count flag, by subcommand.
+COUNT_FLAGS = (
+    ("provisioning", "--servers"),
+    ("delay-timer", "--servers"), ("delay-timer", "--cores"),
+    ("residency", "--servers"), ("residency", "--cores"),
+    ("joint", "--num-jobs"),
+    ("faults", "--servers"), ("faults", "--cores"),
+    ("facility-carbon", "--servers"), ("facility-carbon", "--cores"),
+    ("facility-carbon", "--zones"),
+    ("ai-training", "--group-sizes"), ("ai-training", "--steps"),
+    ("scalability", "--servers"), ("scalability", "--num-jobs"),
+    ("scalability", "--sizes"),
+)
 
 
 class TestParser:
@@ -73,6 +86,29 @@ class TestParser:
             assert exc.value.code == 2, command
             err = capsys.readouterr().err
             assert "usage:" in err and "--duration" in err, command
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+    def test_bad_count_is_a_usage_error(self, capsys, value):
+        for command, flag in COUNT_FLAGS:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, flag, value])
+            assert exc.value.code == 2, (command, flag)
+            err = capsys.readouterr().err
+            assert "usage:" in err and flag in err and "integer >= 1" in err
+
+    def test_count_flags_accept_one(self):
+        for command, flag in COUNT_FLAGS:
+            args = build_parser().parse_args([command, flag, "1"])
+            value = getattr(args, flag[2:].replace("-", "_"))
+            assert value in (1, [1]), (command, flag)
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "soon"])
+    def test_bad_tau_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["delay-timer", "--taus", "0.1", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--taus" in err
 
     def test_retries_flag_is_gone(self, capsys):
         for command in ALL_COMMANDS:
