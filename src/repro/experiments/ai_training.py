@@ -140,28 +140,25 @@ class AiTrainingResult:
 
 def _register_point_metrics(cluster: AiCluster, rng: RandomSource) -> None:
     """Surface the cluster's counters in the active metrics registry."""
-    ts = telemetry.ACTIVE
-    if ts is None or ts.metrics is None:
-        return
-    from repro.experiments.common import Farm, register_farm_metrics
+    from repro.experiments.common import Farm, register_session_metrics
 
-    n_farms = getattr(ts.metrics, "_farms_registered", 0)
-    prefix = "" if n_farms == 0 else f"farm{n_farms}."
     farm = Farm(
         engine=cluster.engine,
         servers=cluster.servers,
         scheduler=cluster.scheduler,
         rng=rng,
     )
-    register_farm_metrics(ts.metrics, farm, network=cluster.network, prefix=prefix)
+    prefix = register_session_metrics(farm, network=cluster.network)
+    if prefix is None:
+        return
+    registry = telemetry.ACTIVE.metrics
     placement = cluster.placement
-    ts.metrics.register_counter(
+    registry.register_counter(
         f"{prefix}placement.groups_placed", lambda: placement.groups_placed
     )
-    ts.metrics.register_counter(
+    registry.register_counter(
         f"{prefix}placement.cross_pod_spills", lambda: placement.cross_pod_spills
     )
-    ts.metrics._farms_registered = n_farms + 1
 
 
 def _audit_point(cluster: AiCluster, jobs: Sequence[Job], audit: str,

@@ -170,7 +170,8 @@ def register_farm_metrics(
         )
     if network is not None:
         for name in (
-            "flows_completed", "flows_rerouted", "flows_stranded", "bits_delivered",
+            "flows_completed", "rate_recomputes",
+            "flows_rerouted", "flows_stranded", "bits_delivered",
             "packets_delivered", "packets_dropped", "bytes_delivered",
             "transfers_stranded",
             "trains_engaged", "trains_materialized",
@@ -187,6 +188,25 @@ def register_farm_metrics(
                 registry.register_histogram(f"{prefix}network.{name}", collector)
     if injector is not None:
         injector.register_metrics(registry, prefix=f"{prefix}faults")
+
+
+def register_session_metrics(
+    farm: Farm, driver: Optional[WorkloadDriver] = None, network=None
+) -> Optional[str]:
+    """Register ``farm`` in the active session's metrics registry, if any.
+
+    Returns the name prefix the farm got, or None without a registry.  One
+    session may drive several farms (e.g. the joint comparison); later farms
+    get a numbered prefix instead of colliding on names.
+    """
+    ts = telemetry.ACTIVE
+    if ts is None or ts.metrics is None:
+        return None
+    n_farms = getattr(ts.metrics, "_farms_registered", 0)
+    prefix = "" if n_farms == 0 else f"farm{n_farms}."
+    register_farm_metrics(ts.metrics, farm, driver=driver, network=network, prefix=prefix)
+    ts.metrics._farms_registered = n_farms + 1
+    return prefix
 
 
 def audit_farm(
@@ -257,16 +277,7 @@ def finish_workload(
         while farm.scheduler.active_jobs > 0:
             if not farm.engine.step():
                 break
-    ts = telemetry.ACTIVE
-    if ts is not None and ts.metrics is not None:
-        # One session may drive several farms (e.g. the joint comparison);
-        # later farms get a numbered prefix instead of colliding on names.
-        n_farms = getattr(ts.metrics, "_farms_registered", 0)
-        register_farm_metrics(
-            ts.metrics, farm, driver=driver, network=farm.scheduler.network,
-            prefix="" if n_farms == 0 else f"farm{n_farms}.",
-        )
-        ts.metrics._farms_registered = n_farms + 1
+    register_session_metrics(farm, driver=driver, network=farm.scheduler.network)
     audit_farm(farm, driver=driver, audit=audit)
 
 

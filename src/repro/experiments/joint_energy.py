@@ -29,6 +29,7 @@ from repro.core.heap import settled_build
 from repro.core.invariants import audit_run as audit_invariants
 from repro.core.rng import RandomSource
 from repro.core.stats import CdfResult
+from repro.experiments.common import Farm, register_session_metrics
 from repro.jobs.task import Job
 from repro.jobs.templates import pipeline_job
 from repro.network.flow import FlowNetwork
@@ -38,6 +39,7 @@ from repro.power.joint import JointEnergyManager
 from repro.runner import SweepOptions, SweepSpec, run_sweep
 from repro.scheduling.global_scheduler import GlobalScheduler
 from repro.server.server import Server
+from repro.telemetry import session as telemetry
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.driver import WorkloadDriver
 
@@ -150,6 +152,9 @@ def build_joint_cluster(
             network=network,
             eligible_provider=manager.eligible_servers,
         )
+    ts = telemetry.ACTIVE
+    if ts is not None:
+        ts.attach_engine(engine)
     return JointCluster(
         engine=engine,
         topo=topo,
@@ -207,7 +212,13 @@ def run_joint_point(
             break
     duration = engine.now
 
-    # This experiment bypasses drive(), so run the conservation audit here.
+    # This experiment bypasses drive(), so register its metrics and run the
+    # conservation audit here.
+    register_session_metrics(
+        Farm(engine=engine, servers=servers, scheduler=scheduler, rng=rng),
+        driver=driver,
+        network=cluster.network,
+    )
     if audit != "off":
         report = audit_invariants(
             engine, servers=servers, scheduler=scheduler, driver=driver, now=duration

@@ -51,6 +51,7 @@ class Flow:
         "started_at",
         "last_update",
         "completion",
+        "propagation_s",
     )
 
     def __init__(
@@ -81,6 +82,8 @@ class Flow:
         self.started_at: Optional[float] = None
         self.last_update = created_at
         self.completion: Optional[EventHandle] = None
+        # The route's one-way propagation delay, summed when the flow starts.
+        self.propagation_s = 0.0
 
     def __repr__(self) -> str:
         return (
@@ -102,54 +105,58 @@ def max_min_rates(
         flow_id -> rate (bits/s).  Guarantees per-direction link usage never
         exceeds capacity and every flow is capped by a saturated link.
     """
-    # Key directed links by identity of the link plus the direction.
-    def key(hop: DirectedLink):
-        link, u, v = hop
-        return (id(link), u, v)
-
-    residual: Dict[Tuple, float] = {}
-    users: Dict[Tuple, List[Flow]] = {}
+    # One record per directed link, in first-use order:
+    # [residual capacity, unfixed users, users].
+    links: Dict[DirectedLink, list] = {}
     for flow in flows:
         for hop in flow.hops:
-            k = key(hop)
-            if k not in residual:
-                residual[k] = capacity_of(hop)
-                users[k] = []
-            users[k].append(flow)
+            record = links.get(hop)
+            if record is None:
+                links[hop] = [capacity_of(hop), 1, [flow]]
+            else:
+                record[1] += 1
+                record[2].append(flow)
 
     rates: Dict[int, float] = {}
-    unfixed = {flow.flow_id: flow for flow in flows}
+    unfixed = {flow.flow_id for flow in flows}
     while unfixed:
-        # Fair share currently offered by each link still carrying unfixed flows.
-        best_share = None
-        for k, flow_list in users.items():
-            active = [f for f in flow_list if f.flow_id in unfixed]
-            if not active:
-                continue
-            share = residual[k] / len(active)
-            if best_share is None or share < best_share:
-                best_share = share
-        if best_share is None:
-            # Remaining flows traverse only links with no constraint left —
-            # cannot happen since every flow has at least one hop.
-            break  # pragma: no cover
-        # Fix every unfixed flow crossing a link at the bottleneck share.
-        newly_fixed: List[Flow] = []
-        for k, flow_list in users.items():
-            active = [f for f in flow_list if f.flow_id in unfixed]
-            if not active:
-                continue
-            share = residual[k] / len(active)
-            if share <= best_share * (1 + 1e-12):
-                newly_fixed.extend(active)
-        for flow in newly_fixed:
-            if flow.flow_id not in unfixed:
-                continue
-            rates[flow.flow_id] = best_share
-            del unfixed[flow.flow_id]
-            for hop in flow.hops:
-                residual[key(hop)] = max(0.0, residual[key(hop)] - best_share)
+        # The bottleneck: the smallest fair share a link still offers.
+        best = None
+        for residual, count, _ in links.values():
+            if count:
+                share = residual / count
+                if best is None or share < best:
+                    best = share
+        if best is None:
+            # The unfixed flows cross no link (a flow with no hops).
+            break
+        # Fix every unfixed flow crossing a link at the bottleneck share;
+        # pick the links before any residual moves.
+        limit = best * (1 + 1e-12)
+        bottlenecks = [
+            users for residual, count, users in links.values()
+            if count and residual / count <= limit
+        ]
+        for users in bottlenecks:
+            for flow in users:
+                if flow.flow_id not in unfixed:
+                    continue
+                unfixed.remove(flow.flow_id)
+                rates[flow.flow_id] = best
+                for hop in flow.hops:
+                    record = links[hop]
+                    left = record[0] - best
+                    record[0] = left if left > 0.0 else 0.0
+                    record[1] -= 1
     return rates
+
+
+def _current_rate(hop: DirectedLink) -> float:
+    return hop[0].current_rate_bps
+
+
+def _peak_rate(hop: DirectedLink) -> float:
+    return hop[0].peak_rate_bps
 
 
 class FlowNetwork:
@@ -181,6 +188,7 @@ class FlowNetwork:
         self._transfer_seq = 0
         self._flow_seq = 0
         self.flows_completed = 0
+        self.rate_recomputes = 0
         self.flows_rerouted = 0
         self.flows_stranded = 0
         self.bits_delivered = 0.0
@@ -278,6 +286,7 @@ class FlowNetwork:
         now = self.engine.now
         flow.started_at = now
         flow.last_update = now
+        flow.propagation_s = sum(link.propagation_delay_s for link, _, _ in flow.hops)
         for link, u, v in flow.hops:
             link.begin_activity(u, v)
         self.active_flows[flow.flow_id] = flow
@@ -304,30 +313,37 @@ class FlowNetwork:
         flow.callback()
 
     def _recompute(self) -> None:
-        """Bank progress, re-run water-filling, reschedule completions."""
-        now = self.engine.now
+        """Re-run water-filling, bank progress, reschedule completions."""
+        self.rate_recomputes += 1
         flows = list(self.active_flows.values())
-        for flow in flows:
-            elapsed = now - flow.last_update
-            if elapsed > 0 and flow.rate_bps > 0:
-                flow.remaining_bits = max(0.0, flow.remaining_bits - flow.rate_bps * elapsed)
-            flow.last_update = now
-        rates = max_min_rates(flows, lambda hop: hop[0].current_rate_bps)
-        for flow in flows:
-            flow.rate_bps = rates.get(flow.flow_id, 0.0)
-            if flow.completion is not None and flow.completion.pending:
-                flow.completion.cancel()
-            if flow.rate_bps <= 0:
-                flow.completion = None
-                continue
-            # Propagation is charged once: the route's total one-way delay.
-            prop = sum(link.propagation_delay_s for link, _, _ in flow.hops)
-            remaining_s = flow.remaining_bits / flow.rate_bps
-            flow.completion = self.engine.schedule(
-                remaining_s + prop if flow.remaining_bits == flow.size_bits else remaining_s,
-                self._complete_flow,
-                flow,
+        if flows:
+            # An adapting network may step a link back up to its peak rate.
+            rates = max_min_rates(
+                flows, _peak_rate if self.adapt_link_rates else _current_rate
             )
+            now = self.engine.now
+            schedule_at = self.engine.schedule_at
+            complete = self._complete_flow
+            # Water-filling reads only routes, so each flow banks its progress
+            # at its old rate here.  Every completion is re-issued in flow
+            # order: sequence numbers break same-time ties.
+            for flow in flows:
+                elapsed = now - flow.last_update
+                if elapsed > 0 and flow.rate_bps > 0:
+                    left = flow.remaining_bits - flow.rate_bps * elapsed
+                    flow.remaining_bits = left if left > 0.0 else 0.0
+                flow.last_update = now
+                rate = flow.rate_bps = rates.get(flow.flow_id, 0.0)
+                if flow.completion is not None:
+                    flow.completion.cancel()
+                if rate <= 0:
+                    flow.completion = None
+                    continue
+                remaining_s = flow.remaining_bits / rate
+                if flow.remaining_bits == flow.size_bits:
+                    # Propagation is charged once: the route's total one-way delay.
+                    remaining_s += flow.propagation_s
+                flow.completion = schedule_at(now + remaining_s, complete, flow)
         if self.adapt_link_rates:
             self._adapt_rates(flows)
 

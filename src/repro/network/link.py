@@ -26,6 +26,9 @@ class Link:
         self.v = v
         self.config = config
         self.current_rate_bps = config.rate_bps
+        # The highest rate adapt_rate() can select.
+        rates = config.adaptive_rates_bps
+        self.peak_rate_bps = min(max(rates), config.rate_bps) if rates else config.rate_bps
         # Ports indexed by the node the port belongs to (switch endpoints only).
         self.ports: Dict[str, Port] = {}
         # The same ports in attach order, for the per-transmission loops.

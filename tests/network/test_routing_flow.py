@@ -285,6 +285,29 @@ class TestAdaptiveLinkRate:
         engine.run()
         assert link.current_rate_bps == 1e8  # idle: lowest rate
 
+    def test_stepped_down_link_steps_back_up(self):
+        engine = Engine()
+        topo = Topology(engine)
+        topo.add_server(0)
+        topo.add_server(1)
+        link = topo.connect(
+            "h0", "h1",
+            LinkConfig(rate_bps=1e9, adaptive_rates_bps=(1e8, 1e9)),
+        )
+        network = FlowNetwork(engine, topo, adapt_link_rates=True)
+        done = []
+        network.transfer(0, 1, 125e6, lambda: done.append(engine.now))
+        engine.run()
+        assert link.current_rate_bps == 1e8
+        # A second 1 Gbit flow on the stepped-down link still runs at 1 Gbps.
+        start = engine.now
+        network.transfer(0, 1, 125e6, lambda: done.append(engine.now))
+        engine.run(until=start + 0.5)
+        assert link.current_rate_bps == 1e9
+        engine.run()
+        assert done[1] - start == pytest.approx(1.0 + link.propagation_delay_s)
+        assert link.current_rate_bps == 1e8
+
     def test_adapt_rate_picks_smallest_sufficient(self):
         link_cfg = LinkConfig(rate_bps=1e9, adaptive_rates_bps=(1e8, 5e8, 1e9))
         engine = Engine()

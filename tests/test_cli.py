@@ -529,3 +529,27 @@ class TestObservabilityExecution:
         assert gc.callbacks == callbacks
         assert [ln for ln in out.splitlines() if ln.startswith("gc:")]
         assert "gc" not in json_path.read_text()
+
+    def test_joint_points_report_metrics_and_profile_events(self, capsys, tmp_path):
+        import json
+        import re
+
+        json_path = tmp_path / "m.json"
+        main([
+            "joint", "--num-jobs", "20", "--utilizations", "0.3",
+            "--metrics", str(json_path), "--profile",
+        ])
+        out = capsys.readouterr().out
+        profiled = re.search(r"event-loop profile: (\d+) events", out)
+        assert profiled and int(profiled.group(1)) > 0
+        points = json.loads(json_path.read_text())["points"]
+        assert len(points) == 2  # balanced and network-aware
+        for point in points:
+            counters = point["counters"]
+            assert counters["engine.events_executed"] > 0
+            assert counters["scheduler.jobs_completed"] == 20
+            assert counters["network.flows_completed"] > 0
+            assert (
+                counters["network.rate_recomputes"]
+                >= counters["network.flows_completed"]
+            )
