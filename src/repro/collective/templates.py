@@ -15,6 +15,11 @@ network path executes them with no special casing:
 * :func:`training_step_job` — N synchronized steps of compute phase →
   collective → barrier across one worker group.
 
+The public templates build under :func:`~repro.core.heap.settled_addition`:
+a job they return lives as long as the cluster it trains on, so a large one
+joins that cluster's settled heap instead of being rescanned by every full
+collection of the run.
+
 Every template attaches a :class:`CollectiveSpec` to ``job.collective``
 recording the chunk accounting — total wire bytes and transfer count — that
 :func:`repro.core.invariants.audit_collective` checks against what the
@@ -36,6 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.collective.groups import TaskGroup
+from repro.core.heap import settled_addition
 from repro.jobs.task import Job
 
 # Service time for bookkeeping tasks (chunk hand-off points, barriers).
@@ -65,8 +71,8 @@ class CollectiveSpec:
 def _check_group(group_size: int, size_bytes: float) -> None:
     if group_size < 2:
         raise ValueError(f"collective needs >= 2 ranks, got {group_size}")
-    if size_bytes <= 0:
-        raise ValueError(f"collective buffer must be positive, got {size_bytes}")
+    if not 0 < size_bytes < math.inf:
+        raise ValueError(f"collective buffer must be positive and finite, got {size_bytes}")
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +212,7 @@ def _entry_tasks(job: Job, group_size: int, service_s: float, prefix: str) -> Li
 # ----------------------------------------------------------------------
 # Public templates
 # ----------------------------------------------------------------------
+@settled_addition()
 def ring_allreduce_job(
     group_size: int,
     size_bytes: float,
@@ -239,6 +246,7 @@ def ring_allreduce_job(
     return job
 
 
+@settled_addition()
 def tree_allreduce_job(
     group_size: int,
     size_bytes: float,
@@ -262,6 +270,7 @@ def tree_allreduce_job(
     return job
 
 
+@settled_addition()
 def all_to_all_job(
     group_size: int,
     size_bytes: float,
@@ -285,6 +294,7 @@ def all_to_all_job(
     return job
 
 
+@settled_addition()
 def training_step_job(
     group_size: int,
     n_steps: int,
@@ -314,8 +324,8 @@ def training_step_job(
     _check_group(group_size, size_bytes)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if compute_s <= 0:
-        raise ValueError(f"compute_s must be positive, got {compute_s}")
+    if not 0 < compute_s < math.inf:
+        raise ValueError(f"compute_s must be positive and finite, got {compute_s}")
     if not 0.0 <= compute_jitter < 1.0:
         raise ValueError(f"compute_jitter {compute_jitter} outside [0, 1)")
     if compute_jitter > 0.0 and rng is None:

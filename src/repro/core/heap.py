@@ -20,12 +20,21 @@ again.  On Table I at 20,480 servers that was ~40% of the wall time.
   another (a test session, a notebook, a ``--jobs 1`` sweep) gets a dropped
   world's memory back at the next build rather than at once.
 
-Only the outermost of nested builds acts.  A build that raises freezes
-nothing, and the collector is left enabled or disabled as it was found.
-Objects someone else froze are never unfrozen: while the permanent
-generation holds any, a build only pauses collection.  Another freeze is
-recognised when the permanent generation is non-empty without a freeze of
-this module's, or larger than this module left it.
+:func:`settled_addition` wraps code that adds long-lived objects to a world
+already built: a collective job of hundreds of thousands of objects lives
+as long as its cluster.  It pauses collection like a build but never
+releases the current world.  If the addition passes the same growth gate it
+is frozen too, so the next build releases world and addition together.
+Job factories that run once per arrival never use it: their jobs finish
+mid-run and must stay collectable.
+
+Only the outermost of nested builds and additions acts.  One that raises
+freezes nothing, and the collector is left enabled or disabled as it was
+found.  Objects someone else froze are never unfrozen nor added to: while
+the permanent generation holds any, a build or addition only pauses
+collection.  Another freeze is recognised when the permanent generation is
+non-empty without a freeze of this module's, or larger than this module
+left it.
 """
 
 from __future__ import annotations
@@ -33,14 +42,15 @@ from __future__ import annotations
 import gc
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from typing import ContextManager, Iterator
 
 #: Freeze a built world only if the build grew the heap (allocated blocks)
 #: by at least this fraction of its size before the build.
 GROWTH_GATE = 0.25
 
-#: Nesting depth of :func:`settled_build`.  Module state on purpose: the
-#: collector and its permanent generation are process-wide.
+#: Nesting depth of :func:`settled_build` and :func:`settled_addition`.
+#: Module state on purpose: the collector and its permanent generation are
+#: process-wide.
 _depth = 0
 #: Size of the permanent generation right after this module froze it; 0
 #: when the permanent generation holds nothing this module froze.
@@ -66,13 +76,21 @@ def _release() -> bool:
 
 
 @contextmanager
-def settled_build() -> Iterator[None]:
-    """Pause the cyclic collector while a world is built, then settle it."""
+def _settled(release: bool) -> Iterator[None]:
+    """Pause the collector around the body; freeze what it grew, if ours.
+
+    ``release`` starts a new world: the previous one is unfrozen and
+    collected first.  Without it the body joins the current world.
+    """
     global _depth, _frozen_count
     outermost = _depth == 0
     was_enabled = gc.isenabled()
     if outermost:
-        may_freeze = _release()
+        if release:
+            may_freeze = _release()
+        else:
+            # Empty, or only what this module froze (see _release).
+            may_freeze = gc.get_freeze_count() <= _frozen_count
         blocks_before = sys.getallocatedblocks()
         gc.disable()
     _depth += 1
@@ -87,3 +105,14 @@ def settled_build() -> Iterator[None]:
         _depth -= 1
         if outermost and was_enabled:
             gc.enable()
+
+
+def settled_build() -> ContextManager[None]:
+    """Pause the cyclic collector while a world is built, then settle it."""
+    return _settled(release=True)
+
+
+def settled_addition() -> ContextManager[None]:
+    """Pause the cyclic collector while long-lived objects join the built
+    world, then settle them with it.  Also usable as a decorator."""
+    return _settled(release=False)

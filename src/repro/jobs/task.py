@@ -18,6 +18,8 @@ import enum
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+_INF = float("inf")
+
 
 class TaskState(enum.Enum):
     """Lifecycle of a task inside the simulator."""
@@ -69,8 +71,10 @@ class Task:
         task_type: str = "generic",
         rank: Optional[int] = None,
     ):
-        if service_time_s <= 0:
-            raise ValueError(f"task service time must be positive, got {service_time_s}")
+        if not 0 < service_time_s < _INF:
+            raise ValueError(
+                f"task service time must be positive and finite, got {service_time_s}"
+            )
         if not 0.0 <= compute_intensity <= 1.0:
             raise ValueError(f"compute_intensity {compute_intensity} outside [0, 1]")
         self.job = job
@@ -140,6 +144,12 @@ class Job:
     validates indices and acyclicity; runtime dependency counters are
     initialised so the scheduler can drive the DAG without re-deriving graph
     structure on every event.
+
+    While every edge runs from a lower task index to a higher one, index
+    order is a topological order, so the graph has no cycle and adding
+    another forward edge needs no check.  The first backward edge switches
+    the job to a full cycle check (Kahn's algorithm) per ``add_edge`` or
+    ``add_edges`` call.
     """
 
     _id_counter = itertools.count()
@@ -163,6 +173,8 @@ class Job:
         self._edges: List[Tuple[int, int, float]] = []
         self._children: Dict[int, List[Tuple[int, float]]] = {}
         self._parents: Dict[int, List[Tuple[int, float]]] = {}
+        # True while every edge runs forward (src < dst): see the class doc.
+        self._forward = True
         self._finished_tasks = 0
         self.finish_time: Optional[float] = None
         # Set by the global scheduler when a task exhausts its failure-retry
@@ -198,31 +210,35 @@ class Job:
             raise ValueError(f"edge ({src}, {dst}) references missing tasks (n={n})")
         if src == dst:
             raise ValueError(f"self-dependency on task {src}")
-        if transfer_bytes < 0:
-            raise ValueError(f"negative transfer size {transfer_bytes}")
+        if not 0 <= transfer_bytes < _INF:
+            raise ValueError(f"transfer size must be finite and >= 0, got {transfer_bytes}")
         self._edges.append((src, dst, float(transfer_bytes)))
         self._children.setdefault(src, []).append((dst, float(transfer_bytes)))
         self._parents.setdefault(dst, []).append((src, float(transfer_bytes)))
         self.tasks[dst]._remaining_parents += 1
-        if self._has_cycle():
+        forward = self._forward
+        if src > dst:
+            self._forward = False
+        if not self._forward and self._has_cycle():
             # Roll back so the job object stays usable after the error.
             self._edges.pop()
             self._children[src].pop()
             self._parents[dst].pop()
             self.tasks[dst]._remaining_parents -= 1
+            self._forward = forward
             raise ValueError(f"edge ({src}, {dst}) would create a cycle")
 
     def add_edges(self, edges: Iterable[Tuple[int, int, float]]) -> None:
         """Add many ``(src, dst, transfer_bytes)`` edges, validating once.
 
-        :meth:`add_edge` re-runs a full cycle check per edge — quadratic in
-        the edge count, which collective templates (tens of thousands of
-        edges for a large worker group) cannot afford.  This path validates
-        indices and sizes per edge but checks acyclicity once at the end,
-        rolling everything back on failure.
+        :meth:`add_edge` checks acyclicity per edge once any edge runs
+        backward — quadratic in the edge count.  This path validates indices
+        and sizes per edge but checks acyclicity (when needed) once at the
+        end, rolling everything back on failure.
         """
         added: List[Tuple[int, int, float]] = []
         n = len(self.tasks)
+        forward = self._forward
         try:
             for src, dst, transfer_bytes in edges:
                 if not (0 <= src < n and 0 <= dst < n):
@@ -231,15 +247,19 @@ class Job:
                     )
                 if src == dst:
                     raise ValueError(f"self-dependency on task {src}")
-                if transfer_bytes < 0:
-                    raise ValueError(f"negative transfer size {transfer_bytes}")
+                if not 0 <= transfer_bytes < _INF:
+                    raise ValueError(
+                        f"transfer size must be finite and >= 0, got {transfer_bytes}"
+                    )
+                if src > dst:
+                    self._forward = False
                 record = (src, dst, float(transfer_bytes))
                 self._edges.append(record)
                 self._children.setdefault(src, []).append((dst, record[2]))
                 self._parents.setdefault(dst, []).append((src, record[2]))
                 self.tasks[dst]._remaining_parents += 1
                 added.append(record)
-            if self._has_cycle():
+            if not self._forward and self._has_cycle():
                 raise ValueError("edges would create a cycle")
         except ValueError:
             for src, dst, _size in reversed(added):
@@ -247,6 +267,7 @@ class Job:
                 self._children[src].pop()
                 self._parents[dst].pop()
                 self.tasks[dst]._remaining_parents -= 1
+            self._forward = forward
             raise
 
     # -- structure queries --------------------------------------------------

@@ -10,7 +10,9 @@ assumed: ``repro bench`` records it as ``telemetry.hook_overhead_pct``.
 While its telemetry session is active the profiler also counts CPython's
 cyclic-GC passes and their wall-clock per generation (through
 ``gc.callbacks``).  Collector time is otherwise charged to whichever handler
-happened to allocate, or to no handler at all during a world's build.
+happened to allocate, or to no handler at all during a world's build.  Each
+summary also records how many objects sit in the settled heap (frozen out of
+cyclic-GC passes by :mod:`repro.core.heap`) when it is taken.
 
 Summaries are plain dicts so per-sweep-point profiles can cross process
 boundaries and be merged into one fleet-wide table.
@@ -52,6 +54,8 @@ class DispatchProfiler:
         #: Cyclic-GC [passes, total_s] per generation, youngest first.
         self.gc_stats: List[List[float]] = [[0, 0.0] for _ in range(GC_GENERATIONS)]
         self._gc_t0 = 0.0
+        #: Largest settled-heap size among the merged summaries.
+        self.settled_objects = 0
 
     # ------------------------------------------------------------------
     def attach(self, engine) -> None:
@@ -101,7 +105,7 @@ class DispatchProfiler:
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         """JSON-serialisable profile: totals, per-handler and per-GC-generation
-        stats."""
+        stats, and the settled-heap size when it is taken."""
         return {
             "events": self.events,
             "wall_s": self.wall_s,
@@ -110,6 +114,7 @@ class DispatchProfiler:
                 for key, rec in self._stats.items()
             },
             "gc": [{"passes": rec[0], "total_s": rec[1]} for rec in self.gc_stats],
+            "settled_objects": gc.get_freeze_count(),
         }
 
     def merge(self, summary: Optional[dict]) -> None:
@@ -130,6 +135,9 @@ class DispatchProfiler:
         for rec, stats in zip(self.gc_stats, summary.get("gc", ())):
             rec[0] += stats["passes"]
             rec[1] += stats["total_s"]
+        self.settled_objects = max(
+            self.settled_objects, summary.get("settled_objects", 0)
+        )
 
     @classmethod
     def from_summaries(cls, summaries: Iterable[Optional[dict]]) -> "DispatchProfiler":
@@ -159,6 +167,7 @@ class DispatchProfiler:
             f"{self.wall_s:.3f}s dispatch wall-clock",
             f"gc: {sum(rec[0] for rec in self.gc_stats)} cyclic-collector passes, "
             f"{sum(rec[1] for rec in self.gc_stats):.3f}s (passes/time: {per_gen})",
+            f"heap: {self.settled_objects} objects settled (frozen out of cyclic GC)",
             f"{'handler':<40} {'calls':>10} {'total(s)':>10} "
             f"{'mean(us)':>10} {'max(us)':>10} {'share':>7}",
         ]

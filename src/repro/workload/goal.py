@@ -40,6 +40,7 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.collective.groups import TaskGroup
 from repro.collective.templates import EPS_SERVICE_S, CollectiveSpec
+from repro.core.heap import settled_addition
 from repro.jobs.task import Job
 from repro.workload.trace import check_time_value
 
@@ -248,6 +249,7 @@ class GoalTrace:
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
+    @settled_addition()
     def compile_job(
         self,
         arrival_time: float = 0.0,
@@ -258,7 +260,9 @@ class GoalTrace:
 
         Calc ops become compute tasks; send/recv ops become bookkeeping
         tasks joined by a transfer edge carrying the message bytes;
-        ``requires`` become zero-byte edges.
+        ``requires`` become zero-byte edges.  Built under
+        :func:`~repro.core.heap.settled_addition`, like the collective
+        templates.
         """
         job = Job(arrival_time=arrival_time, job_id=job_id, job_type="goal")
         job.group = group or TaskGroup(self.name, self.n_ranks)

@@ -122,6 +122,21 @@ class TestTrainingStepJob:
         assert all(t.rank is not None for t in job.tasks)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_buffer_size_must_be_finite(self, bad):
+        for build in (ring_allreduce_job, tree_allreduce_job, all_to_all_job):
+            with pytest.raises(ValueError, match="buffer must be positive and finite"):
+                build(4, bad)
+        with pytest.raises(ValueError, match="buffer must be positive and finite"):
+            training_step_job(4, 1, compute_s=0.01, size_bytes=bad)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_compute_time_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="compute_s must be positive and finite"):
+            training_step_job(4, 1, compute_s=bad, size_bytes=1e6)
+
+
 class TestAddEdgesBulk:
     def test_matches_add_edge(self):
         a, b = Job(job_id=1), Job(job_id=2)

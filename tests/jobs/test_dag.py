@@ -87,6 +87,55 @@ class TestEdges:
         assert job.parents_of(0) == ()
 
 
+NON_FINITE = [float("inf"), float("nan")]
+
+
+class TestNonFiniteInputs:
+    """Non-finite service times and transfer sizes are rejected when the job
+    is built, not left to fail (or vanish) mid-run."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [float("-inf")])
+    def test_service_time_must_be_finite(self, bad):
+        job = Job()
+        with pytest.raises(ValueError, match="service time must be positive and finite"):
+            job.add_task(bad)
+        assert job.tasks == []
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [-1.0])
+    def test_add_edge_rejects_bad_transfer_size(self, bad):
+        job = Job()
+        job.add_task(1.0)
+        job.add_task(1.0)
+        with pytest.raises(ValueError, match="transfer size must be finite and >= 0"):
+            job.add_edge(0, 1, transfer_bytes=bad)
+        assert job.edges == ()
+        assert job.children_of(0) == () and job.parents_of(1) == ()
+        assert job.tasks[1].remaining_parents == 0
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("first", [(1, 2), (3, 2)], ids=["forward", "backward"])
+    def test_bad_edge_mid_batch_leaves_the_job_as_it_was(self, bad, first):
+        job = Job()
+        for _ in range(4):
+            job.add_task(1.0)
+        job.add_edge(0, 1, transfer_bytes=2.0)
+
+        def state():
+            return (
+                job.edges,
+                [(job.children_of(i), job.parents_of(i)) for i in range(4)],
+                [t.remaining_parents for t in job.tasks],
+                job._forward,
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="transfer size must be finite"):
+            job.add_edges([(*first, 3.0), (1, 3, bad), (0, 3, 1.0)])
+        assert state() == before
+        job.add_edges([(1, 3, 1.0)])  # still usable afterwards
+        assert len(job.edges) == 2
+
+
 class TestDagQueries:
     def test_root_tasks(self):
         job = fan_out_job(0.01, [0.01] * 3, 0.02)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import sys
 
+from repro.core import heap
 from repro.core.engine import Engine
 from repro.telemetry.profiler import DispatchProfiler, handler_key
 
@@ -150,3 +152,36 @@ class TestGcAccounting:
         prof = DispatchProfiler()
         prof.merge({"events": 1, "wall_s": 1.0, "handlers": {}})
         assert sum(g["passes"] for g in prof.summary()["gc"]) == 0
+
+
+class TestSettledHeap:
+    def test_summary_reads_the_settled_heap_when_taken(self):
+        prof = DispatchProfiler()
+        with heap.settled_build():
+            world = [[] for _ in range(sys.getallocatedblocks())]  # noqa: F841
+        try:
+            settled = gc.get_freeze_count()
+            assert settled > 0
+            assert prof.summary()["settled_objects"] == settled
+        finally:
+            with heap.settled_build():  # release the world again
+                pass
+
+    def test_merge_keeps_the_largest_and_prints_it_after_the_gc_line(self):
+        def point(settled):
+            return {"events": 0, "wall_s": 0.0, "handlers": {},
+                    "settled_objects": settled}
+
+        merged = DispatchProfiler.from_summaries(
+            [point(5), point(9), point(7), {"events": 0, "handlers": {}}, None]
+        )
+        assert merged.settled_objects == 9
+        lines = merged.top_table().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("gc:"))
+        assert lines[at + 1] == "heap: 9 objects settled (frozen out of cyclic GC)"
+
+    def test_merge_accepts_summaries_without_the_key(self):
+        prof = DispatchProfiler()
+        prof.merge({"events": 1, "wall_s": 1.0, "handlers": {}})
+        assert prof.settled_objects == 0
+        assert "heap: 0 objects settled" in prof.top_table()

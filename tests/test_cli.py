@@ -530,6 +530,34 @@ class TestObservabilityExecution:
         assert [ln for ln in out.splitlines() if ln.startswith("gc:")]
         assert "gc" not in json_path.read_text()
 
+    def test_profile_reports_the_settled_heap_outside_metrics(self, tmp_path):
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        # A fresh interpreter: whether a build passes the freeze gate depends
+        # on the heap it grows, and a test session's heap is large.
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        json_path = tmp_path / "m.json"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "ai-training", "--group-sizes", "1024",
+             "--algorithms", "tree", "--fat-tree-k", "16", "--steps", "1",
+             "--compute", "0.001", "--bytes", "10000",
+             "--profile", "--metrics", str(json_path)],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        lines = out.splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("gc:"))
+        settled = re.fullmatch(
+            r"heap: (\d+) objects settled \(frozen out of cyclic GC\)", lines[at + 1]
+        )
+        assert settled and int(settled.group(1)) > 0
+        assert "settled" not in json_path.read_text()
+
     def test_joint_points_report_metrics_and_profile_events(self, capsys, tmp_path):
         import json
         import re
