@@ -6,10 +6,12 @@ transfer matrix through both models on the same star network and compares
 completion times and cost (events processed).
 
 Expected shapes: for uncontended transfers the two models agree on transfer
-time to within the packetization overhead; the packet model costs orders of
-magnitude more events per byte (why flow mode exists for 100 MB transfers);
-under contention the fluid model's fair sharing approximates the packet
-model's interleaving.
+time to within the packetization overhead; under contention the fluid
+model's fair sharing approximates the packet model's interleaving.  Once
+contention defeats the packet-train fast path (an idle route is simulated
+analytically, in a handful of events), the packet model costs orders of
+magnitude more events per byte, which is why flow mode exists for 100 MB
+transfers.
 """
 
 from __future__ import annotations
@@ -63,8 +65,6 @@ def test_flow_vs_packet_agreement_and_cost(once):
     # Agreement: same order of magnitude; the packet model includes the
     # per-hop store-and-forward pipeline so it is at most ~2x the fluid time.
     assert flow_1["makespan_s"] <= pkt_1["makespan_s"] <= 2.5 * flow_1["makespan_s"]
-    # Cost: packets are orders of magnitude more expensive to simulate.
-    assert pkt_1["events"] > 50 * flow_1["events"]
 
     flow_4 = results[("flow", "contended")]
     pkt_4 = results[("packet", "contended")]
@@ -73,3 +73,6 @@ def test_flow_vs_packet_agreement_and_cost(once):
     assert flow_4["makespan_s"] > 3 * flow_1["makespan_s"]
     assert pkt_4["makespan_s"] > 3 * pkt_1["makespan_s"]
     assert flow_4["completions"] == pkt_4["completions"] == 4
+    # Cost: contended packets go one by one and are orders of magnitude
+    # more expensive to simulate (an idle route's packet train is not).
+    assert pkt_4["events"] > 50 * flow_4["events"]

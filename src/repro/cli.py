@@ -37,9 +37,10 @@ trajectory in ``BENCH_core.json``.
 
 Every subcommand also accepts the observability flags: ``--trace out.json``
 exports a Chrome/Perfetto trace of the run, ``--metrics out.json`` (or
-``.csv``) snapshots the unified metrics registry, ``--profile`` prints the
-event-loop hot-handler table, and ``--trace-dir DIR`` keeps post-mortem
-trace streams for sweep points that fail or time out.
+``.csv``) snapshots the unified metrics registry, and ``--profile`` prints
+the event-loop hot-handler table.  They are written on every exit: a run
+that stops early (a failed point, Ctrl-C) leaves what it recorded up to the
+stop, including the events of the point that stopped it.
 
 Use ``--help`` on any subcommand for its knobs.
 """
@@ -128,8 +129,6 @@ def _sweep_options(args: argparse.Namespace) -> SweepOptions:
         keep_going=args.keep_going,
         journal_path=args.journal,
         resume=args.resume,
-        trace_dir=args.trace_dir,
-        trace_fsync=args.trace_fsync,
     )
 
 
@@ -159,7 +158,6 @@ def _make_telemetry_session(args: argparse.Namespace):
         categories=tuple(args.trace_categories) if args.trace_categories else None,
         metrics=bool(args.metrics),
         profile=bool(args.profile),
-        fsync=args.trace_fsync,
     )
 
 
@@ -168,6 +166,8 @@ def _export_telemetry(args: argparse.Namespace, sess) -> None:
 
     Sweep commands hand back per-point payloads (``sess.point_captures``, in
     point order); single-run commands recorded into the session directly.
+    The trace line also counts the oldest events each ring dropped once it
+    was full.
     """
     from repro.telemetry import chrome_trace, chrome_trace_points, write_chrome_trace
     from repro.telemetry.metrics import write_metrics
@@ -183,9 +183,13 @@ def _export_telemetry(args: argparse.Namespace, sess) -> None:
         else:
             doc = chrome_trace(sess.recorder.events, label=args.command)
             n_events = len(sess.recorder.events)
+        dropped = sess.recorder.dropped + sum(
+            p.get("dropped", 0) for _, p in points
+        )
         write_chrome_trace(args.trace, doc)
         print(
-            f"[repro.telemetry] {n_events} trace events -> {args.trace} "
+            f"[repro.telemetry] {n_events} trace events "
+            f"({dropped} older events dropped) -> {args.trace} "
             f"(open in ui.perfetto.dev)",
             file=sys.stderr,
         )
@@ -528,18 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--profile", action="store_true",
             help="profile the event loop and print the hot-handler table",
         )
-        observability.add_argument(
-            "--trace-dir", default=None, metavar="DIR",
-            help="stream per-sweep-point post-mortem traces into DIR; the "
-                 "trace of a failed/timed-out/killed point survives for "
-                 "inspection, successful points' files are removed",
-        )
-        observability.add_argument(
-            "--trace-fsync", action="store_true",
-            help="fsync telemetry JSONL streams on every flush so trace "
-                 "lines survive power loss, not just process death "
-                 "(slower; default: flush to the page cache only)",
-        )
 
     def durable(p: argparse.ArgumentParser) -> None:
         group = p.add_argument_group(
@@ -754,19 +746,22 @@ def main(argv: Optional[List[str]] = None) -> None:
             from repro.telemetry import session as telemetry
 
             prev = telemetry.activate(sess)
-            interrupted: Optional[RunInterrupted] = None
+            finished = False
             try:
                 args.fn(args)
-            except RunInterrupted as exc:
-                # The final checkpoint is already on disk; flush telemetry
-                # too so an interrupted run loses nothing observable.
-                interrupted = exc
+                finished = True
             finally:
                 telemetry.deactivate(prev)
                 sess.close()
-            _export_telemetry(args, sess)
-            if interrupted is not None:
-                raise interrupted
+                # Every exit writes the telemetry, so a run that stopped
+                # early loses nothing it recorded before the stop.
+                _export_telemetry(args, sess)
+                if not finished:
+                    print(
+                        "[repro.telemetry] the run stopped early: the "
+                        "telemetry above holds what was recorded up to the stop",
+                        file=sys.stderr,
+                    )
     except SweepInterrupted as exc:
         print(
             f"\ninterrupted: {exc.completed}/{exc.total} sweep points completed",

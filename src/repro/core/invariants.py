@@ -111,7 +111,7 @@ def _close(a: float, b: float, scale: float = 1.0) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Individual audits (composable; audit_farm / audit_run bundle them)
+# Individual audits (composable; audit_run bundles them)
 # ----------------------------------------------------------------------
 def audit_engine(
     engine: "Engine", expect_drained: bool = False
@@ -523,26 +523,3 @@ def audit_run(
     if facility is not None:
         report.merge(audit_facility(facility, t))
     return report
-
-
-def audit_farm(
-    farm,
-    driver: Optional["WorkloadDriver"] = None,
-    availability: Iterable["AvailabilityTracker"] = (),
-    now: Optional[float] = None,
-    expect_drained: bool = False,
-    facility: Optional["Facility"] = None,
-) -> AuditReport:
-    """Audit an :class:`~repro.experiments.common.Farm` after a run."""
-    return audit_run(
-        farm.engine,
-        servers=farm.servers,
-        scheduler=farm.scheduler,
-        driver=driver,
-        availability=availability,
-        now=now,
-        expect_drained=expect_drained,
-        facility=facility,
-        pool=getattr(farm, "pool", None),
-    )
-

@@ -39,7 +39,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.runner.journal import SweepJournal, decode_result, point_fingerprint
 from repro.telemetry import session as telemetry_session
@@ -149,24 +149,12 @@ class SweepOptions:
             appended (and fsync'd) as it finishes.
         resume: reuse ``ok`` results recorded in ``journal_path`` for points
             whose fingerprint (sweep name + fn + kwargs) is unchanged.
-        trace_dir: directory for per-point post-mortem trace streams.  Each
-            point streams its trace events to
-            ``trace_dir/point-NNNNN.trace.jsonl`` while it runs; the file of
-            a point that fails, times out, or is SIGKILLed survives for
-            post-mortem (read it with
-            :func:`repro.telemetry.trace.read_stream`), while successful
-            points' streams are deleted.  Works with or without an active
-            telemetry session.
-        trace_fsync: fsync per-point trace streams on every flushed line so
-            they survive power loss, not just process death (slower).
     """
 
     point_timeout_s: Optional[float] = None
     keep_going: bool = False
     journal_path: Optional[str] = None
     resume: bool = False
-    trace_dir: Optional[str] = None
-    trace_fsync: bool = False
 
     def __post_init__(self) -> None:
         if self.point_timeout_s is not None and self.point_timeout_s <= 0:
@@ -186,8 +174,9 @@ class PointOutcome:
     watchdog), or ``"skipped"`` (unfinished when the sweep stopped).
     ``cached`` marks results replayed from the journal.  ``telemetry`` is
     the point's captured telemetry payload (trace events, metrics snapshot,
-    profile summary) when a session was active.  ``exception`` is what a
-    failed point raised.
+    profile summary) when a session was active; a point that raised carries
+    what it recorded before raising.  ``exception`` is what a failed point
+    raised.
     """
 
     index: int
@@ -318,6 +307,7 @@ def _completed(
         outcome.status = "failed"
         outcome.error = f"{type(exc).__name__}: {exc}"
         outcome.exception = exc
+        outcome.telemetry = getattr(exc, "point_telemetry", None)
         return outcome
     if isinstance(value, PointCapture):
         outcome.telemetry = value.payload
@@ -382,6 +372,23 @@ def _run_points(
     return None
 
 
+def _hand_over(
+    session: Optional[telemetry_session.TelemetrySession],
+    outcomes: Iterable[PointOutcome],
+) -> None:
+    """Hand each outcome's telemetry payload to the parent session.
+
+    ``outcomes`` come in point order, so completion order, worker count and
+    journal resume all wash out here, which is what makes exported traces
+    byte-identical across ``--jobs 1`` / ``--jobs 4`` / ``--resume``.
+    """
+    if session is None:
+        return
+    for outcome in outcomes:
+        if outcome.telemetry is not None:
+            session.add_point_capture(outcome.label, outcome.telemetry)
+
+
 def run_sweep_detailed(
     spec: SweepSpec, jobs: int = 1, options: Optional[SweepOptions] = None
 ) -> SweepResult:
@@ -390,19 +397,19 @@ def run_sweep_detailed(
     :func:`run_sweep` wraps this for callers that only want the values.
     Outcomes always cover every point, in order; this function reports a
     stopped sweep in :attr:`SweepResult.stopped_by` rather than raising.
+    Under an active telemetry session the points' payloads reach it however
+    the sweep ends: finished, stopped, or interrupted.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     options = options or SweepOptions()
 
-    # Telemetry: freeze the active session (and/or post-mortem trace_dir)
-    # into a picklable per-point capture spec.  Points then record under
-    # child sessions — identically in-process or in spawned workers — and
-    # the parent reassembles the payloads in point order below.
+    # Telemetry: freeze the active session into a picklable per-point
+    # capture spec.  Points then record under child sessions — identically
+    # in-process or in spawned workers — and _hand_over reassembles the
+    # payloads in point order.
     active_session = telemetry_session.ACTIVE
-    capture = TelemetryCapture.from_context(
-        active_session, options.trace_dir, fsync=options.trace_fsync
-    )
+    capture = TelemetryCapture.from_context(active_session)
 
     fingerprints = [
         point_fingerprint(spec.name, p.fn, p.kwargs) for p in spec.points
@@ -449,7 +456,7 @@ def run_sweep_detailed(
                 duration_s=outcome.duration_s,
                 value=outcome.value,
                 error=outcome.error,
-                telemetry=outcome.telemetry,
+                telemetry=outcome.telemetry if outcome.ok else None,
             )
 
     todo = [
@@ -488,6 +495,20 @@ def run_sweep_detailed(
             )
         except KeyboardInterrupt as exc:
             completed = sum(1 for o in outcomes.values() if o.ok)
+            payload = getattr(exc, "point_telemetry", None)
+            if payload is not None and workers == 1:
+                # One worker runs todo in order, so the point that was
+                # interrupted is the first without an outcome.  Its partial
+                # payload is exported but never journaled.
+                point, fingerprint = next(
+                    (p, f) for p, f in todo if p.index not in outcomes
+                )
+                outcomes[point.index] = PointOutcome(
+                    index=point.index, label=point.label,
+                    fingerprint=fingerprint, status="failed",
+                    telemetry=payload,
+                )
+            _hand_over(active_session, (outcomes[i] for i in sorted(outcomes)))
             raise SweepInterrupted(
                 spec.name, completed, len(spec.points), options.journal_path
             ) from exc
@@ -502,15 +523,7 @@ def run_sweep_detailed(
                         fingerprint=fingerprint, status="skipped")
         for point, fingerprint in zip(spec.points, fingerprints)
     ]
-
-    # Hand each point's telemetry payload to the parent session in point
-    # order — completion order, worker count, and journal resume all wash
-    # out here, which is what makes exported traces byte-identical across
-    # --jobs 1 / --jobs 4 / --resume.
-    if active_session is not None:
-        for outcome in ordered:
-            if outcome.telemetry is not None:
-                active_session.add_point_capture(outcome.label, outcome.telemetry)
+    _hand_over(active_session, ordered)
     return SweepResult(name=spec.name, outcomes=ordered, stopped_by=stopped_by)
 
 
@@ -527,7 +540,7 @@ def run_sweep(
             identical either way because each point's randomness is sealed
             in its kwargs.
         options: execution policy (point timeout, journal/resume,
-            keep-going, trace dir); ``None`` means ``SweepOptions()``.
+            keep-going); ``None`` means ``SweepOptions()``.
 
     Returns:
         One result per point, in point order.  With ``keep_going``, points

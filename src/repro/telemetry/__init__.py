@@ -4,7 +4,7 @@ HolDCSim's pitch is *holistic visibility* — correlated server sleep states,
 network transfers, and job latencies over time.  This package supplies the
 instrumentation layer that makes runs observable:
 
-* :mod:`repro.telemetry.trace` — a category-filtered ring/stream of typed
+* :mod:`repro.telemetry.trace` — a category-filtered ring of typed
   trace events plus a Chrome/Perfetto trace-event JSON exporter (open the
   output directly in ``ui.perfetto.dev``).
 * :mod:`repro.telemetry.metrics` — a unified registry (counters, gauges,
@@ -36,7 +36,6 @@ from repro.telemetry.trace import (
     TraceRecorder,
     chrome_trace,
     chrome_trace_points,
-    read_stream,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "chrome_trace_points",
     "current",
     "deactivate",
-    "read_stream",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_metrics",

@@ -18,27 +18,21 @@ load at the call site, never a set lookup per event.
 Sweep integration: a parent session is *not* shared with worker processes.
 Instead :func:`TelemetryCapture.from_context` freezes the parent's
 configuration into a picklable spec; :func:`capture_point` replays it around
-one sweep point in the worker, returning a JSON-serialisable payload the
-parent reassembles in point order — which is what makes exported traces
+one sweep point in the worker, returning a JSON-serialisable payload (or
+attaching it to the exception of a point that raised) that the parent
+reassembles in point order — which is what makes exported traces
 byte-identical across ``--jobs 1`` and ``--jobs 4``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profiler import DispatchProfiler
-from repro.telemetry.trace import (
-    CATEGORIES,
-    DEFAULT_MAX_EVENTS,
-    TraceRecorder,
-    stream_header,
-)
+from repro.telemetry.trace import CATEGORIES, DEFAULT_MAX_EVENTS, TraceRecorder
 
 
 class TelemetrySession:
@@ -51,24 +45,10 @@ class TelemetrySession:
         metrics: bool = True,
         profile: bool = False,
         max_events: int = DEFAULT_MAX_EVENTS,
-        stream_path: Optional[str] = None,
-        label: Optional[str] = None,
-        fsync: bool = False,
     ):
-        self.label = label
-        self._stream_fh = None
         recorder = None
-        if trace or stream_path:
-            if stream_path:
-                self._stream_fh = open(stream_path, "w")
-                self._stream_fh.write(
-                    json.dumps(stream_header(label), separators=(",", ":"))
-                )
-                self._stream_fh.write("\n")
-            recorder = TraceRecorder(
-                categories=categories, max_events=max_events,
-                stream=self._stream_fh, fsync=fsync,
-            )
+        if trace:
+            recorder = TraceRecorder(categories=categories, max_events=max_events)
         self.recorder = recorder
         # Per-category shortcuts: the recorder when enabled, else None, so
         # emit sites pay one attribute load to test a category.
@@ -104,13 +84,6 @@ class TelemetrySession:
     def close(self) -> None:
         if self.profiler is not None:
             self.profiler.unwatch_gc()
-        if self._stream_fh is not None:
-            try:
-                self._stream_fh.close()
-            finally:
-                self._stream_fh = None
-            if self.recorder is not None:
-                self.recorder._stream = None
 
 
 #: The active session, or None.  Module-global by design: emit sites read it
@@ -172,8 +145,7 @@ class TelemetryCapture:
     """A picklable freeze of the parent session's configuration.
 
     Shipped to sweep workers so each point records under an equivalent child
-    session.  ``return_payload`` is False when no parent session exists (the
-    capture only exists to stream post-mortem traces into ``trace_dir``).
+    session.
     """
 
     trace: bool = True
@@ -181,47 +153,26 @@ class TelemetryCapture:
     metrics: bool = True
     profile: bool = False
     max_events: int = DEFAULT_MAX_EVENTS
-    trace_dir: Optional[str] = None
-    return_payload: bool = True
-    fsync: bool = False
 
     @classmethod
     def from_context(
-        cls,
-        active: Optional[TelemetrySession],
-        trace_dir: Optional[str] = None,
-        fsync: bool = False,
+        cls, active: Optional[TelemetrySession]
     ) -> Optional["TelemetryCapture"]:
-        """Derive the capture spec for a sweep, or None if nothing to do."""
-        if active is None and trace_dir is None:
-            return None
+        """Derive the capture spec for a sweep, or None if no session is active."""
         if active is None:
-            return cls(
-                trace=True, metrics=False, profile=False,
-                trace_dir=trace_dir, return_payload=False, fsync=fsync,
-            )
-        categories = (
-            tuple(sorted(active.recorder.categories))
-            if active.recorder is not None else None
-        )
+            return None
+        recorder = active.recorder
         return cls(
-            trace=active.recorder is not None,
-            categories=categories,
+            trace=recorder is not None,
+            categories=(
+                tuple(sorted(recorder.categories)) if recorder is not None else None
+            ),
             metrics=active.metrics is not None,
             profile=active.profiler is not None,
             max_events=(
-                active.recorder.max_events if active.recorder is not None
-                else DEFAULT_MAX_EVENTS
+                recorder.max_events if recorder is not None else DEFAULT_MAX_EVENTS
             ),
-            trace_dir=trace_dir,
-            return_payload=True,
-            fsync=fsync,
         )
-
-    def stream_path_for(self, index: int) -> Optional[str]:
-        if self.trace_dir is None:
-            return None
-        return os.path.join(self.trace_dir, f"point-{index:05d}.trace.jsonl")
 
 
 @dataclass
@@ -235,37 +186,26 @@ class PointCapture:
 def capture_point(capture: TelemetryCapture, point) -> Any:
     """Run one sweep point under a child telemetry session.
 
-    ``point`` is duck-typed (needs ``.execute()``, ``.index``, ``.label``).
-    The child session streams to ``capture.trace_dir`` while running, so a
-    point killed by the watchdog leaves a readable post-mortem trace; traces
-    of successful points are deleted.
+    ``point`` is duck-typed (needs ``.execute()``).  A point that raises —
+    ``KeyboardInterrupt`` included — carries the payload it recorded up to
+    that moment in the exception's ``point_telemetry`` attribute, so the
+    sweep can export it with the finished points.  Exceptions pickle their
+    ``__dict__``, so the attribute also crosses the worker pool.
     """
-    stream_path = capture.stream_path_for(point.index)
-    if stream_path is not None:
-        os.makedirs(capture.trace_dir, exist_ok=True)
     sess = TelemetrySession(
         trace=capture.trace,
         categories=capture.categories,
         metrics=capture.metrics,
         profile=capture.profile,
         max_events=capture.max_events,
-        stream_path=stream_path,
-        label=point.label,
-        fsync=capture.fsync,
     )
     prev = activate(sess)
-    ok = False
     try:
         value = point.execute()
-        ok = True
+    except BaseException as exc:
+        exc.point_telemetry = sess.payload()
+        raise
     finally:
         deactivate(prev)
         sess.close()
-        if stream_path is not None and ok:
-            try:
-                os.remove(stream_path)
-            except OSError:
-                pass
-    if not capture.return_payload:
-        return value
     return PointCapture(value=value, payload=sess.payload())

@@ -1,10 +1,9 @@
 """Structured trace recorder and Chrome/Perfetto trace-event exporter.
 
 Events are recorded as plain tuples — ``(ts, cat, name, ph, track, dur, id,
-args)`` — into a bounded ring (``collections.deque``) and, optionally, a
-line-per-event JSONL stream that survives the recording process being
-SIGKILLed (the sweep watchdog uses this for post-mortem traces of
-timed-out points).
+args)`` — into a bounded ring (``collections.deque``); once the ring is
+full the oldest events are dropped and counted in
+:attr:`TraceRecorder.dropped`.
 
 Determinism contract
 --------------------
@@ -32,9 +31,8 @@ track.
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Event categories, in taxonomy order (see DESIGN.md).
 CATEGORIES = ("task", "power", "net", "sched", "fault", "job", "facility", "collective")
@@ -75,13 +73,9 @@ _PROCESS_IDS = {
 #: pid stride between sweep points in a merged multi-point trace.
 PROCESS_STRIDE = 9
 
-#: First line of a streamed trace file (JSONL post-mortem format).
-STREAM_KIND = "repro-trace-stream"
-STREAM_VERSION = 1
-
 
 class TraceRecorder:
-    """Category-filtered ring/stream of typed trace events.
+    """Category-filtered ring of typed trace events.
 
     The recorder itself never checks categories per event — emit sites guard
     on the per-category attributes of the active
@@ -94,8 +88,6 @@ class TraceRecorder:
         self,
         categories: Optional[Iterable[str]] = None,
         max_events: int = DEFAULT_MAX_EVENTS,
-        stream: Optional[TextIO] = None,
-        fsync: bool = False,
     ):
         cats = frozenset(CATEGORIES if categories is None else categories)
         unknown = cats - set(CATEGORIES)
@@ -109,8 +101,6 @@ class TraceRecorder:
         self.max_events = max_events
         self.events: Deque[Event] = deque(maxlen=max_events)
         self.emitted = 0
-        self._stream = stream
-        self._fsync = fsync
         # Deterministic per-run object numbering; strong refs pin the keyed
         # objects so CPython id() reuse cannot alias two distinct objects.
         self._seq_ids: Dict[Tuple[str, int], int] = {}
@@ -120,7 +110,7 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
-        """Events evicted from the ring (streamed copies are never dropped)."""
+        """The oldest events evicted from the full ring."""
         return self.emitted - len(self.events)
 
     def seq_id(self, kind: str, obj: Any) -> int:
@@ -184,20 +174,6 @@ class TraceRecorder:
     def _emit(self, event: Event) -> None:
         self.emitted += 1
         self.events.append(event)
-        stream = self._stream
-        if stream is not None:
-            stream.write(json.dumps(event, separators=(",", ":"), sort_keys=True))
-            stream.write("\n")
-            # Flush per line so the file is readable after SIGKILL.  By
-            # default there is no fsync — page-cache contents survive process
-            # death — but ``fsync=True`` hardens each line against power loss
-            # at the cost of one disk barrier per event.
-            stream.flush()
-            if self._fsync:
-                try:
-                    os.fsync(stream.fileno())
-                except (OSError, ValueError):  # unseekable/closed stream
-                    pass
 
 
 # ----------------------------------------------------------------------
@@ -339,36 +315,3 @@ def check_chrome_trace(doc: Any) -> None:
         shown = "; ".join(problems[:5])
         more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
         raise ValueError(f"invalid chrome trace: {shown}{more}")
-
-
-# ----------------------------------------------------------------------
-# JSONL stream (post-mortem) format
-# ----------------------------------------------------------------------
-def stream_header(label: Optional[str] = None) -> dict:
-    return {"kind": STREAM_KIND, "version": STREAM_VERSION, "label": label}
-
-
-def read_stream(path: str) -> Tuple[dict, List[Event]]:
-    """Read a streamed trace file back into (header, events).
-
-    Tolerates a torn final line — the writer may have been SIGKILLed
-    mid-write, which is exactly when these files matter.
-    """
-    events: List[Event] = []
-    header: dict = {}
-    with open(path) as fh:
-        first = fh.readline()
-        if first:
-            try:
-                header = json.loads(first)
-            except ValueError:
-                raise ValueError(f"{path}: not a trace stream (bad header)") from None
-            if header.get("kind") != STREAM_KIND:
-                raise ValueError(f"{path}: not a trace stream (kind={header.get('kind')!r})")
-        for line in fh:
-            try:
-                raw = json.loads(line)
-            except ValueError:
-                break  # torn tail
-            events.append((raw[0], raw[1], raw[2], raw[3], raw[4], raw[5], raw[6], raw[7]))
-    return header, events

@@ -260,7 +260,8 @@ class GoalTrace:
 
         Calc ops become compute tasks; send/recv ops become bookkeeping
         tasks joined by a transfer edge carrying the message bytes;
-        ``requires`` become zero-byte edges.  Built under
+        ``requires`` become zero-byte edges, and may name a later op of the
+        rank (a ``requires`` cycle raises ``ValueError``).  Built under
         :func:`~repro.core.heap.settled_addition`, like the collective
         templates.
         """
@@ -276,8 +277,11 @@ class GoalTrace:
                 rank=op.rank,
             )
             index[(op.rank, op.op_id)] = task.index
+        # Wire requires only once every task exists, so one may name a later op.
+        for op in self.ops:
+            dst = index[(op.rank, op.op_id)]
             for dep in op.requires:
-                edges.append((index[(op.rank, dep)], task.index, 0.0))
+                edges.append((index[(op.rank, dep)], dst, 0.0))
         # Transfer edges: re-run the FIFO matching (validated at parse time).
         pending: Dict[Tuple[int, int], Deque[GoalOp]] = {}
         n_transfers = 0

@@ -27,6 +27,13 @@ rank 1 recv r0 1000 from 0
 rank 1 calc c1 0.02 requires r0
 """
 
+#: ``c0`` requires an op defined after it.
+FORWARD = """\
+ranks 1
+rank 0 calc c0 0.001 requires c1
+rank 0 calc c1 0.001
+"""
+
 
 class TestGoalParse:
     def test_parses_and_compiles(self):
@@ -69,6 +76,18 @@ class TestGoalParse:
         bad = "ranks 2\nrank 0 calc c0 0.1 requires nope\n"
         with pytest.raises(ValueError, match="unknown op 'nope'"):
             GoalTrace.parse(bad)
+
+    def test_requires_may_name_a_later_op(self):
+        trace = GoalTrace.parse(FORWARD)
+        job = trace.compile_job(job_id=0)
+        assert job.edges == ((1, 0, 0.0),)  # c1 -> c0
+
+    def test_requires_cycle_is_a_value_error(self):
+        cycle = ("ranks 1\nrank 0 calc a 0.001 requires b\n"
+                 "rank 0 calc b 0.001 requires a\n")
+        trace = GoalTrace.parse(cycle)
+        with pytest.raises(ValueError, match="cycle"):
+            trace.compile_job(job_id=0)
 
     def test_rejects_missing_ranks_directive(self):
         with pytest.raises(ValueError, match="'ranks N' must come before"):
@@ -145,6 +164,24 @@ class TestGoalReplay:
         audit_collective(scheduler, net, jobs=driver.jobs).raise_if_violated()
         wire = sum(j.collective.wire_bytes for j in driver.jobs)
         assert net.bytes_delivered == pytest.approx(wire)
+
+    def test_forward_requires_replays_in_dependency_order(self):
+        engine = Engine()
+        topo = fat_tree(engine, 4)
+        servers = [
+            Server(engine, small_cloud_server(n_cores=2), server_id=i)
+            for i in range(topo.n_servers)
+        ]
+        net = PacketNetwork(engine, topo)
+        scheduler = GlobalScheduler(
+            engine, servers, policy=GroupPlacementPolicy(topo), network=net
+        )
+        driver = GoalReplayDriver(engine, scheduler, [(0.0, GoalTrace.parse(FORWARD))])
+        driver.start()
+        engine.run()
+        assert scheduler.jobs_completed == 1
+        c0, c1 = driver.jobs[0].tasks
+        assert c0.start_time >= c1.finish_time
 
     def test_driver_rejects_double_start(self):
         engine = Engine()

@@ -82,16 +82,11 @@ def traced_work(x: int, fail_above: int = 10**9) -> int:
     return x
 
 
-def traced_then_hangs(x: int, scratch_dir: str, sleep_s: float = 60.0) -> int:
-    """Emit one trace event, then hang on the first call (watchdog bait)."""
+def traced_then_interrupted(x: int) -> int:
+    """Emit one trace event, then raise KeyboardInterrupt as Ctrl-C would."""
     from repro.telemetry import session as telemetry
 
     ts = telemetry.ACTIVE
     if ts is not None and ts.task is not None:
-        ts.task.instant("task", "about-to-hang", "sim/hang", float(x))
-    marker = os.path.join(scratch_dir, f"hang-{x}.marker")
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("attempted")
-        time.sleep(sleep_s)
-    return x
+        ts.task.instant("task", "about-to-interrupt", "sim/work", float(x))
+    raise KeyboardInterrupt

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -29,7 +28,6 @@ from repro.runner import (
 )
 from repro.runner.journal import SweepJournal, encode_result, stable_repr
 from repro.telemetry import session as telemetry
-from repro.telemetry.trace import read_stream
 from tests.runner import _workers as w
 
 
@@ -328,10 +326,10 @@ class TestPoolResilience:
 class TestTelemetryCapture:
     """Sweep points traced under an active telemetry session."""
 
-    def _spec(self, n=4):
+    def _spec(self, n=4, **kwargs):
         spec = SweepSpec("traced")
         for x in range(n):
-            spec.add(w.traced_work, x=x)
+            spec.add(w.traced_work, x=x, **kwargs)
         return spec
 
     @pytest.mark.usefixtures("real_pool")
@@ -371,27 +369,74 @@ class TestTelemetryCapture:
             json.dumps(baseline.point_captures, sort_keys=True)
         )
 
-    def test_trace_dir_survives_watchdog_kill(self, tmp_path):
-        """The post-mortem stream of a point killed by the watchdog must be
-        readable: that file is the whole point of --trace-dir."""
-        trace_dir = str(tmp_path / "traces")
-        spec = SweepSpec("hang")
-        spec.add(w.traced_then_hangs, x=9, scratch_dir=str(tmp_path),
-                 sleep_s=60.0)
-        opts = SweepOptions(point_timeout_s=1.0, keep_going=True,
-                            trace_dir=trace_dir)
-        result = run_sweep_detailed(spec, jobs=1, options=opts)
-        assert result.outcomes[0].status == "timeout"
-        header, events = read_stream(
-            os.path.join(trace_dir, "point-00000.trace.jsonl")
-        )
-        assert header["label"].startswith("x=9")
-        assert [ev[2] for ev in events] == ["about-to-hang"]
+    @staticmethod
+    def _exported(sess):
+        """Label and trace-event names of every payload handed over."""
+        return [
+            (label, [ev[2] for ev in payload["events"]])
+            for label, payload in sess.point_captures
+        ]
 
-    def test_trace_dir_drops_streams_of_ok_points(self, tmp_path):
-        trace_dir = str(tmp_path / "traces")
-        run_sweep(self._spec(2), options=SweepOptions(trace_dir=trace_dir))
-        assert sorted(os.listdir(trace_dir)) == []
+    @pytest.mark.usefixtures("real_pool")
+    def test_keep_going_exports_the_failed_points_partial_trace(self):
+        """Every finished point plus what the failed point recorded before
+        raising, in point order, identically in-process and in workers."""
+        spec = SweepSpec("traced")
+        for x in range(4):
+            spec.add(w.traced_work, x=x, fail_above=1 if x == 1 else 10)
+        captures = []
+        for jobs in (1, 2):
+            with telemetry.session(trace=True, metrics=True) as sess:
+                values = run_sweep(
+                    spec, jobs=jobs, options=SweepOptions(keep_going=True)
+                )
+            assert values == [0, None, 2, 3]
+            captures.append(json.dumps(sess.point_captures, sort_keys=True))
+        assert captures[0] == captures[1]
+        assert [events for _, events in self._exported(sess)] == [
+            ["work-0", "tick"], ["work-1", "tick"],
+            ["work-2", "tick"], ["work-3", "tick"],
+        ]
+
+    def test_stopped_sweep_exports_points_up_to_the_failure(self):
+        with telemetry.session(trace=True) as sess:
+            with pytest.raises(SweepError):
+                run_sweep(self._spec(fail_above=1), jobs=1)
+        assert self._exported(sess) == [
+            ("x=0,fail_above=1", ["work-0", "tick"]),
+            ("x=1,fail_above=1", ["work-1", "tick"]),
+        ]
+
+    def test_failed_points_journal_line_carries_no_telemetry(self, tmp_path):
+        journal_path = str(tmp_path / "sweep.journal")
+        with telemetry.session(trace=True) as sess:
+            run_sweep(self._spec(2, fail_above=1), options=SweepOptions(
+                journal_path=journal_path, keep_going=True))
+        assert len(sess.point_captures) == 2
+        with open(journal_path) as fh:
+            lines = [json.loads(line) for line in fh][1:]  # skip the header
+        assert [(ln["status"], "telemetry" in ln) for ln in lines] == [
+            ("ok", True), ("failed", False),
+        ]
+
+    def test_interrupted_point_exports_its_partial_trace(self, tmp_path):
+        """Ctrl-C inside an in-process point: the finished point and the
+        interrupted point's events are handed over, only the finished point
+        is journaled, and the sweep still raises SweepInterrupted."""
+        journal_path = str(tmp_path / "sweep.journal")
+        spec = SweepSpec("traced")
+        spec.add(w.traced_work, x=0)
+        spec.add(w.traced_then_interrupted, x=1)
+        spec.add(w.traced_work, x=2)
+        with telemetry.session(trace=True) as sess:
+            with pytest.raises(SweepInterrupted):
+                run_sweep(spec, options=SweepOptions(journal_path=journal_path))
+        assert self._exported(sess) == [
+            ("x=0", ["work-0", "tick"]), ("x=1", ["about-to-interrupt"]),
+        ]
+        with open(journal_path) as fh:
+            lines = [json.loads(line) for line in fh][1:]
+        assert [ln["label"] for ln in lines] == ["x=0"]
 
     def test_active_session_diverts_legacy_fast_path(self):
         """run_sweep with default options must still capture telemetry — the

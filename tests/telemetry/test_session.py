@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import gc
 import json
-import os
+import pickle
+
+import pytest
 
 from repro.core.config import onoff_cloud_server
 from repro.core.rng import RandomSource
@@ -168,12 +170,7 @@ class TestFarmIntegration:
 
 class TestCapture:
     def test_from_context_nothing_to_do(self):
-        assert TelemetryCapture.from_context(None, None) is None
-
-    def test_from_context_trace_dir_only(self):
-        cap = TelemetryCapture.from_context(None, "/tmp/x")
-        assert cap.trace_dir == "/tmp/x"
-        assert not cap.return_payload and not cap.metrics
+        assert TelemetryCapture.from_context(None) is None
 
     def test_from_context_freezes_session_config(self):
         sess = TelemetrySession(
@@ -182,7 +179,7 @@ class TestCapture:
         )
         cap = TelemetryCapture.from_context(sess)
         assert cap.categories == ("power", "task")
-        assert cap.metrics and cap.profile and cap.return_payload
+        assert cap.metrics and cap.profile
         assert cap.max_events == 123
 
     def test_capture_point_returns_payload(self):
@@ -195,16 +192,22 @@ class TestCapture:
         assert result.payload["metrics"]["counters"]["work.x"] == 3
         assert telemetry.ACTIVE is None  # child session did not leak
 
-    def test_capture_point_streams_survive_failure(self, tmp_path):
-        cap = TelemetryCapture(trace_dir=str(tmp_path / "pm"))
-        ok_point = SweepPoint(index=0, fn=w.traced_work, kwargs={"x": 1})
-        bad_point = SweepPoint(
-            index=1, fn=w.traced_work, kwargs={"x": 5, "fail_above": 4}
-        )
-        capture_point(cap, ok_point)
-        try:
-            capture_point(cap, bad_point)
-        except RuntimeError:
-            pass
-        kept = sorted(os.listdir(tmp_path / "pm"))
-        assert kept == ["point-00001.trace.jsonl"]
+    @pytest.mark.parametrize("fn, kwargs, raised, names", [
+        (w.traced_work, {"x": 5, "fail_above": 4}, RuntimeError,
+         ["work-5", "tick"]),
+        (w.traced_then_interrupted, {"x": 2}, KeyboardInterrupt,
+         ["about-to-interrupt"]),
+    ], ids=["raised", "interrupted"])
+    def test_capture_point_attaches_partial_payload_to_failure(
+        self, fn, kwargs, raised, names
+    ):
+        """A point that raises, Ctrl-C included, carries what it recorded
+        before raising, and the payload survives pickling, as it must to
+        cross the worker pool."""
+        point = SweepPoint(index=1, fn=fn, kwargs=kwargs)
+        with pytest.raises(raised) as excinfo:
+            capture_point(TelemetryCapture(), point)
+        payload = excinfo.value.point_telemetry
+        assert [ev[2] for ev in payload["events"]] == names
+        assert pickle.loads(pickle.dumps(excinfo.value)).point_telemetry == payload
+        assert telemetry.ACTIVE is None

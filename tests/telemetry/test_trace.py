@@ -13,7 +13,6 @@ from repro.telemetry.trace import (
     check_chrome_trace,
     chrome_trace,
     chrome_trace_points,
-    read_stream,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -136,34 +135,3 @@ class TestChromeExport:
         assert any("dur" in p for p in validate_chrome_trace(bad_complete))
         with pytest.raises(ValueError, match="invalid chrome trace"):
             check_chrome_trace({"traceEvents": [{"ph": "Z"}]})
-
-
-class TestStream:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "t.trace.jsonl"
-        with open(path, "w") as fh:
-            fh.write(json.dumps(
-                {"kind": "repro-trace-stream", "version": 1, "label": "p"}
-            ) + "\n")
-            rec = TraceRecorder(stream=fh)
-            rec.complete("task", "t0", "sim", 0.0, 1.0, args={"x": 1})
-            rec.instant("fault", "fail", "fault/s", 2.0)
-        header, events = read_stream(str(path))
-        assert header["label"] == "p"
-        assert events == list(rec.events)
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "t.trace.jsonl"
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"kind": "repro-trace-stream", "version": 1}) + "\n")
-            fh.write(json.dumps([0.0, "task", "a", "i", "sim", 0.0, None, None]) + "\n")
-            fh.write('[1.0, "task", "b", "i"')  # SIGKILL mid-write
-        header, events = read_stream(str(path))
-        assert len(events) == 1
-        assert events[0][2] == "a"
-
-    def test_non_stream_file_rejected(self, tmp_path):
-        path = tmp_path / "other.jsonl"
-        path.write_text('{"kind": "sweep-journal"}\n')
-        with pytest.raises(ValueError, match="not a trace stream"):
-            read_stream(str(path))

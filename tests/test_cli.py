@@ -405,17 +405,16 @@ class TestObservabilityFlags:
             extra = ["--out", "x.txt"] if command == "make-trace" else []
             args = build_parser().parse_args([
                 command, *extra, "--trace", "t.json", "--metrics", "m.json",
-                "--profile", "--trace-dir", "traces",
+                "--profile",
             ])
             assert args.trace == "t.json", command
             assert args.metrics == "m.json", command
             assert args.profile is True, command
-            assert args.trace_dir == "traces", command
 
     def test_flags_default_off(self):
         args = build_parser().parse_args(["delay-timer"])
         assert args.trace is None and args.metrics is None
-        assert args.profile is False and args.trace_dir is None
+        assert args.profile is False
         assert args.trace_categories is None
 
     def test_trace_categories_validated(self):
@@ -581,3 +580,117 @@ class TestObservabilityExecution:
                 counters["network.rate_recomputes"]
                 >= counters["network.flows_completed"]
             )
+
+
+class TestTelemetryOnEarlyStop:
+    """--trace/--metrics/--profile are written however the command ends."""
+
+    _SWEEP = [
+        "delay-timer", "--taus", "0", "0.1", "--utilizations", "0.3",
+        "--servers", "2", "--duration", "2",
+    ]
+
+    @staticmethod
+    def _stop_second_point(monkeypatch, stop):
+        """Call ``stop()`` after the second sweep point's 20th arrival."""
+        from repro.workload.driver import WorkloadDriver
+
+        real_inject = WorkloadDriver._inject
+        drivers = []
+
+        def _inject(self, when):
+            real_inject(self, when)
+            if self not in drivers:
+                drivers.append(self)
+            if len(drivers) == 2 and self.jobs_injected == 20:
+                stop()
+
+        monkeypatch.setattr(WorkloadDriver, "_inject", _inject)
+
+    def _check_files(self, tmp_path, capsys):
+        import json
+
+        from repro.telemetry import validate_chrome_trace
+
+        captured = capsys.readouterr()
+        assert "event-loop profile" in captured.out
+        assert "the run stopped early" in captured.err
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert validate_chrome_trace(doc) == []
+        groups = [
+            ev["args"]["name"] for ev in doc["traceEvents"]
+            if ev["name"] == "process_name"
+        ]
+        # Both points: the finished one and the one that stopped the run.
+        assert any(g.startswith("tau_s=0,") for g in groups)
+        assert any(g.startswith("tau_s=0.1,") for g in groups)
+        points = json.loads((tmp_path / "m.json").read_text())["points"]
+        assert [p["label"].split(",")[0] for p in points] == [
+            "tau_s=0", "tau_s=0.1",
+        ]
+
+    def _outputs(self, tmp_path):
+        return ["--trace", str(tmp_path / "t.json"),
+                "--metrics", str(tmp_path / "m.json"), "--profile"]
+
+    def test_written_when_a_point_fails(self, capsys, tmp_path, monkeypatch):
+        from repro.runner import SweepError
+
+        def fail():
+            raise RuntimeError("injected point failure")
+
+        self._stop_second_point(monkeypatch, fail)
+        with pytest.raises(SweepError):
+            main(self._SWEEP + self._outputs(tmp_path))
+        self._check_files(tmp_path, capsys)
+
+    def test_written_on_ctrl_c(self, capsys, tmp_path, monkeypatch):
+        import os
+        import signal
+
+        self._stop_second_point(
+            monkeypatch, lambda: os.kill(os.getpid(), signal.SIGINT)
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(self._SWEEP + self._outputs(tmp_path))
+        assert exc.value.code == 130
+        self._check_files(tmp_path, capsys)
+
+
+class TestDroppedTraceEvents:
+    """The trace line counts the oldest events each full ring dropped."""
+
+    @staticmethod
+    def _export(sess, tmp_path, capsys):
+        import argparse
+
+        from repro.cli import _export_telemetry
+
+        args = argparse.Namespace(
+            trace=str(tmp_path / "t.json"), metrics=None, profile=False,
+            command="test",
+        )
+        _export_telemetry(args, sess)
+        return capsys.readouterr().err
+
+    def test_session_ring(self, capsys, tmp_path):
+        from repro.telemetry import TelemetrySession
+
+        sess = TelemetrySession(trace=True, metrics=False, max_events=3)
+        for i in range(5):
+            sess.recorder.instant("task", "tick", "sim", float(i))
+        err = self._export(sess, tmp_path, capsys)
+        assert "3 trace events (2 older events dropped)" in err
+
+    def test_sweep_sums_its_points(self, capsys, tmp_path):
+        from repro.runner import SweepSpec, run_sweep
+        from repro.telemetry import session as telemetry
+        from tests.runner import _workers as w
+
+        spec = SweepSpec("traced")
+        for x in range(2):
+            spec.add(w.traced_work, x=x)  # two events per point
+        with telemetry.session(trace=True, metrics=False, max_events=1) as sess:
+            run_sweep(spec)
+        err = self._export(sess, tmp_path, capsys)
+        assert "2 trace events (2 older events dropped)" in err
