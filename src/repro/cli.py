@@ -396,10 +396,7 @@ def _cmd_ai_training(args: argparse.Namespace) -> None:
         return
     if args.goal_trace:
         result = ai_training.run_goal_replay(
-            args.goal_trace,
-            k=args.fat_tree_k,
-            seed=args.seed,
-            audit=_audit_mode(args),
+            args.goal_trace, k=args.fat_tree_k, audit=_audit_mode(args)
         )
         print(result.render())
         return

@@ -49,12 +49,6 @@ class TaskGroup:
     def placed(self) -> bool:
         return self.placement is not None
 
-    def server_for(self, rank: int) -> int:
-        """Server hosting ``rank``; raises if the group is unplaced."""
-        if self.placement is None:
-            raise RuntimeError(f"group {self.name!r} has not been placed")
-        return self.placement[rank]
-
     def __repr__(self) -> str:
         state = "placed" if self.placed else "unplaced"
         return f"<TaskGroup {self.name!r} size={self.size} {state}>"

@@ -179,10 +179,6 @@ class AvailabilityTracker:
             return 1.0
         return fractions.get(self.UP, 0.0)
 
-    def downtime_s(self, now: float) -> float:
-        """Total seconds spent down up to ``now``."""
-        return self._tracker.residency(now).get(self.DOWN, 0.0)
-
     def observed_mttf_s(self, now: float) -> Optional[float]:
         """Mean length of completed up intervals, or None before any failure."""
         if self.failures == 0:

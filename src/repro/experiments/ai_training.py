@@ -24,7 +24,6 @@ trace (:mod:`repro.workload.goal`) instead of a synthetic template.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,15 +32,20 @@ from repro.core.engine import Engine
 from repro.core.heap import settled_build
 from repro.core.invariants import audit_collective, audit_run
 from repro.core.rng import RandomSource
+from repro.experiments.common import (
+    Farm,
+    build_farm,
+    react_to_audit,
+    register_session_metrics,
+    run_until_jobs,
+)
 from repro.jobs.task import Job
 from repro.collective import TaskGroup, training_step_job
 from repro.network.packet import PacketNetwork
 from repro.network.topology import fat_tree
 from repro.runner import SweepOptions, SweepSpec, run_sweep
-from repro.scheduling.global_scheduler import GlobalScheduler
 from repro.scheduling.placement import GroupPlacementPolicy
 from repro.server.server import Server
-from repro.telemetry import session as telemetry
 
 #: Algorithms accepted by ``run_ai_training_point`` / the CLI sweep.
 ALGORITHMS = ("ring", "tree", "all_to_all")
@@ -58,19 +62,18 @@ def default_phase_batch(group_size: int) -> int:
 
 
 @dataclass
-class AiCluster:
-    """One wired-up fat-tree training cluster.
+class AiCluster(Farm):
+    """One wired-up fat-tree training cluster: a
+    :class:`~repro.experiments.common.Farm` plus its network and placement.
 
     Extracted from :func:`run_ai_training_point` so other drivers (the
     benchmark workloads) build exactly the cluster the experiment evaluates.
+    :func:`build_ai_cluster` sets every field.
     """
 
-    engine: Engine
-    topo: object
-    servers: List[Server]
-    network: PacketNetwork
-    placement: GroupPlacementPolicy
-    scheduler: GlobalScheduler
+    topo: object = None
+    network: Optional[PacketNetwork] = None
+    placement: Optional[GroupPlacementPolicy] = None
 
 
 def build_ai_cluster(
@@ -81,10 +84,11 @@ def build_ai_cluster(
     ranks_per_server: int = 1,
     server_config: Optional[ServerConfig] = None,
 ) -> AiCluster:
-    """Build fat-tree + servers + packet network + group placement.
+    """Build fat-tree + servers + packet network + group placement, then the
+    farm.
 
-    Built under :func:`~repro.core.heap.settled_build`, like
-    :func:`~repro.experiments.common.build_farm`.
+    The whole world is built under :func:`~repro.core.heap.settled_build`;
+    :func:`~repro.experiments.common.build_farm` adds the scheduler.
     """
     with settled_build():
         topo = fat_tree(engine, k, link_config=LinkConfig(rate_bps=link_rate_bps))
@@ -92,18 +96,11 @@ def build_ai_cluster(
         servers = [Server(engine, config, server_id=i) for i in range(topo.n_servers)]
         network = PacketNetwork(engine, topo)
         placement = GroupPlacementPolicy(topo, ranks_per_server=ranks_per_server)
-        scheduler = GlobalScheduler(engine, servers, policy=placement, network=network)
-    ts = telemetry.ACTIVE
-    if ts is not None:
-        ts.attach_engine(engine)
-    return AiCluster(
-        engine=engine,
-        topo=topo,
-        servers=servers,
-        network=network,
-        placement=placement,
-        scheduler=scheduler,
-    )
+        farm = build_farm(
+            topo.n_servers, config, policy=placement, network=network,
+            engine=engine, servers=servers,
+        )
+        return AiCluster(**vars(farm), topo=topo, network=network, placement=placement)
 
 
 @dataclass
@@ -138,44 +135,19 @@ class AiTrainingResult:
         )
 
 
-def _register_point_metrics(cluster: AiCluster, rng: RandomSource) -> None:
-    """Surface the cluster's counters in the active metrics registry."""
-    from repro.experiments.common import Farm, register_session_metrics
-
-    farm = Farm(
-        engine=cluster.engine,
-        servers=cluster.servers,
-        scheduler=cluster.scheduler,
-        rng=rng,
-    )
-    prefix = register_session_metrics(farm, network=cluster.network)
-    if prefix is None:
-        return
-    registry = telemetry.ACTIVE.metrics
-    placement = cluster.placement
-    registry.register_counter(
-        f"{prefix}placement.groups_placed", lambda: placement.groups_placed
-    )
-    registry.register_counter(
-        f"{prefix}placement.cross_pod_spills", lambda: placement.cross_pod_spills
-    )
-
-
 def _audit_point(cluster: AiCluster, jobs: Sequence[Job], audit: str,
                  distinct_servers: bool) -> None:
+    """The run audit with the collectives' chunk accounting merged in, so a
+    violation is reported once."""
     if audit == "off":
         return
-    for report in (
-        audit_run(cluster.engine, servers=cluster.servers, scheduler=cluster.scheduler),
-        audit_collective(
-            cluster.scheduler, cluster.network, jobs=jobs,
-            distinct_servers=distinct_servers,
-        ),
-    ):
-        if not report.ok:
-            if audit == "strict":
-                report.raise_if_violated()
-            print(f"[repro.invariants] {report.render()}", file=sys.stderr)
+    report = audit_run(
+        cluster.engine, servers=cluster.servers, scheduler=cluster.scheduler
+    ).merge(audit_collective(
+        cluster.scheduler, cluster.network, jobs=jobs,
+        distinct_servers=distinct_servers,
+    ))
+    react_to_audit(report, audit)
 
 
 def run_ai_training_point(
@@ -197,15 +169,15 @@ def run_ai_training_point(
     """Run one synchronized-training job through the fat-tree cluster."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm {algorithm!r} not in {ALGORITHMS}")
-    engine = Engine()
     cluster = build_ai_cluster(
-        engine,
+        Engine(),
         k=k,
         n_cores=n_cores,
         link_rate_bps=link_rate_bps,
         ranks_per_server=ranks_per_server,
         server_config=server_config,
     )
+    register_session_metrics(cluster)
     if phase_batch is None:
         phase_batch = default_phase_batch(group_size)
     rng = RandomSource(seed)
@@ -223,17 +195,12 @@ def run_ai_training_point(
     )
     scheduler = cluster.scheduler
     scheduler.submit_job(job)
-    deadline_s = 4 * 3600.0
-    while scheduler.jobs_completed < 1 and engine.now < deadline_s:
-        if not engine.step():
-            break
-    duration = engine.now
-
-    _register_point_metrics(cluster, rng)
+    run_until_jobs(cluster, 1)
+    duration = cluster.engine.now
     distinct = ranks_per_server == 1 and group_size <= cluster.topo.n_servers
     _audit_point(cluster, [job], audit, distinct)
 
-    server_energy = sum(s.total_energy_j(duration) for s in cluster.servers)
+    server_energy = cluster.total_energy_j(duration)
     network_energy = cluster.topo.network_energy_j(duration)
     latency = scheduler.job_latency.mean() if scheduler.jobs_completed else duration
     residency = (
@@ -345,38 +312,32 @@ def run_goal_replay(
     n_cores: int = 4,
     link_rate_bps: float = 10e9,
     ranks_per_server: int = 1,
-    seed: int = 11,
     server_config: Optional[ServerConfig] = None,
     audit: str = "warn",
 ) -> GoalReplayResult:
-    """Replay a GOAL-style application trace on the training cluster."""
+    """Replay a GOAL-style application trace on the training cluster (the
+    trace fixes the whole workload, so the replay takes no seed)."""
     from repro.workload.goal import GoalReplayDriver, GoalTrace
 
     trace = GoalTrace.from_file(trace_path)
-    engine = Engine()
     cluster = build_ai_cluster(
-        engine,
+        Engine(),
         k=k,
         n_cores=n_cores,
         link_rate_bps=link_rate_bps,
         ranks_per_server=ranks_per_server,
         server_config=server_config,
     )
-    driver = GoalReplayDriver(engine, cluster.scheduler, [(0.0, trace)])
-    driver.start()
+    register_session_metrics(cluster)
     scheduler = cluster.scheduler
-    deadline_s = 4 * 3600.0
-    while scheduler.jobs_completed < 1 and engine.now < deadline_s:
-        if not engine.step():
-            break
-    duration = engine.now
-
-    rng = RandomSource(seed)
-    _register_point_metrics(cluster, rng)
+    driver = GoalReplayDriver(cluster.engine, scheduler, [(0.0, trace)])
+    driver.start()
+    run_until_jobs(cluster, 1)
+    duration = cluster.engine.now
     distinct = ranks_per_server == 1 and trace.n_ranks <= cluster.topo.n_servers
     _audit_point(cluster, driver.jobs, audit, distinct)
 
-    energy = sum(s.total_energy_j(duration) for s in cluster.servers)
+    energy = cluster.total_energy_j(duration)
     energy += cluster.topo.network_energy_j(duration)
     job = driver.jobs[0]
     makespan = (

@@ -1,9 +1,16 @@
-"""Shared experiment plumbing: farm construction, run loops, self-audits."""
+"""Shared experiment plumbing: farm construction, run loops, self-audits.
+
+Every experiment runs one lifecycle on a :class:`Farm` (the joint and AI
+fat-tree clusters are Farms too).  It opens by registering its metrics when
+the world is built, started or restored, so an early stop still exports
+them; it runs with :func:`drive` (to a time horizon) or
+:func:`run_until_jobs` (to a job target); it closes with :func:`audit_farm`.
+"""
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import ServerConfig
@@ -21,6 +28,9 @@ from repro.workload.driver import WorkloadDriver
 
 #: Valid values for the ``audit`` parameter of :func:`drive` / :func:`audit_farm`.
 AUDIT_MODES = ("off", "warn", "strict")
+
+#: Simulated-time safety valve of :func:`run_until_jobs`.
+JOB_TARGET_VALVE_S = 4 * 3600.0
 
 
 @dataclass
@@ -41,9 +51,6 @@ class Farm:
     # -- farm-wide telemetry ------------------------------------------------
     def total_energy_j(self, now: Optional[float] = None) -> float:
         return sum(s.total_energy_j(now) for s in self.servers)
-
-    def total_power_w(self) -> float:
-        return sum(s.power_w for s in self.servers)
 
     def energy_breakdown_j(self, now: Optional[float] = None) -> Dict[str, float]:
         totals = {"cpu": 0.0, "dram": 0.0, "platform": 0.0}
@@ -118,18 +125,17 @@ def register_farm_metrics(
     registry,
     farm: Farm,
     driver: Optional[WorkloadDriver] = None,
-    network=None,
-    injector=None,
     prefix: str = "",
 ) -> None:
     """Register a farm's scattered ad-hoc stats into one metrics registry.
 
     Sources are read lazily at snapshot time, so call this whenever — before,
-    during, or after the run.  ``network``/``injector`` are optional extras
-    for experiments that wire those subsystems in; ``prefix`` namespaces the
+    during, or after the run.  The scheduler's network adds ``network.*``
+    and a group-placement policy ``placement.*``; ``prefix`` namespaces the
     metrics when one session runs several farms.
     """
     engine, sched = farm.engine, farm.scheduler
+    network = sched.network
     # Scheduled = executed + cancelled + still pending: the cancelled share
     # is the timer churn (delay, core-C6 and package-C6 timers re-armed
     # before they fire).
@@ -164,6 +170,12 @@ def register_farm_metrics(
             f"{prefix}farm.energy_j.{component}",
             (lambda c=component: farm.energy_breakdown_j()[c]),
         )
+    policy = sched.policy
+    if hasattr(policy, "groups_placed"):
+        for name in ("groups_placed", "cross_pod_spills"):
+            registry.register_counter(
+                f"{prefix}placement.{name}", (lambda n=name: getattr(policy, n))
+            )
     if driver is not None:
         registry.register_counter(
             f"{prefix}workload.jobs_injected", lambda: driver.jobs_injected
@@ -186,27 +198,17 @@ def register_farm_metrics(
             collector = getattr(network, name, None)
             if collector is not None:
                 registry.register_histogram(f"{prefix}network.{name}", collector)
-    if injector is not None:
-        injector.register_metrics(registry, prefix=f"{prefix}faults")
 
 
-def register_session_metrics(
-    farm: Farm, driver: Optional[WorkloadDriver] = None, network=None
-) -> Optional[str]:
-    """Register ``farm`` in the active session's metrics registry, if any.
-
-    Returns the name prefix the farm got, or None without a registry.  One
-    session may drive several farms (e.g. the joint comparison); later farms
-    get a numbered prefix instead of colliding on names.
-    """
+def register_session_metrics(farm: Farm, driver: Optional[WorkloadDriver] = None) -> None:
+    """Register ``farm`` and its network in the active session's metrics as
+    the run opens; a second farm in one session registers as ``farm1.*``."""
     ts = telemetry.ACTIVE
     if ts is None or ts.metrics is None:
-        return None
-    n_farms = getattr(ts.metrics, "_farms_registered", 0)
-    prefix = "" if n_farms == 0 else f"farm{n_farms}."
-    register_farm_metrics(ts.metrics, farm, driver=driver, network=network, prefix=prefix)
-    ts.metrics._farms_registered = n_farms + 1
-    return prefix
+        return
+    register_farm_metrics(
+        ts.metrics, farm, driver=driver, prefix=ts.metrics.namespace("farm", first="")
+    )
 
 
 def audit_farm(
@@ -236,6 +238,13 @@ def audit_farm(
         facility=facility,
         pool=farm.pool,
     )
+    return react_to_audit(report, audit)
+
+
+def react_to_audit(report: AuditReport, audit: str) -> AuditReport:
+    """React to a finished audit: ``"strict"`` raises
+    :class:`~repro.core.invariants.InvariantError` on a violation, any
+    other mode prints the report to stderr and carries on."""
     if not report.ok:
         if audit == "strict":
             report.raise_if_violated()
@@ -250,7 +259,8 @@ def start_workload(
     duration_s: Optional[float] = None,
     max_jobs: Optional[int] = None,
 ) -> WorkloadDriver:
-    """Attach a workload to ``farm`` and queue its first arrival."""
+    """Attach a workload to ``farm``, register the farm's metrics with its
+    driver and network, and queue the first arrival."""
     driver = WorkloadDriver(
         farm.engine,
         farm.scheduler,
@@ -259,25 +269,35 @@ def start_workload(
         max_jobs=max_jobs,
         until=duration_s,
     )
+    register_session_metrics(farm, driver=driver)
     driver.start()
     return driver
+
+
+def run_until_jobs(farm: Farm, n_jobs: int) -> None:
+    """Step ``farm`` until ``n_jobs`` jobs completed, the queue empties or the
+    clock passes :data:`JOB_TARGET_VALVE_S` (for periodic controllers that
+    never let the queue drain)."""
+    engine, scheduler = farm.engine, farm.scheduler
+    while scheduler.jobs_completed < n_jobs and engine.now < JOB_TARGET_VALVE_S:
+        if not engine.step():
+            break
 
 
 def finish_workload(
     farm: Farm, driver: WorkloadDriver, drain: bool = True, audit: str = "warn"
 ) -> None:
-    """Close a run after its arrival horizon: drain, metrics, audit.
+    """Close a run after its arrival horizon: drain, then audit.
 
     With ``drain`` the engine keeps stepping until all in-flight jobs
-    finish, so energy/latency accounting covers complete jobs only.  An
-    active telemetry session gets the farm's metrics; then the conservation
-    audit runs (see :func:`audit_farm`) unless ``audit="off"``.
+    finish, so energy/latency accounting covers complete jobs only.  Then
+    the conservation audit runs (see :func:`audit_farm`) unless
+    ``audit="off"``.
     """
     if drain:
         while farm.scheduler.active_jobs > 0:
             if not farm.engine.step():
                 break
-    register_session_metrics(farm, driver=driver, network=farm.scheduler.network)
     audit_farm(farm, driver=driver, audit=audit)
 
 
@@ -292,8 +312,8 @@ def drive(
 ) -> WorkloadDriver:
     """Attach a workload, run the simulation, and close the run.
 
-    :func:`start_workload`, one engine run to the arrival horizon, then
-    :func:`finish_workload` (drain, metrics, conservation audit).
+    :func:`start_workload` (metrics), one engine run to the arrival horizon,
+    then :func:`finish_workload` (drain, conservation audit).
     """
     driver = start_workload(farm, arrival_process, job_factory, duration_s, max_jobs)
     farm.engine.run(until=duration_s)

@@ -17,19 +17,23 @@ with negligible latency increase.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.config import LinkConfig, ServerConfig, xeon_e5_2680_server
 from repro.core.engine import Engine
 from repro.core.heap import settled_build
-from repro.core.invariants import audit_run as audit_invariants
 from repro.core.rng import RandomSource
 from repro.core.stats import CdfResult
-from repro.experiments.common import Farm, register_session_metrics
+from repro.experiments.common import (
+    Farm,
+    audit_farm,
+    build_farm,
+    run_until_jobs,
+    start_workload,
+)
 from repro.jobs.task import Job
 from repro.jobs.templates import pipeline_job
 from repro.network.flow import FlowNetwork
@@ -37,11 +41,8 @@ from repro.network.routing import Router
 from repro.network.topology import fat_tree
 from repro.power.joint import JointEnergyManager
 from repro.runner import SweepOptions, SweepSpec, run_sweep
-from repro.scheduling.global_scheduler import GlobalScheduler
 from repro.server.server import Server
-from repro.telemetry import session as telemetry
 from repro.workload.arrivals import PoissonProcess
-from repro.workload.driver import WorkloadDriver
 
 
 @dataclass
@@ -99,20 +100,19 @@ class _DagJobFactory:
 
 
 @dataclass
-class JointCluster:
-    """One wired-up fat-tree cluster under a joint energy manager.
+class JointCluster(Farm):
+    """One wired-up fat-tree cluster under a joint energy manager: a
+    :class:`~repro.experiments.common.Farm` plus its network.
 
     Extracted from :func:`run_joint_point` so other drivers (the benchmark
     workloads) build exactly the cluster the experiment evaluates.
+    :func:`build_joint_cluster` sets every field.
     """
 
-    engine: Engine
-    topo: object
-    servers: List[Server]
-    router: Router
-    network: FlowNetwork
-    manager: JointEnergyManager
-    scheduler: GlobalScheduler
+    topo: object = None
+    router: Optional[Router] = None
+    network: Optional[FlowNetwork] = None
+    manager: Optional[JointEnergyManager] = None
 
 
 def build_joint_cluster(
@@ -125,10 +125,10 @@ def build_joint_cluster(
     switch_idle_threshold_s: float = 2.0,
     server_config: Optional[ServerConfig] = None,
 ) -> JointCluster:
-    """Build topology + servers + manager + scheduler on ``engine``.
+    """Build topology + servers + manager on ``engine``, then the farm.
 
-    Built under :func:`~repro.core.heap.settled_build`, like
-    :func:`~repro.experiments.common.build_farm`.
+    The whole world is built under :func:`~repro.core.heap.settled_build`;
+    :func:`~repro.experiments.common.build_farm` adds the scheduler.
     """
     with settled_build():
         topo = fat_tree(engine, k, link_config=LinkConfig(rate_bps=link_rate_bps))
@@ -145,25 +145,18 @@ def build_joint_cluster(
             tau_s=tau_s,
             switch_idle_threshold_s=switch_idle_threshold_s,
         )
-        scheduler = GlobalScheduler(
-            engine,
-            servers,
+        farm = build_farm(
+            topo.n_servers,
+            config,
             policy=manager.make_policy(),
             network=network,
             eligible_provider=manager.eligible_servers,
+            engine=engine,
+            servers=servers,
         )
-    ts = telemetry.ACTIVE
-    if ts is not None:
-        ts.attach_engine(engine)
-    return JointCluster(
-        engine=engine,
-        topo=topo,
-        servers=servers,
-        router=router,
-        network=network,
-        manager=manager,
-        scheduler=scheduler,
-    )
+        return JointCluster(
+            **vars(farm), topo=topo, router=router, network=network, manager=manager
+        )
 
 
 def run_joint_point(
@@ -181,9 +174,8 @@ def run_joint_point(
     audit: str = "warn",
 ) -> JointRunResult:
     """Run one strategy at one utilization on the fat-tree data center."""
-    engine = Engine()
     cluster = build_joint_cluster(
-        engine,
+        Engine(),
         mode,
         k=k,
         n_cores=n_cores,
@@ -192,43 +184,22 @@ def run_joint_point(
         switch_idle_threshold_s=switch_idle_threshold_s,
         server_config=server_config,
     )
-    topo, servers = cluster.topo, cluster.servers
+    topo, scheduler = cluster.topo, cluster.scheduler
     n_servers = topo.n_servers
-    manager, scheduler = cluster.manager, cluster.scheduler
-    manager.start()
+    cluster.manager.start()
 
     rng = RandomSource(seed)
     factory = _DagJobFactory(rng.stream("jobs"), transfer_bytes=transfer_bytes)
     rate = utilization * n_servers * n_cores / factory.mean_job_work_s
     arrivals = PoissonProcess(rate, rng.stream("arrivals"))
-    driver = WorkloadDriver(engine, scheduler, arrivals, factory, max_jobs=n_jobs)
-    driver.start()
+    driver = start_workload(cluster, arrivals, factory, max_jobs=n_jobs)
     # The periodic controller scans keep the event queue non-empty forever,
-    # so step until every job has completed (with a generous simulated-time
-    # bound as a safety valve) instead of draining the queue.
-    deadline_s = 4 * 3600.0
-    while scheduler.jobs_completed < n_jobs and engine.now < deadline_s:
-        if not engine.step():
-            break
-    duration = engine.now
+    # so run to the job target instead of draining the queue.
+    run_until_jobs(cluster, n_jobs)
+    duration = cluster.engine.now
+    audit_farm(cluster, driver=driver, audit=audit)
 
-    # This experiment bypasses drive(), so register its metrics and run the
-    # conservation audit here.
-    register_session_metrics(
-        Farm(engine=engine, servers=servers, scheduler=scheduler, rng=rng),
-        driver=driver,
-        network=cluster.network,
-    )
-    if audit != "off":
-        report = audit_invariants(
-            engine, servers=servers, scheduler=scheduler, driver=driver, now=duration
-        )
-        if not report.ok:
-            if audit == "strict":
-                report.raise_if_violated()
-            print(f"[repro.invariants] {report.render()}", file=sys.stderr)
-
-    server_energy = sum(s.total_energy_j(duration) for s in servers)
+    server_energy = cluster.total_energy_j(duration)
     network_energy = topo.network_energy_j(duration)
     latency = scheduler.job_latency
     return JointRunResult(

@@ -25,6 +25,7 @@ from repro.experiments.common import (
     audit_farm,
     build_farm,
     finish_workload,
+    register_session_metrics,
     start_workload,
 )
 from repro.runner import SweepOptions, SweepSpec, run_sweep
@@ -137,6 +138,7 @@ def run_scalability(
         ts = telemetry.ACTIVE
         if ts is not None:
             ts.attach_engine(farm.engine)
+        register_session_metrics(farm, driver=driver)
     else:
         farm = build_farm(
             n_servers, config, policy=RoundRobinPolicy(), seed=seed, pool=use_pool

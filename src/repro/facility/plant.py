@@ -170,9 +170,10 @@ class Facility:
         """Begin ticking; ``until`` bounds the tick chain (see module doc).
 
         When a telemetry session is active, the facility registers its
-        metrics into the session registry under the ``facility.*`` namespace
-        (numbered on collision, mirroring the farm registration in
-        :func:`repro.experiments.common.drive`).
+        metrics into the session registry here, as the run opens, so a run
+        that stops early still exports them: under ``facility.*``, then
+        ``facility1.*`` for a second facility in the session (see
+        :meth:`~repro.telemetry.metrics.MetricsRegistry.namespace`).
         """
         if self._running:
             return
@@ -180,10 +181,7 @@ class Facility:
         self._until = until
         ts = telemetry.ACTIVE
         if ts is not None and ts.metrics is not None:
-            n = getattr(ts.metrics, "_facilities_registered", 0)
-            prefix = "facility." if n == 0 else f"facility{n}."
-            self.register_metrics(ts.metrics, prefix=prefix)
-            ts.metrics._facilities_registered = n + 1
+            self.register_metrics(ts.metrics, prefix=ts.metrics.namespace("facility"))
         self._declare(self.engine.now)
         self._schedule_next()
 

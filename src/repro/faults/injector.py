@@ -86,10 +86,14 @@ class FaultInjector:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Arm the fault processes; a no-op when the config is disabled."""
+        """Arm the fault processes and register ``faults.*`` metrics in an
+        active telemetry session; a no-op when the config is disabled."""
         if not self.config.enabled or self._started:
             return
         self._started = True
+        ts = telemetry.ACTIVE
+        if ts is not None and ts.metrics is not None:
+            self.register_metrics(ts.metrics, prefix=ts.metrics.namespace("faults"))
         cfg = self.config
         if cfg.server_mtbf_s > 0:
             model = self._make_model(cfg.server_mtbf_s, cfg.server_mttr_s)
@@ -267,16 +271,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def register_metrics(self, registry, prefix: str = "faults") -> None:
+    def register_metrics(self, registry, prefix: str = "faults.") -> None:
         """Expose injector stats through a telemetry metrics registry."""
         registry.register_counter(
-            f"{prefix}.failures_injected", lambda: self.failures_injected
+            f"{prefix}failures_injected", lambda: self.failures_injected
         )
         registry.register_counter(
-            f"{prefix}.repairs_applied", lambda: self.repairs_applied
+            f"{prefix}repairs_applied", lambda: self.repairs_applied
         )
         registry.register_gauge(
-            f"{prefix}.fleet_availability",
+            f"{prefix}fleet_availability",
             lambda: self.summary()["fleet_availability"],
         )
 

@@ -102,11 +102,6 @@ class Task:
         """Parents that have not yet finished execution."""
         return self._remaining_parents
 
-    @property
-    def remaining_transfers(self) -> int:
-        """Finished parents whose result transfer has not yet completed."""
-        return self._remaining_transfers
-
     def parent_finished(self) -> None:
         """A parent task completed; its transfer (if any) may still be in flight."""
         if self._remaining_parents <= 0:
@@ -127,11 +122,6 @@ class Task:
     def dependencies_met(self) -> bool:
         """True when all parents finished and all result transfers arrived."""
         return self._remaining_parents == 0 and self._remaining_transfers == 0
-
-    @property
-    def is_root(self) -> bool:
-        """True for tasks with no parents (ready the moment the job arrives)."""
-        return not self.job.parents_of(self.index)
 
     def __repr__(self) -> str:
         return f"<Task {self.job.job_id}:{self.index} {self.state.value}>"

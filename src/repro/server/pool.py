@@ -502,10 +502,6 @@ class ServerPool:
     def slot_times(self, slot: int) -> Tuple[float, float, float]:
         return self._captured_at[slot], self._commit[slot], self._done[slot]
 
-    @property
-    def active_cohort_count(self) -> int:
-        return len(self._cohorts_by_time)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ServerPool pooled={self.pooled_count} "

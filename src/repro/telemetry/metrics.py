@@ -9,7 +9,9 @@ the fault injector.  The registry does not replace them; sources register
 snapshot time, so registration order and simulation progress do not matter.
 
 Names are dotted (``scheduler.jobs_completed``, ``network.packet_delay``);
-duplicates raise so two subsystems cannot silently shadow each other.
+duplicates raise so two subsystems cannot silently shadow each other.  A
+session that runs one component several times (two farms, two facilities)
+numbers the repeats through :meth:`MetricsRegistry.namespace`.
 """
 
 from __future__ import annotations
@@ -35,10 +37,22 @@ class MetricsRegistry:
         self._gauges: Dict[str, Callable[[], Number]] = {}
         self._histograms: Dict[str, LatencyCollector] = {}
         self._series: Dict[str, TimeSeries] = {}
+        #: Components registered so far, per :meth:`namespace` kind.
+        self._namespaces: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
+    def namespace(self, kind: str, first: Optional[str] = None) -> str:
+        """The name prefix for the next ``kind`` component to register: the
+        first gets ``first`` (default ``"<kind>."``), later ones ``"<kind>1."``,
+        ``"<kind>2."`` ... (farms: ``""``, ``"farm1."``)."""
+        n = self._namespaces.get(kind, 0)
+        self._namespaces[kind] = n + 1
+        if n == 0:
+            return f"{kind}." if first is None else first
+        return f"{kind}{n}."
+
     def _claim(self, name: str) -> None:
         for kind, table in (
             ("counter", self._counters),
@@ -113,15 +127,6 @@ class MetricsRegistry:
             },
             "series": dict(sorted(series.items())),
         }
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def to_json(self, path: str, include_series_points: bool = False) -> None:
-        write_metrics_json(path, self.snapshot(include_series_points))
-
-    def to_csv(self, fh: IO[str]) -> None:
-        write_metrics_csv(fh, self.snapshot())
 
 
 def _flatten(snapshot: dict, prefix: str = "") -> List[Tuple[str, str, str, Any]]:

@@ -115,26 +115,51 @@ class TestExport:
         assert labels == {"tau=0", "tau=1"}
 
 
+class TestNamespaces:
+    def test_repeated_components_get_numbered_prefixes(self):
+        reg = MetricsRegistry()
+        assert [reg.namespace("farm", first="") for _ in range(3)] == [
+            "", "farm1.", "farm2.",
+        ]
+        assert [reg.namespace("facility") for _ in range(2)] == [
+            "facility.", "facility1.",
+        ]
+
+    def test_two_farms_in_one_session(self):
+        from repro.core.config import small_cloud_server
+        from repro.experiments.common import build_farm, drive
+        from repro.telemetry import session as telemetry
+        from repro.workload.arrivals import PoissonProcess
+        from repro.workload.profiles import web_search_profile
+
+        with telemetry.session(trace=False) as ts:
+            for _ in range(2):
+                farm = build_farm(2, small_cloud_server(n_cores=2), seed=1)
+                factory = web_search_profile().job_factory(farm.rng.stream("service"))
+                drive(farm, PoissonProcess(50.0, farm.rng.stream("arrivals")),
+                      factory, duration_s=0.5, audit="strict")
+            counters = ts.metrics.snapshot()["counters"]
+        assert counters["engine.events_executed"] > 0
+        assert counters["farm1.engine.events_executed"] > 0
+        assert "farm2.engine.events_executed" not in counters
+
+
 class TestFarmMetricsSurface:
     def test_transfer_loss_counters_surface(self):
         # Satellite of the collective PR: stranded transfers and scheduler
         # drop notifications must be first-class metrics, not buried fields.
         from repro.experiments.ai_training import build_ai_cluster
-        from repro.experiments.common import Farm, register_farm_metrics
+        from repro.experiments.common import register_farm_metrics
         from repro.core.engine import Engine
 
-        engine = Engine()
-        cluster = build_ai_cluster(engine, k=4)
-        farm = Farm(
-            engine=engine, servers=cluster.servers,
-            scheduler=cluster.scheduler, rng=None,
-        )
+        cluster = build_ai_cluster(Engine(), k=4)
         reg = MetricsRegistry()
-        register_farm_metrics(reg, farm, network=cluster.network)
+        register_farm_metrics(reg, cluster)
         counters = reg.snapshot()["counters"]
         assert counters["network.transfers_stranded"] == 0
         assert counters["scheduler.transfers_dropped"] == 0
         assert counters["scheduler.transfers_launched"] == 0
+        assert counters["placement.groups_placed"] == 0
 
     def test_packet_path_counters_say_which_path_engaged(self):
         # The small all-to-all benchmark build: trains engage, then

@@ -263,6 +263,7 @@ class TestExecution:
         assert "GOAL replay" in out
 
     def test_interrupt_and_restore_smoke(self, capsys, tmp_path, monkeypatch):
+        import json
         import os
         import signal
 
@@ -281,12 +282,18 @@ class TestExecution:
         base = ["scalability", "--servers", "64", "--num-jobs", "300",
                 "--strict-invariants"]
         monkeypatch.setattr(WorkloadDriver, "_inject", _inject)
+        interrupted = tmp_path / "interrupted.json"
         with pytest.raises(SystemExit) as exc:
-            main(base + ["--checkpoint", ckpt])
+            main(base + ["--checkpoint", ckpt, "--metrics", str(interrupted)])
         monkeypatch.undo()
         assert exc.value.code == 130
         err = capsys.readouterr().err
         assert f"--restore-from {ckpt}" in err
+        # The metrics were registered when the run opened, so the early
+        # stop exports the run up to the interrupt.
+        counters = json.loads(interrupted.read_text())["counters"]
+        assert counters["engine.events_executed"] > 0
+        assert counters["workload.jobs_injected"] == 100
 
         metrics = {}
         for name, extra in (("restored", ["--restore-from", ckpt]),
@@ -582,6 +589,57 @@ class TestObservabilityExecution:
             )
 
 
+#: One tiny run per subcommand that simulates, with metric names its
+#: ``--metrics`` file must carry beside ``engine.events_executed``.  A new
+#: subcommand gets the coverage by adding a row.
+METRICS_ROWS = {
+    "provisioning": (["provisioning", "--servers", "2", "--duration", "2",
+                      "--rate", "40", "--day-length", "1"], ()),
+    "delay-timer": (["delay-timer", "--taus", "0.1", "--utilizations", "0.3",
+                     "--servers", "2", "--duration", "1"], ()),
+    "residency": (["residency", "--utilizations", "0.3", "--servers", "2",
+                   "--cores", "2", "--duration", "2"], ()),
+    "joint": (["joint", "--utilizations", "0.3", "--num-jobs", "5"],
+              ("workload.jobs_injected", "network.flows_completed")),
+    "validate-server": (["validate-server", "--duration", "5"], ()),
+    "validate-switch": (["validate-switch", "--duration", "20"], ()),
+    "faults": (["faults", "--mtbfs", "2", "--servers", "2", "--duration", "4"],
+               ("faults.failures_injected", "faults.repairs_applied",
+                "faults.fleet_availability")),
+    "facility-carbon": (["facility-carbon", "--setpoints", "22", "--servers", "2",
+                         "--zones", "1", "--utilization", "0.3", "--duration", "2"],
+                        ("facility.ticks",)),
+    "ai-training": (["ai-training", "--group-sizes", "4", "--algorithms", "ring",
+                     "--steps", "1", "--compute", "0.002", "--bytes", "40000"],
+                    ("placement.groups_placed", "network.packets_delivered")),
+    "goal-replay": (["ai-training", "--goal-trace", "{goal}"],
+                    ("placement.groups_placed",)),
+    "scalability": (["scalability", "--servers", "16", "--num-jobs", "200"],
+                    ("workload.jobs_injected",)),
+    "scalability-sizes": (["scalability", "--sizes", "8", "16",
+                           "--num-jobs", "100"], ()),
+}
+
+
+@pytest.mark.parametrize("name", list(METRICS_ROWS))
+def test_every_subcommand_exports_run_metrics(name, capsys, tmp_path):
+    import json
+
+    argv, keys = METRICS_ROWS[name]
+    goal = str(tmp_path / "train.goal")
+    if "{goal}" in argv:
+        main(["ai-training", "--make-goal", goal, "--group-sizes", "4",
+              "--steps", "1", "--compute", "0.002", "--bytes", "40000"])
+    path = tmp_path / "m.json"
+    main([arg.replace("{goal}", goal) for arg in argv] + ["--metrics", str(path)])
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    for point in doc.get("points", [doc]):
+        names = {**point["counters"], **point["gauges"]}
+        assert names["engine.events_executed"] > 0, point.get("label")
+        assert set(keys) <= set(names), point.get("label")
+
+
 class TestTelemetryOnEarlyStop:
     """--trace/--metrics/--profile are written however the command ends."""
 
@@ -628,6 +686,11 @@ class TestTelemetryOnEarlyStop:
         assert [p["label"].split(",")[0] for p in points] == [
             "tau_s=0", "tau_s=0.1",
         ]
+        # The point that stopped the run registered its metrics when its
+        # workload started, so it hands over the values at the stop.
+        stopped = points[1]["counters"]
+        assert stopped["engine.events_executed"] > 0
+        assert stopped["workload.jobs_injected"] == 20
 
     def _outputs(self, tmp_path):
         return ["--trace", str(tmp_path / "t.json"),
