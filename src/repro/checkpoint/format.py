@@ -33,7 +33,7 @@ CHECKPOINT_KIND = "repro-checkpoint"
 
 #: Bump when the envelope or payload schema changes incompatibly; restore
 #: refuses a foreign version rather than mis-deserializing it.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

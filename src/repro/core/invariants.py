@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import Engine
@@ -77,9 +77,21 @@ class AuditReport:
         self.violations.extend(other.violations)
         return self
 
-    def record(self, check: str, subject: str, ok: bool, message: str) -> None:
+    def record(
+        self, check: str, subject: str, ok: bool, message: str, *args: Any
+    ) -> None:
+        """Count one check and keep a :class:`Violation` if it failed.
+
+        With ``args``, ``subject`` and ``message`` are :meth:`str.format`
+        templates over them, filled in only when the check fails: a strict
+        audit of a 20K-server farm runs ~225K checks and nearly all pass.
+        Without ``args`` both are used as given.
+        """
         self.checks_run += 1
         if not ok:
+            if args:
+                subject = subject.format(*args)
+                message = message.format(*args)
             self.violations.append(Violation(check, subject, message))
 
     def render(self) -> str:
@@ -121,15 +133,15 @@ def audit_engine(
     report.record(
         "engine.clock", "engine",
         math.isfinite(engine.now) and engine.now >= 0.0,
-        f"simulation clock is {engine.now!r}",
+        "simulation clock is {0!r}", engine.now,
     )
     if expect_drained:
         pending = engine.peek_time()
         report.record(
             "engine.drained", "engine",
             pending is None or engine.stopped,
-            f"event queue not drained (next event at t={pending!r}) and the "
-            f"engine was not explicitly stopped",
+            "event queue not drained (next event at t={0!r}) and the "
+            "engine was not explicitly stopped", pending,
         )
     return report
 
@@ -146,27 +158,27 @@ def audit_jobs(
         value = getattr(s, name)
         report.record(
             "jobs.counter-sign", "scheduler", value >= 0,
-            f"{name} is negative ({value})",
+            "{0} is negative ({1})", name, value,
         )
     balance = s.jobs_completed + s.jobs_failed + s.active_jobs
     report.record(
         "jobs.conservation", "scheduler",
         s.jobs_submitted == balance,
-        f"submitted ({s.jobs_submitted}) != completed ({s.jobs_completed}) "
-        f"+ failed ({s.jobs_failed}) + active ({s.active_jobs})",
+        "submitted ({0.jobs_submitted}) != completed ({0.jobs_completed}) "
+        "+ failed ({0.jobs_failed}) + active ({0.active_jobs})", s,
     )
     report.record(
         "jobs.latency-samples", "scheduler",
         len(s.job_latency) == s.jobs_completed,
-        f"{len(s.job_latency)} latency samples for {s.jobs_completed} "
-        f"completed jobs",
+        "{0} latency samples for {1} completed jobs",
+        len(s.job_latency), s.jobs_completed,
     )
     if driver is not None:
         report.record(
             "jobs.injected", "driver",
             driver.jobs_injected == s.jobs_submitted,
-            f"driver injected {driver.jobs_injected} jobs but the scheduler "
-            f"admitted {s.jobs_submitted}",
+            "driver injected {0} jobs but the scheduler admitted {1}",
+            driver.jobs_injected, s.jobs_submitted,
         )
     return report
 
@@ -187,8 +199,9 @@ def audit_tasks(scheduler: "GlobalScheduler") -> AuditReport:
     report.record(
         "tasks.conservation", "farm",
         0 <= slack <= s.tasks_lost,
-        f"submitted ({submitted}) - completed ({completed}) - pending "
-        f"({pending}) = {slack}, outside [0, tasks_lost={s.tasks_lost}]",
+        "submitted ({0}) - completed ({1}) - pending ({2}) = {3}, "
+        "outside [0, tasks_lost={4}]",
+        submitted, completed, pending, slack, s.tasks_lost,
     )
     return report
 
@@ -203,10 +216,10 @@ def audit_residencies(
         tracked = now - tracker.start_time
         total = sum(tracker.residency(now).values())
         report.record(
-            "residency.conservation", server.name,
+            "residency.conservation", "{0.name}",
             tracked >= -ABS_TOL and _close(total, tracked, scale=max(now, 1.0)),
-            f"state residencies sum to {total:.9g}s over a {tracked:.9g}s "
-            f"tracked interval",
+            "state residencies sum to {1:.9g}s over a {2:.9g}s tracked interval",
+            server, total, tracked,
         )
     return report
 
@@ -218,16 +231,17 @@ def audit_energy(servers: Sequence["Server"], now: float) -> AuditReport:
         breakdown = server.energy_breakdown_j(now)
         for component, energy in breakdown.items():
             report.record(
-                "energy.finite", f"{server.name}.{component}",
+                "energy.finite", "{0.name}.{1}",
                 math.isfinite(energy) and energy >= -ABS_TOL,
-                f"energy is {energy!r} J",
+                "energy is {2!r} J", server, component, energy,
             )
         total = server.total_energy_j(now)
+        parts = sum(breakdown.values())
         report.record(
-            "energy.breakdown-sum", server.name,
-            _close(total, sum(breakdown.values()), scale=max(total, 1.0)),
-            f"total energy {total:.9g} J != sum of components "
-            f"{sum(breakdown.values()):.9g} J",
+            "energy.breakdown-sum", "{0.name}",
+            _close(total, parts, scale=max(total, 1.0)),
+            "total energy {1:.9g} J != sum of components {2:.9g} J",
+            server, total, parts,
         )
         # The open-interval extension must integrate the instantaneous
         # power: E(now + 1s) - E(now) == P(now) × 1s.  energy_j() is pure,
@@ -236,11 +250,12 @@ def audit_energy(servers: Sequence["Server"], now: float) -> AuditReport:
                         server.platform_energy):
             marginal = account.energy_j(now + 1.0) - account.energy_j(now)
             report.record(
-                "energy.integral", f"{server.name}.{account.name}",
+                "energy.integral", "{0.name}.{1.name}",
                 _close(marginal, account.power_w,
                        scale=max(abs(account.power_w), 1.0)),
-                f"energy grew {marginal:.9g} J over 1 s at a declared draw "
-                f"of {account.power_w:.9g} W",
+                "energy grew {2:.9g} J over 1 s at a declared draw "
+                "of {1.power_w:.9g} W",
+                server, account, marginal,
             )
     return report
 
@@ -256,31 +271,33 @@ def audit_pool(pool) -> AuditReport:
     report.record(
         "pool.population", "pool",
         len(pooled) == pool.pooled_count,
-        f"{len(pooled)} servers hold pool slots but pooled_count is "
-        f"{pool.pooled_count}",
+        "{0} servers hold pool slots but pooled_count is {1}",
+        len(pooled), pool.pooled_count,
     )
     membership_refs = 0
     referenced: dict = {}
     for slot, server in pooled:
         report.record(
-            "pool.slot-binding", server.name,
+            "pool.slot-binding", "{0.name}",
             server._pool_slot == slot,
-            f"slot {slot} does not map back to this server "
-            f"(server records {server._pool_slot})",
+            "slot {1} does not map back to this server "
+            "(server records {0._pool_slot})",
+            server, slot,
         )
         report.record(
-            "pool.pooled-state", server.name,
+            "pool.pooled-state", "{0.name}",
             server.is_idle and not server.is_failed
             and server._transition is None,
-            f"pooled server has pending={server.pending_task_count} "
-            f"failed={server.is_failed} transition={server._transition!r}",
+            "pooled server has pending={0.pending_task_count} "
+            "failed={0.is_failed} transition={0._transition!r}",
+            server,
         )
         captured_at, commit, done = pool.slot_times(slot)
         report.record(
-            "pool.time-order", server.name,
+            "pool.time-order", "{0.name}",
             captured_at <= commit <= done,
-            f"captured_at={captured_at!r} commit={commit!r} done={done!r} "
-            f"not monotone",
+            "captured_at={1!r} commit={2!r} done={3!r} not monotone",
+            server, captured_at, commit, done,
         )
         for cohort in pool.slot_cohorts(slot):
             if cohort is not None:
@@ -290,15 +307,16 @@ def audit_pool(pool) -> AuditReport:
     report.record(
         "pool.cohort-conservation", "pool",
         membership_refs == total_members,
-        f"slots reference {membership_refs} cohort memberships but cohorts "
-        f"count {total_members} members",
+        "slots reference {0} cohort memberships but cohorts count {1} members",
+        membership_refs, total_members,
     )
     report.record(
         "pool.counters", "pool",
         pool.captures >= pool.materializations >= 0
         and pool.captures - pool.materializations == pool.pooled_count,
-        f"captures ({pool.captures}) - materializations "
-        f"({pool.materializations}) != pooled_count ({pool.pooled_count})",
+        "captures ({0.captures}) - materializations "
+        "({0.materializations}) != pooled_count ({0.pooled_count})",
+        pool,
     )
     return report
 
@@ -311,16 +329,16 @@ def audit_availability(
     for tracker in trackers:
         expected_gap = 0 if tracker.is_up else 1
         report.record(
-            "availability.transitions", tracker.name,
+            "availability.transitions", "{0.name}",
             tracker.failures - tracker.repairs == expected_gap,
-            f"{tracker.failures} failures vs {tracker.repairs} repairs "
-            f"while {'up' if tracker.is_up else 'down'}",
+            "{0.failures} failures vs {0.repairs} repairs while {1}",
+            tracker, "up" if tracker.is_up else "down",
         )
         fraction = tracker.uptime_fraction(now)
         report.record(
-            "availability.fraction", tracker.name,
+            "availability.fraction", "{0.name}",
             -ABS_TOL <= fraction <= 1.0 + ABS_TOL,
-            f"uptime fraction {fraction!r} outside [0, 1]",
+            "uptime fraction {1!r} outside [0, 1]", tracker, fraction,
         )
     return report
 
@@ -336,25 +354,26 @@ def audit_facility(facility: "Facility", now: float) -> AuditReport:
     for account in accounts:
         energy = account.energy_j(now)
         report.record(
-            "facility.energy-finite", f"facility.{account.name}",
+            "facility.energy-finite", "facility.{0.name}",
             math.isfinite(energy) and energy >= -ABS_TOL,
-            f"energy is {energy!r} J",
+            "energy is {1!r} J", account, energy,
         )
         marginal = account.energy_j(now + 1.0) - account.energy_j(now)
         report.record(
-            "facility.energy-integral", f"facility.{account.name}",
+            "facility.energy-integral", "facility.{0.name}",
             _close(marginal, account.power_w,
                    scale=max(abs(account.power_w), 1.0)),
-            f"energy grew {marginal:.9g} J over 1 s at a declared draw "
-            f"of {account.power_w:.9g} W",
+            "energy grew {1:.9g} J over 1 s at a declared draw "
+            "of {0.power_w:.9g} W",
+            account, marginal,
         )
     total = facility.facility_energy_j(now)
     breakdown_sum = sum(facility.energy_breakdown_j(now).values())
     report.record(
         "facility.energy-breakdown-sum", "facility",
         _close(total, breakdown_sum, scale=max(total, 1.0)),
-        f"facility energy {total:.9g} J != sum of components "
-        f"{breakdown_sum:.9g} J",
+        "facility energy {0:.9g} J != sum of components {1:.9g} J",
+        total, breakdown_sum,
     )
 
     # PUE is facility power over IT power: >= 1 by construction, so any
@@ -365,8 +384,8 @@ def audit_facility(facility: "Facility", now: float) -> AuditReport:
     report.record(
         "facility.pue-floor", "facility",
         not bad_pue,
-        f"{len(bad_pue)}/{len(pue_values)} PUE samples below 1 "
-        f"(worst {min(bad_pue):.9g})" if bad_pue else "",
+        "{0}/{1} PUE samples below 1 (worst {2:.9g})",
+        len(bad_pue), len(pue_values), min(bad_pue) if bad_pue else None,
     )
 
     # Zone temperatures within the configured physical envelope.
@@ -380,30 +399,29 @@ def audit_facility(facility: "Facility", now: float) -> AuditReport:
                     <= cfg.max_physical_c + ABS_TOL)
         ]
         report.record(
-            "facility.temperature-bounds", f"facility.{zone.name}",
+            "facility.temperature-bounds", "facility.{0.name}",
             not bad,
-            f"{len(bad)}/{len(temps)} samples outside "
-            f"[{cfg.min_physical_c}, {cfg.max_physical_c}] °C "
-            f"(e.g. {bad[0]!r})" if bad else "",
+            "{1}/{2} samples outside [{3.min_physical_c}, {3.max_physical_c}] "
+            "°C (e.g. {4!r})",
+            zone, len(bad), len(temps), cfg, bad[0] if bad else None,
         )
         throttle = zone.throttle
         if throttle is not None:
             expected_gap = 1 if throttle.engaged else 0
             report.record(
-                "facility.throttle-transitions", f"facility.{zone.name}",
+                "facility.throttle-transitions", "facility.{0.name}",
                 throttle.engagements - throttle.releases == expected_gap,
-                f"{throttle.engagements} engagements vs {throttle.releases} "
-                f"releases while "
-                f"{'engaged' if throttle.engaged else 'released'}",
+                "{1.engagements} engagements vs {1.releases} releases while {2}",
+                zone, throttle, "engaged" if throttle.engaged else "released",
             )
 
     # Accumulated signal integrals are money/mass: finite and non-negative.
     for name, value in (("gco2_g", facility.gco2_g),
                         ("cost_usd", facility.cost_usd)):
         report.record(
-            "facility.signal-totals", f"facility.{name}",
+            "facility.signal-totals", "facility.{0}",
             math.isfinite(value) and value >= -ABS_TOL,
-            f"{name} is {value!r}",
+            "{0} is {1!r}", name, value,
         )
     return report
 
@@ -433,10 +451,10 @@ def audit_collective(
         if spec is None:
             continue
         report.record(
-            "collective.spec-sign", f"job-{job.job_id}",
+            "collective.spec-sign", "job-{0.job_id}",
             spec.wire_bytes >= 0 and spec.n_transfers >= 0,
-            f"spec has wire_bytes={spec.wire_bytes!r} "
-            f"n_transfers={spec.n_transfers!r}",
+            "spec has wire_bytes={1.wire_bytes!r} n_transfers={1.n_transfers!r}",
+            job, spec,
         )
         expected_bytes += spec.wire_bytes
         expected_transfers += spec.n_transfers
@@ -445,22 +463,22 @@ def audit_collective(
         report.record(
             "collective.transfers-launched", "scheduler",
             s.transfers_launched == expected_transfers,
-            f"launched {s.transfers_launched} transfers but the specs "
-            f"promise {expected_transfers}",
+            "launched {0} transfers but the specs promise {1}",
+            s.transfers_launched, expected_transfers,
         )
         report.record(
             "collective.bytes-launched", "scheduler",
             _close(s.transfer_bytes_launched, expected_bytes,
                    scale=max(expected_bytes, 1.0)),
-            f"launched {s.transfer_bytes_launched:.9g} B but the specs "
-            f"promise {expected_bytes:.9g} B",
+            "launched {0:.9g} B but the specs promise {1:.9g} B",
+            s.transfer_bytes_launched, expected_bytes,
         )
     else:
         report.record(
             "collective.transfers-bounded", "scheduler",
             s.transfers_launched <= expected_transfers,
-            f"launched {s.transfers_launched} transfers, more than the "
-            f"specs' upper bound {expected_transfers}",
+            "launched {0} transfers, more than the specs' upper bound {1}",
+            s.transfers_launched, expected_transfers,
         )
     delivered = getattr(network, "bytes_delivered", None)
     if delivered is not None:
@@ -468,19 +486,19 @@ def audit_collective(
             "collective.bytes-delivered", "network",
             _close(delivered, s.transfer_bytes_launched,
                    scale=max(s.transfer_bytes_launched, 1.0)),
-            f"network delivered {delivered:.9g} B of "
-            f"{s.transfer_bytes_launched:.9g} B launched",
+            "network delivered {0:.9g} B of {1:.9g} B launched",
+            delivered, s.transfer_bytes_launched,
         )
     stranded = getattr(network, "transfers_stranded", 0)
     report.record(
         "collective.stranded", "network",
         stranded == 0,
-        f"{stranded} transfer(s) stranded by tail drops",
+        "{0} transfer(s) stranded by tail drops", stranded,
     )
     report.record(
         "collective.dropped", "scheduler",
         s.transfers_dropped == 0,
-        f"{s.transfers_dropped} result transfer(s) reported dropped",
+        "{0} result transfer(s) reported dropped", s.transfers_dropped,
     )
     return report
 

@@ -36,14 +36,21 @@ class StateTracker:
     residencies with :meth:`residency` accounts for the in-progress state up
     to the query time, so the invariant ``sum(residencies) == now - start``
     always holds.
+
+    A farm holds six trackers per server, so the layout is lean: slots, and
+    one dict holding both residency seconds (keyed by state name) and
+    transition counts (keyed by a ``(src, dst)`` tuple).  Each transition
+    key is interned on its first insert, so every tracker that records the
+    same transition shares one key tuple.
     """
+
+    __slots__ = ("_state", "_since", "_start", "_totals")
 
     def __init__(self, initial_state: str, start_time: float = 0.0):
         self._state = initial_state
         self._since = start_time
         self._start = start_time
-        self._residency: Dict[str, float] = {}
-        self._transitions: Dict[Tuple[str, str], int] = {}
+        self._totals: Dict[Any, Any] = {}
 
     @property
     def state(self) -> str:
@@ -63,17 +70,21 @@ class StateTracker:
         since = self._since
         if now < since:
             raise ValueError(f"time moved backwards: {now} < {since}")
-        res = self._residency
-        res[prev] = res.get(prev, 0.0) + (now - since)
+        totals = self._totals
+        totals[prev] = totals.get(prev, 0.0) + (now - since)
         key = (prev, state)
-        trans = self._transitions
-        trans[key] = trans.get(key, 0) + 1
+        n = totals.get(key)
+        if n is None:
+            totals[_TRANSITION_KEYS.setdefault(key, key)] = 1
+        else:
+            # An existing entry keeps its stored (interned) key.
+            totals[key] = n + 1
         self._state = state
         self._since = now
 
     def residency(self, now: float) -> Dict[str, float]:
         """Residency seconds per state, including the current open interval."""
-        out = dict(self._residency)
+        out = {k: v for k, v in self._totals.items() if type(k) is not tuple}
         out[self._state] = out.get(self._state, 0.0) + (now - self._since)
         return out
 
@@ -88,7 +99,10 @@ class StateTracker:
     def transition_count(self, src: Optional[str] = None, dst: Optional[str] = None) -> int:
         """Count transitions, optionally filtered by source and/or target."""
         total = 0
-        for (from_state, to_state), count in self._transitions.items():
+        for key, count in self._totals.items():
+            if type(key) is not tuple:
+                continue
+            from_state, to_state = key
             if src is not None and from_state != src:
                 continue
             if dst is not None and to_state != dst:
@@ -99,7 +113,14 @@ class StateTracker:
     @property
     def transitions(self) -> Dict[Tuple[str, str], int]:
         """The raw ``(src, dst) -> count`` transition map (read-only view)."""
-        return dict(self._transitions)
+        return {k: v for k, v in self._totals.items() if type(k) is tuple}
+
+
+#: Interned ``(src, dst)`` transition keys shared by every tracker.  Keys
+#: compare by value, so interning changes which equal tuple a tracker
+#: stores, never a lookup; the table holds one entry per distinct pair of
+#: state names, as small as the models' state graphs.
+_TRANSITION_KEYS: Dict[Tuple[str, str], Tuple[str, str]] = {}
 
 
 class EnergyAccount:

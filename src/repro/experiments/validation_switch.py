@@ -29,6 +29,7 @@ from repro.network.topology import star
 from repro.power.controller import DelayTimerController
 from repro.scheduling.policies import PackingPolicy
 from repro.server.states import SystemState
+from repro.telemetry import session as telemetry
 from repro.validation.harness import TraceComparison, compare_power_traces
 from repro.validation.physical import PhysicalSwitchModel
 from repro.workload.arrivals import TraceProcess
@@ -138,6 +139,9 @@ def run_switch_validation(
     farm = build_farm(n_servers, server_cfg, policy=PackingPolicy(), seed=seed)
     topo = star(farm.engine, n_servers, switch_config=cfg)
     switch = topo.switches["sw0"]
+    ts = telemetry.ACTIVE
+    if ts is not None and ts.metrics is not None:
+        switch.register_metrics(ts.metrics, prefix=ts.metrics.namespace("switch"))
 
     controller = DelayTimerController(farm.engine, tau_s)
     for server in farm.servers:

@@ -140,6 +140,11 @@ class Job:
     another forward edge needs no check.  The first backward edge switches
     the job to a full cycle check (Kahn's algorithm) per ``add_edge`` or
     ``add_edges`` call.
+
+    Each edge is stored once, as one ``(src, dst, transfer_bytes)`` record
+    held by both the edge list and its source's child list.  Parents and
+    in-degrees are derived from the edge list where only build-time or
+    rare queries need them (a 1,024-rank ring job has 132K edges).
     """
 
     _id_counter = itertools.count()
@@ -161,8 +166,9 @@ class Job:
         self.collective = None
         self.tasks: List[Task] = []
         self._edges: List[Tuple[int, int, float]] = []
-        self._children: Dict[int, List[Tuple[int, float]]] = {}
-        self._parents: Dict[int, List[Tuple[int, float]]] = {}
+        # Source index -> the records of its outgoing edges (shared with
+        # _edges); the scheduler walks these on every task completion.
+        self._children: Dict[int, List[Tuple[int, int, float]]] = {}
         # True while every edge runs forward (src < dst): see the class doc.
         self._forward = True
         self._finished_tasks = 0
@@ -202,9 +208,9 @@ class Job:
             raise ValueError(f"self-dependency on task {src}")
         if not 0 <= transfer_bytes < _INF:
             raise ValueError(f"transfer size must be finite and >= 0, got {transfer_bytes}")
-        self._edges.append((src, dst, float(transfer_bytes)))
-        self._children.setdefault(src, []).append((dst, float(transfer_bytes)))
-        self._parents.setdefault(dst, []).append((src, float(transfer_bytes)))
+        record = (src, dst, float(transfer_bytes))
+        self._edges.append(record)
+        self._children.setdefault(src, []).append(record)
         self.tasks[dst]._remaining_parents += 1
         forward = self._forward
         if src > dst:
@@ -213,7 +219,6 @@ class Job:
             # Roll back so the job object stays usable after the error.
             self._edges.pop()
             self._children[src].pop()
-            self._parents[dst].pop()
             self.tasks[dst]._remaining_parents -= 1
             self._forward = forward
             raise ValueError(f"edge ({src}, {dst}) would create a cycle")
@@ -230,7 +235,8 @@ class Job:
         n = len(self.tasks)
         forward = self._forward
         try:
-            for src, dst, transfer_bytes in edges:
+            for edge in edges:
+                src, dst, transfer_bytes = edge
                 if not (0 <= src < n and 0 <= dst < n):
                     raise ValueError(
                         f"edge ({src}, {dst}) references missing tasks (n={n})"
@@ -243,10 +249,14 @@ class Job:
                     )
                 if src > dst:
                     self._forward = False
-                record = (src, dst, float(transfer_bytes))
+                # A caller's plain (src, dst, float) tuple already is the
+                # record; keeping it spares the build a second tuple per edge.
+                if type(edge) is tuple and type(transfer_bytes) is float:
+                    record = edge
+                else:
+                    record = (src, dst, float(transfer_bytes))
                 self._edges.append(record)
-                self._children.setdefault(src, []).append((dst, record[2]))
-                self._parents.setdefault(dst, []).append((src, record[2]))
+                self._children.setdefault(src, []).append(record)
                 self.tasks[dst]._remaining_parents += 1
                 added.append(record)
             if not self._forward and self._has_cycle():
@@ -255,7 +265,6 @@ class Job:
             for src, dst, _size in reversed(added):
                 self._edges.pop()
                 self._children[src].pop()
-                self._parents[dst].pop()
                 self.tasks[dst]._remaining_parents -= 1
             self._forward = forward
             raise
@@ -268,25 +277,32 @@ class Job:
 
     def children_of(self, index: int) -> Sequence[Tuple[int, float]]:
         """Outgoing edges of a task: ``(child_index, transfer_bytes)``."""
-        return tuple(self._children.get(index, ()))
+        return tuple((dst, size) for _src, dst, size in self._children.get(index, ()))
 
     def parents_of(self, index: int) -> Sequence[Tuple[int, float]]:
         """Incoming edges of a task: ``(parent_index, transfer_bytes)``."""
-        return tuple(self._parents.get(index, ()))
+        return tuple((src, size) for src, dst, size in self._edges if dst == index)
+
+    def _indegrees(self) -> List[int]:
+        indegree = [0] * len(self.tasks)
+        for _src, dst, _size in self._edges:
+            indegree[dst] += 1
+        return indegree
 
     def root_tasks(self) -> List[Task]:
         """Tasks with no dependencies; these become READY on job arrival."""
-        return [t for t in self.tasks if not self._parents.get(t.index)]
+        indegree = self._indegrees()
+        return [t for t in self.tasks if not indegree[t.index]]
 
     def topological_order(self) -> List[int]:
         """Task indices in a valid topological order (Kahn's algorithm)."""
-        indegree = {i: len(self._parents.get(i, ())) for i in range(len(self.tasks))}
-        frontier = [i for i, d in indegree.items() if d == 0]
+        indegree = self._indegrees()
+        frontier = [i for i, d in enumerate(indegree) if d == 0]
         order: List[int] = []
         while frontier:
             node = frontier.pop()
             order.append(node)
-            for child, _ in self._children.get(node, ()):
+            for _src, child, _size in self._children.get(node, ()):
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     frontier.append(child)
@@ -301,12 +317,18 @@ class Job:
         nominal-speed cores with free communication; useful as a sanity
         baseline in tests and for slack-based policies.
         """
-        longest: Dict[int, float] = {}
+        # ready[i]: the longest path ending at any parent of task i seen so
+        # far; each task pushes its own path length to its children.
+        ready = [0.0] * len(self.tasks)
+        longest = 0.0
         for index in self.topological_order():
-            base = self.tasks[index].service_time_s
-            parents = self._parents.get(index, ())
-            longest[index] = base + max((longest[p] for p, _ in parents), default=0.0)
-        return max(longest.values()) if longest else 0.0
+            path = self.tasks[index].service_time_s + ready[index]
+            if path > longest:
+                longest = path
+            for _src, child, _size in self._children.get(index, ()):
+                if path > ready[child]:
+                    ready[child] = path
+        return longest
 
     def total_work_s(self) -> float:
         """Sum of all task service times (the job's total core demand)."""

@@ -52,6 +52,7 @@ class Flow:
         "last_update",
         "completion",
         "propagation_s",
+        "__weakref__",  # a trace recorder numbers flows through weak references
     )
 
     def __init__(

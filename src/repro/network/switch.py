@@ -18,7 +18,7 @@ latencies to the traffic that caused the wake.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.core.config import SwitchConfig
 from repro.core.engine import Engine, EventHandle
@@ -439,6 +439,27 @@ class Switch:
 
     def active_port_count(self) -> int:
         return sum(1 for p in self.ports if p.state is PortState.ACTIVE)
+
+    def energy_breakdown_j(self, now: Optional[float] = None) -> Dict[str, float]:
+        """Energy up to ``now`` per component: chassis, line cards, ports."""
+        t = self.engine.now if now is None else now
+        return {
+            "chassis": self.chassis_energy.energy_j(t),
+            "linecards": sum(lc.energy.energy_j(t) for lc in self.linecards),
+            "ports": sum(p.energy.energy_j(t) for p in self.ports),
+        }
+
+    def register_metrics(self, registry, prefix: str = "switch.") -> None:
+        """Register power, energy and active ports under ``switch.*`` (lazy
+        sources)."""
+        registry.register_gauge(f"{prefix}power_w", self.power_w)
+        registry.register_gauge(f"{prefix}active_ports", self.active_port_count)
+        for component in ("chassis", "linecards", "ports"):
+            registry.register_gauge(
+                f"{prefix}energy_j.{component}",
+                (lambda c=component: self.energy_breakdown_j()[c]),
+            )
+        registry.register_gauge(f"{prefix}energy_j.total", self.energy_j)
 
     def __repr__(self) -> str:
         return f"<Switch {self.name} {self.state.value} ports={len(self.ports)}>"

@@ -149,9 +149,13 @@ class GlobalScheduler:
         # fail()/repair() invalidate it through the availability listeners.
         self._alive: Optional[List["Server"]] = None
 
+        # Bound once and shared by every server: each read of
+        # ``self._on_task_complete`` makes a new 64-byte bound method.
+        on_task_complete = self._on_task_complete
+        on_availability_change = self._on_availability_change
         for server in self.servers:
-            server.on_task_complete = self._on_task_complete
-            server.add_availability_listener(self._on_availability_change)
+            server.on_task_complete = on_task_complete
+            server.add_availability_listener(on_availability_change)
 
     # ------------------------------------------------------------------
     # Job intake
@@ -356,7 +360,8 @@ class GlobalScheduler:
                 "collective", "step", "collective/steps", now,
                 args={"job": rec.seq_id("job", job), "barrier": task.name},
             )
-        for child_index, transfer_bytes in job.children_of(task.index):
+        # The job's edge records, walked in place (no copy per completion).
+        for _src, child_index, transfer_bytes in job._children.get(task.index, ()):
             child = job.tasks[child_index]
             child.parent_finished()
             self._pending_sources.setdefault(child, []).append(

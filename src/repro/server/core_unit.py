@@ -40,6 +40,12 @@ _RUNNING, _QUEUED, _FINISHED = TaskState.RUNNING, TaskState.QUEUED, TaskState.FI
 class Core:
     """A single execution unit owned by a :class:`Processor`."""
 
+    __slots__ = (
+        "processor", "index", "_mask_shift", "speed_factor", "engine", "state",
+        "current_task", "_state_since", "tracker", "tasks_completed",
+        "_completion", "_c6_timer",
+    )
+
     def __init__(self, processor: "Processor", index: int, speed_factor: float = 1.0):
         if speed_factor <= 0:
             raise ValueError(f"core speed factor must be positive, got {speed_factor}")

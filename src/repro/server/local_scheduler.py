@@ -62,34 +62,45 @@ class UnifiedQueueScheduler(LocalScheduler):
 
     def __init__(self, server: "Server"):
         super().__init__(server)
-        self._queue: Deque[Task] = deque()
+        # Created on the first enqueue: an empty deque costs ~760 bytes, and
+        # most servers of a large farm may never queue a task.
+        self._queue: Optional[Deque[Task]] = None
 
     def enqueue(self, task: Task) -> None:
         task.state = _QUEUED
-        self._queue.append(task)
+        queue = self._queue
+        if queue is None:
+            queue = self._queue = deque()
+        queue.append(task)
 
     def dispatch(self) -> None:
         if not self.server.can_execute:
             return
-        while self._queue:
+        queue = self._queue
+        while queue:
             core = self.server.find_available_core()
             if core is None:
                 return
-            task = self._queue.popleft()
+            task = queue.popleft()
             self.server.start_task_on_core(core, task)
 
     def on_core_free(self, core: Core) -> None:
-        if self._queue and self.server.can_execute and core.available:
-            task = self._queue.popleft()
+        queue = self._queue
+        if queue and self.server.can_execute and core.available:
+            task = queue.popleft()
             self.server.start_task_on_core(core, task)
 
     @property
     def queued_count(self) -> int:
-        return len(self._queue)
+        queue = self._queue
+        return len(queue) if queue else 0
 
     def drain(self) -> List[Task]:
-        tasks = list(self._queue)
-        self._queue.clear()
+        queue = self._queue
+        if not queue:
+            return []
+        tasks = list(queue)
+        queue.clear()
         return tasks
 
 

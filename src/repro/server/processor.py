@@ -28,6 +28,13 @@ _PC0, _PC6 = PackageState.PC0, PackageState.PC6
 class Processor:
     """One socket's package: cores, package C-state, P-state (DVFS)."""
 
+    __slots__ = (
+        "engine", "config", "socket_index", "server_label", "allow_package_c6",
+        "frequency_ghz", "_homogeneous", "_busy", "_state_mask", "_all_c6_mask",
+        "cores", "package_state", "tracker", "_pc6_timer", "_active_w", "_c1_w",
+        "_c6_w", "_uncore_pc0", "_uncore_pc6", "_cores_power_cache", "_server",
+    )
+
     def __init__(
         self,
         engine: Engine,

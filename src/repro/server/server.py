@@ -47,6 +47,24 @@ _PC6 = PackageState.PC6
 class Server:
     """One simulated server (Fig. 2 of the paper)."""
 
+    # A farm holds tens of thousands of servers, and CPython 3.11 shares an
+    # instance dict's keys only up to 29 attributes: past that, every
+    # instance carries a private ~1.6 KB dict.  ``on_task_complete`` stays
+    # in the per-instance ``__dict__``: it is the one attribute wired per
+    # server, and tools wrap it per instance through ``vars(server)``.
+    __slots__ = (
+        "__dict__", "__weakref__",
+        "engine", "config", "server_id", "name", "auto_wake_on_arrival",
+        "_system_state", "_sleep_target", "_wake_pending", "_transition",
+        "_pool", "_pool_slot", "_notify_held", "_availability_listeners",
+        "processors", "_single_proc", "_cpower_cache",
+        "_p_failed", "_p_s3", "_p_s5", "_p_waking", "_all_cores",
+        "local_scheduler", "power_controller", "residency",
+        "cpu_energy", "dram_energy", "platform_energy",
+        "tasks_completed", "tasks_submitted", "failure_count", "repair_count",
+        "tags", "_state_since",
+    )
+
     def __init__(
         self,
         engine: Engine,

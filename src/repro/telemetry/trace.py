@@ -1,9 +1,13 @@
 """Structured trace recorder and Chrome/Perfetto trace-event exporter.
 
-Events are recorded as plain tuples — ``(ts, cat, name, ph, track, dur, id,
-args)`` — into a bounded ring (``collections.deque``); once the ring is
-full the oldest events are dropped and counted in
-:attr:`TraceRecorder.dropped`.
+Events are recorded as flat tuples — ``(ts, cat, name, ph, track, dur, id,
+*arg_keys, *arg_values)`` — into a bounded ring (``collections.deque``);
+once the ring is full the oldest events are dropped and counted in
+:attr:`TraceRecorder.dropped`.  Flat, because a tuple of atomic values is
+untracked by the cyclic collector at its first pass, where an ``args``
+dict (or a tuple holding one) stays tracked for the whole run: recorded
+events leave the collector nothing to walk.  :func:`event_args` reads the
+``args`` dict back.
 
 Determinism contract
 --------------------
@@ -30,17 +34,22 @@ track.
 
 from __future__ import annotations
 
+import functools
 import json
+import weakref
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Event categories, in taxonomy order (see DESIGN.md).
 CATEGORIES = ("task", "power", "net", "sched", "fault", "job", "facility", "collective")
 
-#: One recorded event: (ts_s, cat, name, ph, track, dur_s, id, args).
-Event = Tuple[float, str, str, str, str, float, Optional[int], Optional[dict]]
+#: One recorded event: (ts_s, cat, name, ph, track, dur_s, id, *arg_keys,
+#: *arg_values); an event without args has just the first seven fields.
+Event = Tuple[Any, ...]
 
-#: Default ring capacity; ~100 bytes/event, so the cap bounds memory at ~100 MB.
+#: Default ring capacity.  An event holds ~220 bytes (its tuple plus its own
+#: timestamp floats and name strings; measured on a traced delay-timer run),
+#: so the cap bounds memory at ~220 MB.
 DEFAULT_MAX_EVENTS = 1_000_000
 
 #: Chrome trace-event phases the exporter/validator understand.
@@ -101,10 +110,14 @@ class TraceRecorder:
         self.max_events = max_events
         self.events: Deque[Event] = deque(maxlen=max_events)
         self.emitted = 0
-        # Deterministic per-run object numbering; strong refs pin the keyed
-        # objects so CPython id() reuse cannot alias two distinct objects.
+        # Deterministic per-run object numbering, keyed by id().  CPython
+        # reuses a dead object's id, so a numbered object is either watched
+        # through a weak reference that drops its entry when it dies (jobs,
+        # flows: finished ones are then neither kept alive nor walked by the
+        # collector) or, when it takes no weak reference, pinned.
         self._seq_ids: Dict[Tuple[str, int], int] = {}
         self._seq_next: Dict[str, int] = {}
+        self._seq_refs: Dict[Tuple[str, int], weakref.ref] = {}
         self._seq_pins: List[Any] = []
 
     # ------------------------------------------------------------------
@@ -126,8 +139,17 @@ class TraceRecorder:
             seq = self._seq_next.get(kind, 0)
             self._seq_next[kind] = seq + 1
             self._seq_ids[key] = seq
-            self._seq_pins.append(obj)
+            try:
+                self._seq_refs[key] = weakref.ref(
+                    obj, functools.partial(self._forget, key)
+                )
+            except TypeError:
+                self._seq_pins.append(obj)
         return seq
+
+    def _forget(self, key: Tuple[str, int], _ref: weakref.ref) -> None:
+        del self._seq_ids[key]
+        del self._seq_refs[key]
 
     # ------------------------------------------------------------------
     # Emit surface (args must be JSON-serialisable)
@@ -142,38 +164,56 @@ class TraceRecorder:
         args: Optional[dict] = None,
     ) -> None:
         """A span with known start and duration (Chrome ``ph="X"``)."""
-        self._emit((start, cat, name, "X", track, dur, None, args))
+        self._emit(start, cat, name, "X", track, dur, None, args)
 
     def instant(
         self, cat: str, name: str, track: str, ts: float, args: Optional[dict] = None
     ) -> None:
         """A point-in-time marker (Chrome ``ph="i"``)."""
-        self._emit((ts, cat, name, "i", track, 0.0, None, args))
+        self._emit(ts, cat, name, "i", track, 0.0, None, args)
 
     def begin(
         self, cat: str, name: str, track: str, ts: float, eid: int,
         args: Optional[dict] = None,
     ) -> None:
         """Open an async span (Chrome ``ph="b"``); pair with :meth:`end`."""
-        self._emit((ts, cat, name, "b", track, 0.0, eid, args))
+        self._emit(ts, cat, name, "b", track, 0.0, eid, args)
 
     def end(
         self, cat: str, name: str, track: str, ts: float, eid: int,
         args: Optional[dict] = None,
     ) -> None:
         """Close the async span opened with the same ``(cat, name, eid)``."""
-        self._emit((ts, cat, name, "e", track, 0.0, eid, args))
+        self._emit(ts, cat, name, "e", track, 0.0, eid, args)
 
     def counter(
         self, cat: str, name: str, track: str, ts: float, values: dict
     ) -> None:
         """Sampled counter series (Chrome ``ph="C"``); one stacked chart per
         ``(track, name)``, one series per key in ``values``."""
-        self._emit((ts, cat, name, "C", track, 0.0, None, values))
+        self._emit(ts, cat, name, "C", track, 0.0, None, values)
 
-    def _emit(self, event: Event) -> None:
+    def _emit(
+        self, ts: float, cat: str, name: str, ph: str, track: str, dur: float,
+        eid: Optional[int], args: Optional[dict],
+    ) -> None:
         self.emitted += 1
-        self.events.append(event)
+        if args:
+            self.events.append(
+                (ts, cat, name, ph, track, dur, eid, *args, *args.values())
+            )
+        else:
+            self.events.append((ts, cat, name, ph, track, dur, eid))
+
+
+def event_args(event: Sequence[Any]) -> Optional[dict]:
+    """The ``args`` dict of a recorded event, or None if it has none."""
+    if len(event) == 8:
+        # (ts, ..., id, args): sweep journals written before events were
+        # flat (a flat event always has an odd length).
+        return event[7]
+    n = (len(event) - 7) // 2
+    return dict(zip(event[7:7 + n], event[7 + n:])) if n else None
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +238,8 @@ def chrome_events(
     seen_pids: Dict[int, str] = {}
     tids: Dict[Tuple[int, str], int] = {}
     next_tid: Dict[int, int] = {}
-    for ts, cat, name, ph, track, dur, eid, args in events:
+    for event in events:
+        ts, cat, name, ph, track, dur, eid = event[:7]
         process = _process_for_track(track)
         pid = pid_base + _PROCESS_IDS[process]
         if pid not in seen_pids:
@@ -234,6 +275,7 @@ def chrome_events(
             entry["dur"] = round(dur * 1e6, 3)
         if eid is not None:
             entry["id"] = eid
+        args = event_args(event)
         if args:
             entry["args"] = args
         out.append(entry)

@@ -80,6 +80,25 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             read_checkpoint(str(tmp_path / "absent.ckpt"))
 
+    def test_version_3_checkpoint_refused(self, tmp_path):
+        # Version 4 gave the server model slotted layouts: a version-3 world
+        # would unpickle into classes with missing fields, so it is refused
+        # before the payload is touched.
+        path = str(tmp_path / "v3.ckpt")
+        write_checkpoint(path, b"payload-bytes", _meta())
+        header_line, payload = open(path, "rb").read().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["version"] = 3
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        assert CHECKPOINT_VERSION == 4
+        with pytest.raises(
+            CheckpointError,
+            match="written by checkpoint format version 3, this build reads "
+                  "version 4; re-run from scratch",
+        ):
+            read_checkpoint(path)
+
 
 class TestScenarioFingerprint:
     def test_stable_across_calls(self):

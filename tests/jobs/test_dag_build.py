@@ -203,3 +203,96 @@ def test_training_ring_build_runs_no_topological_sort(monkeypatch):
     assert calls == []
     job.topological_order()  # the counter itself works
     assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# Storage: one record per edge, against the former triple storage
+# ----------------------------------------------------------------------
+class _TripleStorage:
+    """A job DAG stored as jobs once stored it: every edge three times, as
+    an edge record, a ``(dst, bytes)`` child entry and a ``(src, bytes)``
+    parent entry, each query read from the explicit maps."""
+
+    def __init__(self, service_times: List[float]):
+        self.service = service_times
+        self.edges: List[Tuple[int, int, float]] = []
+        self.children: Dict[int, List[Tuple[int, float]]] = {}
+        self.parents: Dict[int, List[Tuple[int, float]]] = {}
+
+    def add(self, src: int, dst: int, size: float) -> None:
+        self.edges.append((src, dst, size))
+        self.children.setdefault(src, []).append((dst, size))
+        self.parents.setdefault(dst, []).append((src, size))
+
+    def roots(self) -> List[int]:
+        return [i for i in range(len(self.service)) if not self.parents.get(i)]
+
+    def order(self) -> List[int]:
+        indegree = {i: len(self.parents.get(i, ())) for i in range(len(self.service))}
+        frontier = [i for i, d in indegree.items() if d == 0]
+        order: List[int] = []
+        while frontier:
+            node = frontier.pop()
+            order.append(node)
+            for child, _ in self.children.get(node, ()):
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    frontier.append(child)
+        return order
+
+    def critical_path(self) -> float:
+        longest: Dict[int, float] = {}
+        for index in self.order():
+            parents = self.parents.get(index, ())
+            longest[index] = self.service[index] + max(
+                (longest[p] for p, _ in parents), default=0.0
+            )
+        return max(longest.values()) if longest else 0.0
+
+
+@st.composite
+def _acyclic_dags(draw):
+    """Service times plus an acyclic edge list, in order: forward only
+    (index order is topological) or consistent with a hidden order, so
+    edges may run backward; fed edge by edge or in batches."""
+    n = draw(st.integers(1, 9))
+    service = draw(st.lists(
+        st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False),
+        min_size=n, max_size=n,
+    ))
+    hidden = list(range(n)) if draw(st.booleans()) else draw(st.permutations(range(n)))
+    rank = {task: pos for pos, task in enumerate(hidden)}
+    edges = []
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3 * n))):
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            a, b = sorted((a, b), key=rank.__getitem__)
+            edges.append((a, b, draw(st.sampled_from([0.0, 1.0, 2.5e5]))))
+    batch = draw(st.integers(1, 4))
+    return service, edges, batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(_acyclic_dags())
+def test_structure_queries_match_the_triple_storage(case):
+    service, edges, batch = case
+    job = Job()
+    for s in service:
+        job.add_task(s)
+    ref = _TripleStorage(service)
+    for start in range(0, len(edges), batch):
+        chunk = edges[start:start + batch]
+        if len(chunk) == 1:
+            job.add_edge(*chunk[0])
+        else:
+            job.add_edges(chunk)
+        for edge in chunk:
+            ref.add(*edge)
+    assert list(job.edges) == ref.edges
+    for i in range(len(service)):
+        assert job.children_of(i) == tuple(ref.children.get(i, ()))
+        assert job.parents_of(i) == tuple(ref.parents.get(i, ()))
+    assert [t.index for t in job.root_tasks()] == ref.roots()
+    assert job.topological_order() == ref.order()
+    assert job.critical_path_s() == ref.critical_path()

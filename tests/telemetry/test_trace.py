@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from repro.jobs.task import Job
 from repro.telemetry.trace import (
     CATEGORIES,
     PROCESS_STRIDE,
@@ -13,6 +16,7 @@ from repro.telemetry.trace import (
     check_chrome_trace,
     chrome_trace,
     chrome_trace_points,
+    event_args,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -57,6 +61,31 @@ class TestRecorder:
         assert rec.seq_id("job", a) == 0  # stable on re-touch
         assert rec.seq_id("flow", b) == 0  # kinds number independently
 
+    def test_recorded_events_leave_nothing_for_the_collector(self):
+        rec = TraceRecorder()
+        rec.complete("task", "t0", "server/s0/cpu0.0", 1.0, 0.5,
+                     args={"job": 3, "type": "web"})
+        rec.instant("fault", "fail", "fault/server:1", 2.0)
+        rec.counter("facility", "plant", "facility/plant", 3.0, {"power_w": 9.5})
+        gc.collect()
+        assert not any(gc.is_tracked(ev) for ev in rec.events)
+        assert [event_args(ev) for ev in rec.events] == [
+            {"job": 3, "type": "web"}, None, {"power_w": 9.5},
+        ]
+
+    def test_seq_id_does_not_keep_numbered_jobs_alive(self):
+        rec = TraceRecorder()
+        job = Job()
+        alive = weakref.ref(job)
+        assert rec.seq_id("job", job) == 0
+        assert rec.seq_id("job", job) == 0
+        del job
+        gc.collect()
+        assert alive() is None
+        assert rec._seq_ids == {}
+        # A later job (which may reuse the dead one's id) gets a new number.
+        assert rec.seq_id("job", Job()) == 1
+
     def test_seq_id_pins_objects_against_id_reuse(self):
         rec = TraceRecorder()
         # Without a strong reference, a GC'd object's id() can be handed to
@@ -95,6 +124,19 @@ class TestChromeExport:
         assert names == {
             1: "servers", 2: "network", 3: "scheduler", 4: "jobs", 5: "faults",
         }
+
+    def test_args_exported_from_flat_and_journaled_events(self):
+        rec = TraceRecorder()
+        rec.complete("task", "t", "sim", 1.0, 0.5, args={"job": 2, "type": "db"})
+        flat = list(rec.events[0])
+        # Sweep journals written before events were flat hold (..., id, args).
+        journaled = flat[:7] + [{"job": 2, "type": "db"}]
+        entries = [
+            [e for e in chrome_trace([ev])["traceEvents"] if e["ph"] == "X"][0]
+            for ev in (flat, journaled)
+        ]
+        assert entries[0] == entries[1]
+        assert entries[0]["args"] == {"job": 2, "type": "db"}
 
     def test_timestamps_scaled_to_microseconds(self):
         rec = TraceRecorder()

@@ -602,7 +602,10 @@ METRICS_ROWS = {
     "joint": (["joint", "--utilizations", "0.3", "--num-jobs", "5"],
               ("workload.jobs_injected", "network.flows_completed")),
     "validate-server": (["validate-server", "--duration", "5"], ()),
-    "validate-switch": (["validate-switch", "--duration", "20"], ()),
+    "validate-switch": (["validate-switch", "--duration", "20"],
+                        ("switch.power_w", "switch.active_ports",
+                         "switch.energy_j.chassis", "switch.energy_j.linecards",
+                         "switch.energy_j.ports", "switch.energy_j.total")),
     "faults": (["faults", "--mtbfs", "2", "--servers", "2", "--duration", "4"],
                ("faults.failures_injected", "faults.repairs_applied",
                 "faults.fleet_availability")),
