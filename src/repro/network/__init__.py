@@ -18,8 +18,9 @@ Models a complete data center interconnect:
   per-output-port queues.
 
 Both communication models expose ``transfer(src_server_id, dst_server_id,
-size_bytes, callback)``, the interface the global scheduler uses to move DAG
-results between servers.
+size_bytes, callback, on_drop=None)``, the interface the global scheduler
+uses to move DAG results between servers.  Only packets are ever dropped, so
+only :class:`PacketNetwork` calls ``on_drop``.
 """
 
 from repro.network.link import Link

@@ -204,11 +204,14 @@ class FlowNetwork:
         dst_server_id: int,
         size_bytes: float,
         callback: Callable[[], None],
+        on_drop: Optional[Callable[..., None]] = None,
     ) -> Optional[Flow]:
         """Move ``size_bytes`` between servers; ``callback`` fires on arrival.
 
         Same-server transfers complete after ``local_transfer_delay_s`` (data
         never leaves the machine).  Returns the created flow, if any.
+        ``on_drop`` is never called: a flow loses no data.  It is accepted
+        so both network models take the same arguments.
         """
         if not 0 <= size_bytes < math.inf:
             raise ValueError(

@@ -102,7 +102,7 @@ class DelayTimerController(ServerPowerController):
 
     def on_task_arrival(self, server: "Server", task: Task) -> None:
         self._cancel_timer(server)
-        # The server wakes itself (auto_wake_on_arrival); nothing else to do.
+        # The server wakes itself on arrival; nothing else to do.
 
     def tau_for(self, server: "Server") -> Optional[float]:
         """The timer value in force for ``server`` (per-server override wins)."""

@@ -337,7 +337,16 @@ def _run_points(
         while pending and len(inflight) < workers:
             point, fingerprint = pending.popleft()
             started = time.monotonic()
-            future = executor.submit(_execute_point, point, capture)
+            try:
+                future = executor.submit(_execute_point, point, capture)
+            except BrokenProcessPool as exc:
+                # A worker died after the last wait() returned.  This point
+                # fails like one in flight on a dead worker and nothing more
+                # is submitted, so the points that finished are still
+                # recorded before the sweep stops.
+                future = Future()
+                future.set_exception(exc)
+                pending.clear()
             inflight[future] = (point, fingerprint, started)
         horizon = None
         if timeout is not None:
@@ -434,6 +443,11 @@ def run_sweep_detailed(
             if cursor < len(entries):
                 entry = entries[cursor]
                 consumed[fingerprint] = cursor + 1
+                telemetry = entry.get("telemetry")
+                if telemetry is not None and "events" in telemetry:
+                    # JSON turned each event tuple into a list: hand the
+                    # events over in the form a fresh point does.
+                    telemetry["events"] = [tuple(ev) for ev in telemetry["events"]]
                 outcomes[point.index] = PointOutcome(
                     index=point.index,
                     label=point.label or entry.get("label", ""),
@@ -442,7 +456,7 @@ def run_sweep_detailed(
                     duration_s=float(entry.get("duration_s", 0.0)),
                     value=decode_result(entry["result"]),
                     cached=True,
-                    telemetry=entry.get("telemetry"),
+                    telemetry=telemetry,
                 )
 
     def record(outcome: PointOutcome) -> None:

@@ -16,7 +16,6 @@ Responsibilities (paper §III-C/E):
 
 from __future__ import annotations
 
-import inspect
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -65,8 +64,9 @@ class GlobalScheduler:
         servers: all servers in the farm.
         policy: dispatch policy for ready tasks.
         network: optional network model exposing
-            ``transfer(src_server_id, dst_server_id, size_bytes, callback)``;
-            when absent, cross-server transfers complete instantly.
+            ``transfer(src_server_id, dst_server_id, size_bytes, callback,
+            on_drop)``; when absent, cross-server transfers complete
+            instantly.
         use_global_queue: hold tasks centrally when the policy returns None.
         eligible_provider: optional callable returning the servers currently
             eligible for dispatch (pool managers plug in here); defaults to
@@ -128,16 +128,6 @@ class GlobalScheduler:
         self.transfer_delay = LatencyCollector("transfer_delay")
         self.on_job_complete: Optional[Callable[[Job], None]] = None
         self.on_job_failed: Optional[Callable[[Job], None]] = None
-
-        # Whether the network's transfer() accepts the on_drop callback
-        # (PR-3 loud tail-drop); older/simpler network models may not.
-        self._network_takes_on_drop = False
-        if network is not None:
-            try:
-                parameters = inspect.signature(network.transfer).parameters
-                self._network_takes_on_drop = "on_drop" in parameters
-            except (TypeError, ValueError):  # pragma: no cover - exotic callables
-                pass
 
         # Pending result transfers recorded per not-yet-placed child task:
         # child -> list of (src_server_id, bytes).
@@ -235,18 +225,10 @@ class GlobalScheduler:
                 self.transfer_bytes_launched += size_bytes
                 started_at = self.engine.now
                 done = _TransferDone(self, task, started_at)
-                if self._network_takes_on_drop:
-                    self.network.transfer(
-                        src_server_id,
-                        server.server_id,
-                        size_bytes,
-                        done,
-                        on_drop=self._transfer_dropped,
-                    )
-                else:
-                    self.network.transfer(
-                        src_server_id, server.server_id, size_bytes, done
-                    )
+                self.network.transfer(
+                    src_server_id, server.server_id, size_bytes, done,
+                    on_drop=self._transfer_dropped,
+                )
         if not launched and task.dependencies_met:
             self._submit(task, server)
         # If transfers were launched, _submit happens from the last callback.

@@ -54,7 +54,7 @@ class Server:
     # server, and tools wrap it per instance through ``vars(server)``.
     __slots__ = (
         "__dict__", "__weakref__",
-        "engine", "config", "server_id", "name", "auto_wake_on_arrival",
+        "engine", "config", "server_id", "name",
         "_system_state", "_sleep_target", "_wake_pending", "_transition",
         "_pool", "_pool_slot", "_notify_held", "_availability_listeners",
         "processors", "_single_proc", "_cpower_cache",
@@ -72,13 +72,11 @@ class Server:
         server_id: int = 0,
         name: Optional[str] = None,
         allow_package_c6: bool = True,
-        auto_wake_on_arrival: bool = True,
     ):
         self.engine = engine
         self.config = config
         self.server_id = server_id
         self.name = name or f"{config.name}-{server_id}"
-        self.auto_wake_on_arrival = auto_wake_on_arrival
         self._system_state = _S0
         self._sleep_target = _S3
         self._wake_pending = False
@@ -221,7 +219,7 @@ class Server:
             self.power_controller.on_task_arrival(self, task)
         if self._system_state is _S0:
             self.local_scheduler.dispatch()
-        elif self.auto_wake_on_arrival:
+        else:
             self.request_wake()
 
     @property

@@ -70,10 +70,15 @@ class TelemetrySession:
         self.point_captures.append((label, payload))
 
     def payload(self) -> dict:
-        """This session's telemetry as one JSON-serialisable dict."""
+        """This session's telemetry as one JSON-serialisable dict.
+
+        The events are the recorder's own flat tuples, which the cyclic
+        collector stops tracking, so a sweep's parent session can hold every
+        point's events without the collector walking them.
+        """
         doc: dict = {}
         if self.recorder is not None:
-            doc["events"] = [list(ev) for ev in self.recorder.events]
+            doc["events"] = list(self.recorder.events)
             doc["dropped"] = self.recorder.dropped
         if self.metrics is not None:
             doc["metrics"] = self.metrics.snapshot()

@@ -1,38 +1,24 @@
-"""Durable runs of the plain Table I experiment: kill, restore, same report.
+"""Durable runs of the plain Table I experiment: restored rates and refusals.
 
-A durable ``run_scalability`` checkpoints the very world the plain run
-builds, so a run killed at any cut and restored must reproduce the plain
-run's observables exactly — metrics snapshot included — under a strict
-conservation audit.
+The identity itself (killed at any cut, restored, the same result fields and
+metrics snapshot) is the ``durable`` column of
+``tests/test_execution_matrix.py``, which kills runs with the hook below.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.checkpoint import CheckpointError, DurabilityOptions, durable
 from repro.experiments.scalability import run_scalability
-from repro.telemetry import session as telemetry
 
 #: ~0.026 simulated seconds of work: cuts every 5 ms give five checkpoints.
 MODEL = dict(n_servers=64, n_jobs=400, seed=13)
 EVERY_S = 0.005
-#: Result fields describing the session that ran, not the simulated model.
-SESSION_FIELDS = ("wall_seconds", "restored_events", "restored_jobs")
 
 
 class _Killed(Exception):
     """Stands in for the process dying right after a checkpoint landed."""
-
-
-def _observe(**kwargs):
-    """Report fields (minus session timing) and the full metrics snapshot."""
-    with telemetry.session(trace=False, metrics=True) as sess:
-        result = run_scalability(audit="strict", **MODEL, **kwargs)
-    fields = {k: v for k, v in vars(result).items() if k not in SESSION_FIELDS}
-    return fields, sess.metrics.snapshot()
 
 
 def _die_after_checkpoint(monkeypatch, n: int) -> None:
@@ -46,35 +32,6 @@ def _die_after_checkpoint(monkeypatch, n: int) -> None:
             raise _Killed
 
     monkeypatch.setattr(durable, "write_checkpoint", write)
-
-
-class TestRestoreIdentity:
-    @pytest.mark.parametrize("pool", [True, False], ids=["pooled", "exact"])
-    @pytest.mark.parametrize("cut", [1, 3, 5])
-    def test_killed_then_restored_matches_plain_run(
-        self, tmp_path, monkeypatch, pool, cut
-    ):
-        plain = _observe(pool=pool)
-        path = str(tmp_path / "run.ckpt")
-        _die_after_checkpoint(monkeypatch, cut)
-        with pytest.raises(_Killed):
-            run_scalability(**MODEL, pool=pool, durability=DurabilityOptions(
-                checkpoint_path=path, checkpoint_every_s=EVERY_S,
-            ))
-        monkeypatch.undo()
-        restored = _observe(
-            pool=pool, durability=DurabilityOptions(restore_from=path)
-        )
-        assert restored == plain
-        assert plain[0]["n_jobs"] == MODEL["n_jobs"]
-
-    def test_uninterrupted_checkpointing_run_matches_plain_run(self, tmp_path):
-        path = str(tmp_path / "run.ckpt")
-        durable_run = _observe(pool=True, durability=DurabilityOptions(
-            checkpoint_path=path, checkpoint_every_s=EVERY_S,
-        ))
-        assert durable_run == _observe(pool=True)
-        assert os.path.exists(path)
 
 
 class TestRestoredRates:

@@ -1,14 +1,11 @@
-"""Tests for the facility_carbon experiment: physics outcomes + determinism.
+"""Tests for the facility_carbon experiment: physics outcomes + telemetry.
 
-The determinism tests are the load-bearing ones: the facility layer's
-traces, metrics, and results must be byte-identical whether points ran
-inline, across pool workers, or through a journal resume — otherwise
-``--jobs``/``--resume`` silently change the science.
+That its results and telemetry are byte-identical inline, across pool
+workers and through a journal resume is the ``facility-carbon`` row of
+``tests/test_execution_matrix.py``.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -16,7 +13,7 @@ from repro.experiments.facility_carbon import (
     run_facility_carbon_point,
     run_facility_carbon_sweep,
 )
-from repro.runner import SweepOptions, SweepSpec, run_sweep
+from repro.runner import SweepSpec, run_sweep
 from repro.telemetry import session as telemetry
 
 FAST = dict(n_servers=4, n_cores=2, n_zones=2, utilization=0.3,
@@ -83,36 +80,8 @@ class TestPhysics:
 
 
 class TestDeterminism:
-    @pytest.mark.usefixtures("real_pool")
-    def test_pool_matches_inline_bit_identical(self):
-        """Results AND reassembled telemetry must match across jobs=1 and a
-        real worker pool."""
-        captures, results = [], []
-        for jobs in (1, 2):
-            with telemetry.session(trace=True, metrics=True) as sess:
-                values = run_sweep(_spec(), jobs=jobs)
-            captures.append(json.dumps(sess.point_captures, sort_keys=True))
-            results.append(repr(values))
-        assert results[0] == results[1]
-        assert captures[0] == captures[1]
-
-    def test_resume_matches_uninterrupted(self, tmp_path):
-        journal_path = str(tmp_path / "sweep.journal")
-        partial = SweepSpec("facility-carbon")
-        partial.add(run_facility_carbon_point, setpoint_c=22.0,
-                    carbon="solar", **FAST)
-        with telemetry.session(trace=True, metrics=True) as first:
-            run_sweep(partial, options=SweepOptions(journal_path=journal_path))
-        with telemetry.session(trace=True, metrics=True) as resumed:
-            resumed_values = run_sweep(_spec(), options=SweepOptions(
-                journal_path=journal_path, resume=True))
-        with telemetry.session(trace=True, metrics=True) as baseline:
-            baseline_values = run_sweep(_spec())
-        assert repr(resumed_values) == repr(baseline_values)
-        assert first.point_captures == resumed.point_captures[:1]
-        assert json.dumps(resumed.point_captures, sort_keys=True) == (
-            json.dumps(baseline.point_captures, sort_keys=True)
-        )
+    """The point payloads whose byte-identity the matrix checks carry the
+    facility's own trace events."""
 
     def test_facility_trace_category_is_captured(self):
         with telemetry.session(trace=True, metrics=True) as sess:

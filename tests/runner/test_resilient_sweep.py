@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -313,6 +314,44 @@ class TestPoolResilience:
             journal_path=journal_path, resume=True))
         assert resumed.values() == [0, 1, 2, 3]
         assert [o.index for o in resumed.outcomes if o.cached] == done
+
+    def test_worker_death_seen_at_submit_stops_sweep(self, tmp_path, monkeypatch):
+        """The pool breaks after wait() returns and before the next submit.
+        The point that finished is journaled and handed over, the point that
+        could not be submitted fails with the pool's error, and the sweep
+        stops with SweepError."""
+        import repro.runner.sweep as sweep_mod
+
+        class BreaksAtSecondSubmit(Executor):
+            def __init__(self, *args, **kwargs):
+                self.submits = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submits += 1
+                if self.submits == 2:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                future.set_result(fn(*args, **kwargs))
+                return future
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", BreaksAtSecondSubmit)
+        journal_path = str(tmp_path / "sweep.jsonl")
+        spec = SweepSpec("traced")
+        for x in range(3):
+            spec.add(w.traced_work, x=x)
+        with telemetry.session(trace=True) as sess:
+            with pytest.raises(SweepError) as excinfo:
+                run_sweep(spec, jobs=2, options=SweepOptions(journal_path=journal_path))
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        assert [o.status for o in excinfo.value.result.outcomes] == [
+            "ok", "failed", "skipped"
+        ]
+        assert [label for label, _ in sess.point_captures] == ["x=0"]
+        with open(journal_path) as fh:
+            lines = [json.loads(line) for line in fh][1:]  # skip the header
+        assert [(ln["label"], ln["status"]) for ln in lines] == [
+            ("x=0", "ok"), ("x=1", "failed"),
+        ]
 
     def test_worker_keyboard_interrupt_raises_sweep_interrupted(self):
         spec = SweepSpec("ctrl-c")
