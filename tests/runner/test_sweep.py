@@ -1,7 +1,10 @@
 """Tests for the declarative sweep runner.
 
 That a real experiment sweep reports the same bytes at ``--jobs 1`` and on a
-worker pool is the ``pool`` column of ``tests/test_execution_matrix.py``.
+worker pool is the ``pool`` column of ``tests/test_execution_matrix.py``;
+``TestParallelDeterminism`` checks the same through the Python API, where
+``repr`` makes NaN fields (e.g. mean latency of a point that completed zero
+jobs) compare equal.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ import os
 
 import pytest
 
+from repro.experiments.delay_timer import run_delay_timer_sweep
 from repro.runner import SweepPoint, SweepSpec, run_sweep
+from repro.workload.profiles import web_search_profile
 
 
 def _add(a, b):
@@ -45,6 +50,29 @@ class TestRunSweep:
 
     def test_empty_spec(self):
         assert run_sweep(SweepSpec("s"), jobs=4) == []
+
+
+def _point_reprs(sweep):
+    return [repr(p) for p in sweep.points]
+
+
+@pytest.mark.slow
+@pytest.mark.usefixtures("real_pool")
+class TestParallelDeterminism:
+    """jobs=N output must equal jobs=1 exactly, per the determinism contract."""
+
+    def test_delay_timer_sweep_bit_identical(self):
+        kwargs = dict(
+            tau_values=(0.0, 0.05, 0.2),
+            utilizations=(0.3,),
+            n_servers=4,
+            n_cores=2,
+            duration_s=3.0,
+            seed=1,
+        )
+        serial = run_delay_timer_sweep(web_search_profile(), jobs=1, **kwargs)
+        parallel = run_delay_timer_sweep(web_search_profile(), jobs=4, **kwargs)
+        assert _point_reprs(serial) == _point_reprs(parallel)
 
 
 class TestElasticWorkers:

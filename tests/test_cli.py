@@ -478,6 +478,29 @@ class TestObservabilityExecution:
         "--servers", "2", "--duration", "2",
     ]
 
+    @pytest.mark.usefixtures("real_pool")
+    def test_trace_export_is_valid_and_jobs_invariant(self, capsys, tmp_path):
+        from repro.telemetry import validate_chrome_trace
+
+        paths = []
+        for jobs, name in ((1, "t1.json"), (2, "t2.json")):
+            path = tmp_path / name
+            main(self._TINY + ["--jobs", str(jobs), "--trace", str(path)])
+            capsys.readouterr()
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        import json
+
+        doc = json.loads(paths[0].read_text())
+        assert validate_chrome_trace(doc) == []
+        tracks = {
+            (ev["pid"], ev["tid"]) for ev in doc["traceEvents"]
+            if ev["ph"] in ("X", "i")
+        }
+        assert tracks  # power/task tracks materialised
+        names = {ev["name"] for ev in doc["traceEvents"] if ev["ph"] == "M"}
+        assert {"process_name", "thread_name"} <= names
+
     def test_metrics_export_json_and_csv(self, capsys, tmp_path):
         import csv
         import json
