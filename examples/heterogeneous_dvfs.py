@@ -92,7 +92,8 @@ def main() -> None:
         if engine.now < 2.0:
             engine.schedule(0.1, sample)
     engine.schedule(0.05, sample)
-    engine.run()
+    # The governor re-arms its tick forever, so run to the wave's end.
+    engine.run(until=2.0)
 
     print("DVFS governor tracking a hot/cold square wave (4-core server):")
     for t, f in freqs:

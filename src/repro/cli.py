@@ -116,8 +116,9 @@ def _positive(kind: type, what: str, zero_ok: bool = False):
 
 _seconds = _positive(float, "a finite number of seconds > 0")
 _count = _positive(int, "an integer >= 1")
-#: A delay timer: τ = 0 sleeps as soon as the server is idle.
-_tau = _positive(float, "a finite number of seconds >= 0", zero_ok=True)
+#: A delay timer (τ = 0 sleeps as soon as the server is idle) or a
+#: checkpoint interval (0 = only on interrupt).
+_seconds_or_zero = _positive(float, "a finite number of seconds >= 0", zero_ok=True)
 
 
 def _sweep_options(args: argparse.Namespace) -> SweepOptions:
@@ -541,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "also written on SIGINT/SIGTERM before exiting 130",
         )
         group.add_argument(
-            "--checkpoint-every", type=float, default=0.0, metavar="T",
+            "--checkpoint-every", type=_seconds_or_zero, default=0.0, metavar="T",
             help="checkpoint every T simulated seconds; requires "
                  "--checkpoint. 0 = only on interrupt",
         )
@@ -579,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delay-timer", help="Fig. 5: single delay timer sweep")
     p.add_argument("--workload", default="web-search", choices=sorted(WORKLOADS))
-    p.add_argument("--taus", type=_tau, nargs="+",
+    p.add_argument("--taus", type=_seconds_or_zero, nargs="+",
                    default=[0.0, 0.01, 0.05, 0.1, 0.4, 1.0, 5.0])
     p.add_argument("--utilizations", type=float, nargs="+", default=[0.1, 0.3, 0.6])
     p.add_argument("--servers", type=_count, default=20)

@@ -292,17 +292,10 @@ def audit_pool(pool) -> AuditReport:
             "failed={0.is_failed} transition={0._transition!r}",
             server,
         )
-        captured_at, commit, done = pool.slot_times(slot)
-        report.record(
-            "pool.time-order", "{0.name}",
-            captured_at <= commit <= done,
-            "captured_at={1!r} commit={2!r} done={3!r} not monotone",
-            server, captured_at, commit, done,
-        )
-        for cohort in pool.slot_cohorts(slot):
-            if cohort is not None:
-                membership_refs += 1
-                referenced[id(cohort)] = cohort
+        cohort = pool.slot_cohort(slot)
+        if cohort is not None:
+            membership_refs += 1
+            referenced[id(cohort)] = cohort
     total_members = sum(c.members for c in referenced.values())
     report.record(
         "pool.cohort-conservation", "pool",

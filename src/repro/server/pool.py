@@ -1,43 +1,39 @@
 """Farm-scale fast path: pooled idle-server state machines.
 
 The scalability wall of the farm layer is not the event kernel — it is the
-per-server bookkeeping of idle cascades.  A settled-idle server's future is
-fully deterministic: core C6 after the core timer, package C6 after the
-package timer, and (under a delay-timer policy) system sleep after τ plus the
-entry latency.  Simulating that cascade with per-server engine events costs
-several heap operations and power/residency updates per idle period — times
-100K servers, that is the whole bench.
+per-server bookkeeping of idle cascades.  A settled-idle server with no power
+controller has a fully deterministic future: core C6 after the core timer,
+package C6 after the package timer, then nothing until work arrives.
+Simulating that cascade with per-server engine events costs several heap
+operations and power/residency updates per idle period — times 100K servers,
+that is the whole bench.
 
 :class:`ServerPool` applies the packet-train trick (see
 ``repro.network.fast_path``) to servers:
 
-* **capture** — when a server goes fully idle (and its power controller's
-  behaviour is *virtualizable*, see ``sleep_plan``), the pool cancels the
-  server's real per-core C6 timers, package-C6 timer, and delay timer, and
-  records their absolute deadlines in ``array('d')``-backed columns.  The
-  only engine events that remain are per-*cohort* boundary events shared by
-  every server whose deadline coincides (at farm start, one event stands in
-  for the entire fleet's sleep commit).
-* **virtual state** — while pooled, ``Server.system_state`` is answered in
-  O(1) from the columns: S0 before the sleep commit, ENTERING_SLEEP between
-  commit and entry-complete, S3/S5 after.  Scheduling policies therefore see
-  exactly the state the unpooled server would be in.
+* **capture** — when a server with no power controller goes fully idle in
+  S0, the pool cancels the server's real per-core C6 timers and package-C6
+  timer and records their absolute deadlines in ``array('d')``-backed
+  columns.  The only engine events that remain are per-*cohort* boundary
+  events at the cascade's end, shared by every server whose cascade ends at
+  the same instant.  A server with a controller may sleep, which the pool
+  does not model, so it is never captured: a pooled server is always in S0
+  and ``Server.system_state`` reads the server's own field.
 * **materialize** — the instant anything needs per-server truth (the global
-  scheduler dispatches a task, a fault injector crashes the server, a
-  telemetry/facility probe reads its power, DVFS retunes its frequency), the
-  pool replays the crossed cascade stages into the server's real state
-  trackers and energy accounts *with the same float operations in the same
-  order* the event path would have used, restores any still-pending timers at
-  their original absolute deadlines, and returns the server to the exact
-  path.  Results are bit-identical to the unpooled simulation; the
-  property-diff suite in ``tests/server/test_pool_fast_path.py`` holds this
-  line.
+  scheduler dispatches a task, a fault injector crashes the server, a power
+  controller is attached, a telemetry/facility probe reads its power, DVFS
+  retunes its frequency), the pool replays the crossed cascade stages into
+  the server's real state trackers and energy accounts *with the same float
+  operations in the same order* the event path would have used, restores
+  any still-pending timers at their original absolute deadlines, and returns
+  the server to the exact path.  Results are bit-identical to the unpooled
+  simulation; the property-diff suite in
+  ``tests/server/test_pool_fast_path.py`` holds this line.
 
 Known (measure-zero) boundary caveat: when an unrelated event lands at the
 *exact* float instant of a core-C6 or package-C6 deadline, the pooled path
 treats the C-state as already entered whereas the unpooled path resolves the
-tie by event sequence number.  Sleep-commit and sleep-entry boundaries — the
-ones the wake race depends on — carry cohort fired-flags and are exact.
+tie by event sequence number.
 """
 
 from __future__ import annotations
@@ -55,9 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Column sentinels: the stage already happened before capture / never happens.
 ALREADY = float("-inf")
 NEVER = float("inf")
-
-_LEVEL_TO_STATE = (SystemState.S3, SystemState.S5)
-_LEVEL_INDEX = {"s3": 0, "s5": 1}
 
 
 class _Cohort:
@@ -85,19 +78,12 @@ class ServerPool:
     shape simply stay on the exact path.
     """
 
-    def __init__(self, engine: Engine, enabled: bool = True):
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.enabled = enabled
         # Slot columns (parallel arrays; slots are recycled via a free list).
-        self._captured_at = array("d")
-        self._commit = array("d")     # absolute sleep-commit time (NEVER if none)
-        self._done = array("d")       # absolute sleep-entry-complete time
         self._core_dl = array("d")    # flat, stride = cores per server
         self._pc6_dl = array("d")     # flat, stride = sockets per server
-        self._level = bytearray()     # 0 = s3, 1 = s5
         self._servers: List[Optional["Server"]] = []
-        self._commit_cohorts: List[Optional[_Cohort]] = []
-        self._done_cohorts: List[Optional[_Cohort]] = []
         self._settle_cohorts: List[Optional[_Cohort]] = []
         self._free: List[int] = []
         self._cohorts_by_time: Dict[float, _Cohort] = {}
@@ -127,34 +113,18 @@ class ServerPool:
         """Capture a settled-idle server; returns False if it must stay exact.
 
         Callers guarantee the server is idle (no running or queued tasks).
-        Capture is refused when power-span tracing is active (pooling elides
-        the per-stage spans), when the controller's behaviour cannot be
-        expressed as a (τ, level) plan, or when the server's shape does not
-        match the pool's column layout.
+        Capture is refused when the server has a power controller (it may
+        sleep, which the pool does not model), when power-span tracing is
+        active (pooling elides the per-stage spans), or when the server's
+        shape does not match the pool's column layout.
         """
-        if not self.enabled or server._pool_slot >= 0:
+        if server._pool_slot >= 0 or server.power_controller is not None:
             return False
         ts = telemetry.ACTIVE
         if ts is not None and ts.power is not None:
             return False
         if server._system_state is not SystemState.S0 or server._transition is not None:
             return False
-        controller = server.power_controller
-        if controller is None:
-            tau: Optional[float] = None
-            level = "s3"
-        else:
-            plan_fn = getattr(controller, "sleep_plan", None)
-            if plan_fn is None:
-                return False
-            plan = plan_fn(server)
-            if plan is None:
-                return False
-            tau, level = plan
-            if level not in _LEVEL_INDEX:
-                # An invalid level would raise at timer expiry on the exact
-                # path; stay exact so it still does.
-                return False
         procs = server.processors
         cores = server._all_cores
         if self._w == 0:
@@ -172,7 +142,7 @@ class ServerPool:
         # Inlined core/package timer detach (see Core.detach_c6_deadline /
         # Processor.detach_pc6_deadline): this loop runs once per capture on
         # the farm hot path, and the call overhead is measurable at scale.
-        # ``settle`` accumulates the latest finite deadline for the no-sleep
+        # ``settle`` accumulates the latest finite deadline for the slot's
         # cohort in the same pass.
         idx = base
         settle = ALREADY
@@ -227,37 +197,11 @@ class ServerPool:
             if NEVER > pdl > settle:
                 settle = pdl
 
-        if tau is None:
-            commit = done = NEVER
-        else:
-            commit = now + tau
-            platform = server.config.platform
-            entry = (
-                platform.s3_entry_latency_s
-                if level == "s3"
-                else platform.s5_entry_latency_s
-            )
-            done = commit + entry
-        self._captured_at[slot] = now
-        self._commit[slot] = commit
-        self._done[slot] = done
-        self._level[slot] = _LEVEL_INDEX[level]
-
-        if controller is not None:
-            controller.clear_idle_timer(server)
-
-        if commit < NEVER:
-            self._commit_cohorts[slot] = self._join_cohort(commit)
-            self._done_cohorts[slot] = self._join_cohort(done)
-            self._settle_cohorts[slot] = None
-        else:
-            # No sleep plan: a single boundary event at the cascade's end
-            # keeps full-drain clock advancement identical to the exact path.
-            self._commit_cohorts[slot] = None
-            self._done_cohorts[slot] = None
-            self._settle_cohorts[slot] = (
-                self._join_cohort(settle) if now < settle < NEVER else None
-            )
+        # A single boundary event at the cascade's end keeps full-drain clock
+        # advancement identical to the exact path.
+        self._settle_cohorts[slot] = (
+            self._join_cohort(settle) if now < settle < NEVER else None
+        )
 
         self._servers[slot] = server
         server._pool_slot = slot
@@ -266,29 +210,6 @@ class ServerPool:
         if self.pooled_count > self.peak_pooled:
             self.peak_pooled = self.pooled_count
         return True
-
-    # ------------------------------------------------------------------
-    # Virtual state
-    # ------------------------------------------------------------------
-    def virtual_system_state(self, server: "Server") -> SystemState:
-        """The system state the server would be in on the exact path, O(1)."""
-        slot = server._pool_slot
-        now = self.engine._now
-        commit = self._commit[slot]
-        if now < commit:
-            return SystemState.S0
-        if now == commit:
-            cohort = self._commit_cohorts[slot]
-            if cohort is not None and not cohort.fired:
-                return SystemState.S0
-        done = self._done[slot]
-        if now < done:
-            return SystemState.ENTERING_SLEEP
-        if now == done:
-            cohort = self._done_cohorts[slot]
-            if cohort is not None and not cohort.fired:
-                return SystemState.ENTERING_SLEEP
-        return _LEVEL_TO_STATE[self._level[slot]]
 
     # ------------------------------------------------------------------
     # Materialization
@@ -304,23 +225,8 @@ class ServerPool:
         self.pooled_count -= 1
         self.materializations += 1
 
-        engine = self.engine
-        now = engine._now
-        commit = self._commit[slot]
-        done = self._done[slot]
-        commit_cohort = self._commit_cohorts[slot]
-        done_cohort = self._done_cohorts[slot]
-        commit_applied = commit < now or (
-            commit == now and commit_cohort is not None and commit_cohort.fired
-        )
-        done_applied = commit_applied and (
-            done < now
-            or (done == now and done_cohort is not None and done_cohort.fired)
-        )
-
-        # Stages the cascade crossed while pooled, in event order.  A stage
-        # at the commit instant itself is folded into the commit replay (the
-        # forced transition lands on the same state at the same time).
+        now = self.engine._now
+        # Stages the cascade crossed while pooled, in event order.
         stages: List[Tuple[float, int, object]] = []
         core_dl = self._core_dl
         idx = slot * self._w
@@ -329,11 +235,11 @@ class ServerPool:
             for core in proc.cores:
                 dl = core_dl[idx]
                 idx += 1
-                if ALREADY < dl <= now and dl < commit:
+                if ALREADY < dl <= now:
                     stages.append((dl, 0, core))
             pdl = self._pc6_dl[sidx]
             sidx += 1
-            if ALREADY < pdl <= now and pdl < commit:
+            if ALREADY < pdl <= now:
                 stages.append((pdl, 1, proc))
         if len(stages) > 1:
             stages.sort(key=_stage_key)
@@ -356,69 +262,28 @@ class ServerPool:
                 proc.tracker.set_state("PC6", t)
             server._update_accounts(t)
 
-        if commit_applied:
-            t = commit
-            for proc in server.processors:
-                for core in proc.cores:
-                    if core.state is not CoreState.C6:
-                        core.state = CoreState.C6
-                        core._state_since = t
-                        proc._state_mask = (
-                            proc._state_mask & ~(3 << core._mask_shift)
-                        ) | (2 << core._mask_shift)
-                        core.tracker.set_state("C6", t)
-                if proc.package_state is not PackageState.PC6:
-                    proc.package_state = PackageState.PC6
-                    proc.tracker.set_state("PC6", t)
-            # Same update cadence as Server.sleep(): once after the forced
-            # C-state cascade (category becomes PkgC6), once after the system
-            # state flips (category becomes SysSleep).
-            server._update_accounts(t)
-            server._sleep_target = _LEVEL_TO_STATE[self._level[slot]]
-            server._wake_pending = False
-            server._system_state = SystemState.ENTERING_SLEEP
-            server._state_since = t
-            server._update_accounts(t)
-            if done_applied:
-                server._system_state = server._sleep_target
-                server._state_since = done
-                server._transition = None
-                server._update_accounts(done)
-            else:
-                server._transition = engine.schedule_at(
-                    done, server._sleep_entry_complete
-                )
-        else:
-            # Still S0: restore every pending timer at its original deadline.
-            idx = slot * self._w
-            sidx = slot * self._s
-            for proc in server.processors:
-                all_c6 = True
-                for core in proc.cores:
-                    dl = core_dl[idx]
-                    idx += 1
-                    if core.state is not CoreState.C6:
-                        all_c6 = False
-                        if ALREADY < dl < NEVER:
-                            core.restore_c6_deadline(dl)
-                pdl = self._pc6_dl[sidx]
-                sidx += 1
-                if (
-                    all_c6
-                    and proc.package_state is not PackageState.PC6
-                    and now < pdl < NEVER
-                ):
-                    proc.restore_pc6_deadline(pdl)
-            if commit < NEVER:
-                controller = server.power_controller
-                if controller is not None:
-                    controller.restore_idle_timer(server, commit)
+        # Restore every pending timer at its original deadline.
+        idx = slot * self._w
+        sidx = slot * self._s
+        for proc in server.processors:
+            all_c6 = True
+            for core in proc.cores:
+                dl = core_dl[idx]
+                idx += 1
+                if core.state is not CoreState.C6:
+                    all_c6 = False
+                    if ALREADY < dl < NEVER:
+                        core.restore_c6_deadline(dl)
+            pdl = self._pc6_dl[sidx]
+            sidx += 1
+            if (
+                all_c6
+                and proc.package_state is not PackageState.PC6
+                and now < pdl < NEVER
+            ):
+                proc.restore_pc6_deadline(pdl)
 
-        self._leave_cohort(commit_cohort)
-        self._leave_cohort(done_cohort)
         self._leave_cohort(self._settle_cohorts[slot])
-        self._commit_cohorts[slot] = None
-        self._done_cohorts[slot] = None
         self._settle_cohorts[slot] = None
         self._free.append(slot)
 
@@ -434,9 +299,7 @@ class ServerPool:
     # ------------------------------------------------------------------
     # Cohorts
     # ------------------------------------------------------------------
-    def _join_cohort(self, time: float) -> Optional[_Cohort]:
-        if time >= NEVER:
-            return None
+    def _join_cohort(self, time: float) -> _Cohort:
         cohort = self._cohorts_by_time.get(time)
         if cohort is None:
             cohort = _Cohort(time, None)
@@ -472,14 +335,8 @@ class ServerPool:
             return self._free.pop()
         slot = len(self._servers)
         self._servers.append(None)
-        self._captured_at.append(0.0)
-        self._commit.append(NEVER)
-        self._done.append(NEVER)
-        self._level.append(0)
         self._core_dl.extend([NEVER] * self._w)
         self._pc6_dl.extend([NEVER] * self._s)
-        self._commit_cohorts.append(None)
-        self._done_cohorts.append(None)
         self._settle_cohorts.append(None)
         return slot
 
@@ -492,15 +349,10 @@ class ServerPool:
             if server is not None:
                 yield slot, server
 
-    def slot_cohorts(self, slot: int) -> Tuple[Optional[_Cohort], ...]:
-        return (
-            self._commit_cohorts[slot],
-            self._done_cohorts[slot],
-            self._settle_cohorts[slot],
-        )
-
-    def slot_times(self, slot: int) -> Tuple[float, float, float]:
-        return self._captured_at[slot], self._commit[slot], self._done[slot]
+    def slot_cohort(self, slot: int) -> Optional[_Cohort]:
+        """The boundary cohort ``slot`` belongs to, or None when the server
+        was captured with its idle cascade already over."""
+        return self._settle_cohorts[slot]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -82,7 +82,7 @@ class Server:
         self._wake_pending = False
         self._transition: Optional[EventHandle] = None
         # Pool fast path (see repro.server.pool): while captured, _pool_slot
-        # is the pool column index and system_state is answered virtually.
+        # is the pool column index.
         self._pool = None
         self._pool_slot = -1
         # True only inside start_task_on_core's assign window, where the
@@ -163,9 +163,7 @@ class Server:
     # ------------------------------------------------------------------
     @property
     def system_state(self) -> SystemState:
-        """The ACPI system state; answered virtually while pooled."""
-        if self._pool_slot >= 0:
-            return self._pool.virtual_system_state(self)
+        """The ACPI system state (a pooled server is idle in S0)."""
         return self._system_state
 
     def ensure_materialized(self) -> None:
@@ -174,12 +172,11 @@ class Server:
             self._pool.materialize(self)
 
     def _on_idle(self) -> None:
-        """The server just went fully idle: pool it, or start its delay timer."""
-        pool = self._pool
-        if pool is not None and pool.try_capture(self):
-            return
+        """The server just went fully idle: start its delay timer, or pool it."""
         if self.power_controller is not None:
             self.power_controller.on_server_idle(self)
+        elif self._pool is not None:
+            self._pool.try_capture(self)
 
     def add_availability_listener(self, callback: Callable[["Server"], None]) -> None:
         """Register a callback invoked after fail() and repair()."""
@@ -193,15 +190,14 @@ class Server:
     # Controller attachment
     # ------------------------------------------------------------------
     def attach_controller(self, controller) -> None:
-        """Attach a power controller (see :mod:`repro.power.controller`)."""
+        """Attach a power controller (see :mod:`repro.power.controller`).
+
+        A pooled server leaves the pool here for good: the pool never
+        captures a server that has a controller.
+        """
         self.ensure_materialized()
         self.power_controller = controller
         controller.attach(self)
-        if self._pool is not None and self.is_idle and self.can_execute:
-            # Re-enter the pool under the new controller's sleep plan (the
-            # attach() above may have scheduled a real delay timer; capture
-            # folds it into the cohort columns).
-            self._on_idle()
 
     # ------------------------------------------------------------------
     # Task intake and execution
@@ -225,19 +221,12 @@ class Server:
     @property
     def can_execute(self) -> bool:
         """True while the platform is in S0 and cores may start tasks."""
-        if self._pool_slot >= 0:
-            return self._pool.virtual_system_state(self) is _S0
         return self._system_state is _S0
 
     def can_start_task(self) -> bool:
         """True when a task submitted now would start at once: the server is
         in S0 and some core is free.
-
-        A pooled server answers from its virtual state; it is idle, so every
-        core is free.
         """
-        if self._pool_slot >= 0:
-            return self._pool.virtual_system_state(self) is _S0
         if self._system_state is not _S0:
             return False
         for proc in self.processors:
@@ -406,7 +395,6 @@ class Server:
     @property
     def is_failed(self) -> bool:
         """True while the server is down due to an injected fault."""
-        # Pooled servers are never FAILED, so the raw field is always right.
         return self._system_state is _FAILED
 
     def fail(self) -> List[Task]:

@@ -308,9 +308,14 @@ def chrome_trace_points(
 
 
 def write_chrome_trace(path: str, doc: dict) -> None:
-    """Serialise deterministically (sorted keys, fixed separators)."""
+    """Serialise deterministically (sorted keys, fixed separators).
+
+    ``json.dumps`` rather than ``json.dump``: only ``dumps`` uses CPython's
+    C encoder, which serialises a large trace several times faster.
+    """
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

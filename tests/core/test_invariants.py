@@ -259,8 +259,7 @@ def _every_check_failing() -> AuditReport:
                transfers_launched=7, transfer_bytes_launched=1e6 / 3,
                transfers_dropped=2)
     pool = NS(iter_pooled=lambda: iter([(4, servers[0]), (6, servers[1])]),
-              pooled_count=5, slot_times=lambda slot: (2.0, 1.0 / 3.0, 0.5),
-              slot_cohorts=lambda slot: [NS(members=3)], captures=2,
+              pooled_count=5, slot_cohort=lambda slot: NS(members=3), captures=2,
               materializations=4)
     trackers = [
         NS(name="srv:1", is_up=True, failures=2, repairs=0,
@@ -332,10 +331,8 @@ _EVERY_VIOLATION = [
     '[pool.population] pool: 2 servers hold pool slots but pooled_count is 5',
     '[pool.slot-binding] s-0: slot 4 does not map back to this server (server records 5)',
     "[pool.pooled-state] s-0: pooled server has pending=3 failed=True transition='handle'",
-    '[pool.time-order] s-0: captured_at=2.0 commit=0.3333333333333333 done=0.5 not monotone',
     '[pool.slot-binding] s-1: slot 6 does not map back to this server (server records 5)',
     "[pool.pooled-state] s-1: pooled server has pending=3 failed=True transition='handle'",
-    '[pool.time-order] s-1: captured_at=2.0 commit=0.3333333333333333 done=0.5 not monotone',
     '[pool.cohort-conservation] pool: slots reference 2 cohort memberships but cohorts count 6 members',
     '[pool.counters] pool: captures (2) - materializations (4) != pooled_count (5)',
     '[availability.transitions] srv:1: 2 failures vs 0 repairs while up',
@@ -371,7 +368,7 @@ def test_every_violation_renders_its_pinned_text():
     """Messages are formatted only when a check fails, so only failing
     checks exercise the templates: every one of them fails here."""
     report = _every_check_failing()
-    assert report.checks_run == 66
+    assert report.checks_run == 64
     lines = report.render().split("\n")
-    assert lines[0] == 'invariant audit: 61 violation(s) in 66 checks'
+    assert lines[0] == 'invariant audit: 59 violation(s) in 64 checks'
     assert [line.strip() for line in lines[1:]] == _EVERY_VIOLATION

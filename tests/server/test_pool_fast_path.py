@@ -1,21 +1,22 @@
 """Property-diff suite for the pooled idle-server fast path.
 
 The :class:`~repro.server.pool.ServerPool` replaces a settled-idle server's
-per-server engine events (core-C6 timers, package-C6 timers, sleep-state
-transitions) with pooled cohort events plus analytic residency/energy
-accounting, materializing back to exact per-server state on dispatch, fault,
-wake, retune, or telemetry access.  Its contract is *bit identity*: every
-observable — job latencies, per-component energies, server/core/package
-residencies and transition counts — must match the exact per-server event
-path float-for-float.
+per-server engine events (core-C6 and package-C6 timers) with pooled cohort
+events plus analytic residency/energy accounting, materializing back to
+exact per-server state on dispatch, sleep, fault, controller attachment,
+retune, or telemetry access.  Only servers without a power controller are
+pooled.  The pool's contract is *bit identity*: every observable — job
+latencies, per-component energies, server/core/package residencies and
+transition counts — must match the exact per-server event path
+float-for-float.
 
 These tests enforce that contract the same way the network fast-path suite
 (tests/network/test_fast_path.py) does for packet trains: run identical
 workloads with the pool on and off, diff every observable, and keep the
 strict conservation audits on so neither path can drift silently.  Directed
-scenarios cover the racy edges — a wake request landing in the same tick a
-pooled cohort's sleep entry completes, faults striking mid-sleep, and a
-facility thermal throttle retuning pooled servers — and a Hypothesis
+scenarios cover the edges — faults striking a pooled server or one a direct
+``sleep()`` took out of the pool, a controller attached to pooled servers,
+and a facility thermal throttle retuning pooled servers — and a Hypothesis
 property test sweeps randomized workloads over the same diff.
 """
 
@@ -33,6 +34,7 @@ from repro.experiments.common import Farm, audit_farm, build_farm, drive
 from repro.facility.throttle import ThermalThrottle, ThrottleConfig
 from repro.power.controller import DelayTimerController
 from repro.scheduling.policies import LeastLoadedPolicy, RoundRobinPolicy
+from repro.server.states import ResidencyCategory, SystemState
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.profiles import ExponentialService, SingleTaskJobFactory
 
@@ -46,22 +48,15 @@ def make_farm(
     n_servers: int = 8,
     n_cores: int = 4,
     seed: int = 7,
-    tau_s: Optional[float] = 0.05,
-    sleep_level: str = "s3",
     policy_cls=RoundRobinPolicy,
 ) -> Farm:
-    farm = build_farm(
+    return build_farm(
         n_servers,
         small_cloud_server(n_cores=n_cores),
         policy=policy_cls(),
         seed=seed,
         pool=pool,
     )
-    if tau_s is not None:
-        controller = DelayTimerController(farm.engine, tau_s=tau_s, sleep_level=sleep_level)
-        for server in farm.servers:
-            server.attach_controller(controller)
-    return farm
 
 
 def run_workload(
@@ -69,7 +64,6 @@ def run_workload(
     *,
     n_servers: int = 8,
     seed: int = 7,
-    tau_s: Optional[float] = 0.05,
     rate_hz: float = 200.0,
     mean_service_s: float = 0.005,
     n_jobs: int = 400,
@@ -77,9 +71,7 @@ def run_workload(
     hook: Optional[Callable[[Farm], None]] = None,
 ) -> Farm:
     """Drive a seeded Poisson workload to completion under strict audits."""
-    farm = make_farm(
-        pool, n_servers=n_servers, seed=seed, tau_s=tau_s, policy_cls=policy_cls
-    )
+    farm = make_farm(pool, n_servers=n_servers, seed=seed, policy_cls=policy_cls)
     if hook is not None:
         hook(farm)
     rng = RandomSource(seed)
@@ -157,6 +149,11 @@ def diff_scenario(**kwargs) -> Farm:
     """Run a workload scenario both ways, assert identity, return the pooled farm."""
     exact = run_workload(False, **kwargs)
     pooled = run_workload(True, **kwargs)
+    # Building the farm captures every idle server, so count the captures
+    # past those: a farm the pool stopped serving (a controller attached
+    # after the build, say) runs exact on both sides and would pass the diff
+    # without testing the pool.
+    assert pooled.pool.captures > len(pooled.servers)
     assert_equivalent(observables(exact), observables(pooled))
     return pooled
 
@@ -165,22 +162,19 @@ def diff_scenario(**kwargs) -> Farm:
 # Baseline identity + effectiveness
 # ----------------------------------------------------------------------
 def test_pooled_workload_bit_identical():
-    farm = diff_scenario(n_servers=8, seed=7, tau_s=0.05, rate_hz=200.0, n_jobs=400)
-    assert farm.pool is not None
-    assert farm.pool.captures > 0
+    farm = diff_scenario(n_servers=8, seed=7, rate_hz=200.0, n_jobs=400)
     assert farm.pool.materializations > 0
 
 
 def test_pooled_workload_without_sleep_controller():
-    # tau=None: servers idle in S0 forever; pooling must still agree on the
+    # No controller: servers idle in S0 forever; pooling must agree on the
     # core-C6 / package-C6 cascade it absorbs.
-    farm = diff_scenario(n_servers=6, seed=11, tau_s=None, rate_hz=120.0, n_jobs=250)
-    assert farm.pool.captures > 0
+    diff_scenario(n_servers=6, seed=11, rate_hz=120.0, n_jobs=250)
 
 
 def test_pooled_workload_least_loaded_policy():
     diff_scenario(
-        n_servers=8, seed=3, tau_s=0.02, rate_hz=300.0, n_jobs=300,
+        n_servers=8, seed=3, rate_hz=300.0, n_jobs=300,
         policy_cls=LeastLoadedPolicy,
     )
 
@@ -188,68 +182,46 @@ def test_pooled_workload_least_loaded_policy():
 def test_pool_executes_fewer_events():
     """The fast path's reason to exist: idle-heavy farms run on far fewer
     engine events (cohort timers instead of per-server cascades)."""
-    kwargs = dict(n_servers=32, seed=5, tau_s=0.02, rate_hz=100.0, n_jobs=200)
+    kwargs = dict(n_servers=32, seed=5, rate_hz=100.0, n_jobs=200)
     exact = run_workload(False, **kwargs)
-    pooled = run_workload(True, **kwargs)
-    assert_equivalent(observables(exact), observables(pooled))
+    pooled = diff_scenario(**kwargs)
     assert pooled.engine.events_executed < exact.engine.events_executed
     assert pooled.pool.peak_pooled > 1
 
 
 # ----------------------------------------------------------------------
-# Directed edge: wake race against a pooled cohort's sleep entry
-# ----------------------------------------------------------------------
-def _wake_race_farm(pool: bool, wake_times) -> Farm:
-    # One idle server, tau=0.05, S3 entry 0.5s: the sleep commit lands at
-    # t=0.05 and the entry completes at exactly t=0.55.  No workload — the
-    # race is purely between wake requests and the (pooled) sleep cascade.
-    farm = make_farm(pool, n_servers=1, seed=1, tau_s=0.05, sleep_level="s3")
-    server = farm.servers[0]
-    for t in wake_times:
-        farm.engine.schedule_at(t, server.request_wake)
-    farm.engine.run()
-    audit_farm(farm, audit="strict")
-    return farm
-
-
-@pytest.mark.parametrize(
-    "wake_times",
-    [
-        pytest.param((0.55,), id="same-tick-as-entry-complete"),
-        pytest.param((0.05,), id="same-tick-as-sleep-commit"),
-        pytest.param((0.3,), id="mid-entry-sets-wake-pending"),
-        pytest.param((0.3, 0.55, 0.6), id="repeated-requests-coalesce"),
-        pytest.param((2.0,), id="wake-from-settled-s3"),
-    ],
-)
-def test_wake_race_bit_identical(wake_times):
-    """``request_wake()`` in the same tick a pooled cohort's sleep entry
-    completes (and every neighboring alignment) must match the exact path."""
-    exact = _wake_race_farm(False, wake_times)
-    pooled = _wake_race_farm(True, wake_times)
-    assert_equivalent(observables(exact), observables(pooled))
-    # The wake really happened: the server cycled through WAKING back to S0
-    # and then slept again under the delay-timer controller.
-    transitions = dict(observables(pooled)["transitions"][0])
-    wakes = sum(n for (src, dst), n in transitions.items() if dst == "Wake-up")
-    assert wakes >= 1
-
-
-# ----------------------------------------------------------------------
 # Directed edge: faults striking pooled / sleeping servers
 # ----------------------------------------------------------------------
-def _fault_hook(fail_at: float, repair_at: float) -> Callable[[Farm], None]:
+def _fault_hook(
+    sleep_at: Optional[float], fail_at: float, repair_at: float
+) -> Callable[[Farm], None]:
+    """Fail server 0 at ``fail_at`` and repair it at ``repair_at``.  With
+    ``sleep_at``, a direct ``sleep()`` first parks it, as a policy without a
+    controller would.  Records on the farm whether the victim was pooled
+    when the first of those calls reached it, its state at the fault, and
+    whether the repair put it back in the pool."""
+
     def hook(farm: Farm) -> None:
         victim = farm.servers[0]
 
+        def park() -> None:
+            farm.victim_was_pooled = victim._pool_slot >= 0
+            assert victim.sleep("s3")
+
         def fail() -> None:
+            if sleep_at is None:
+                farm.victim_was_pooled = victim._pool_slot >= 0
+            farm.state_at_fail = victim.system_state
             lost = victim.fail()
             farm.scheduler.on_server_failed(victim, lost)
 
         def repair() -> None:
             if victim.repair():
+                farm.victim_repooled = victim._pool_slot >= 0
                 farm.scheduler.on_server_repaired(victim)
 
+        if sleep_at is not None:
+            farm.engine.schedule_at(sleep_at, park)
         farm.engine.schedule_at(fail_at, fail)
         farm.engine.schedule_at(repair_at, repair)
 
@@ -257,19 +229,31 @@ def _fault_hook(fail_at: float, repair_at: float) -> Callable[[Farm], None]:
 
 
 @pytest.mark.parametrize(
-    "fail_at,repair_at",
+    "sleep_at,fail_at,repair_at,state_at_fail,tasks_lost",
     [
-        pytest.param(0.3, 2.0, id="fail-mid-sleep-entry"),
-        pytest.param(1.0, 2.5, id="fail-in-settled-s3"),
+        # A task dispatched during the entry queues behind a pending wake,
+        # and the fault loses it.
+        pytest.param(0.1, 0.3, 2.0, SystemState.ENTERING_SLEEP, 1,
+                     id="fail-mid-sleep-entry"),
+        # After the last job: nothing wakes the victim before the fault.
+        pytest.param(2.6, 3.5, 4.0, SystemState.S3, 0, id="fail-in-settled-s3"),
+        pytest.param(None, 0.2, 1.0, SystemState.S0, 0, id="fail-while-pooled"),
     ],
 )
-def test_fault_mid_sleep_bit_identical(fail_at, repair_at):
-    """A fault landing on a pooled (sleeping or entering-sleep) server must
-    materialize it and lose/recover exactly what the exact path does."""
+def test_fault_mid_sleep_bit_identical(
+    sleep_at, fail_at, repair_at, state_at_fail, tasks_lost
+):
+    """A fault on a pooled server, or on one a direct ``sleep()`` took out of
+    the pool, must lose and recover exactly what the exact path does; the
+    repaired server rejoins the pool."""
     farm = diff_scenario(
-        n_servers=4, seed=13, tau_s=0.05, rate_hz=60.0, n_jobs=150,
-        hook=_fault_hook(fail_at, repair_at),
+        n_servers=4, seed=13, rate_hz=60.0, n_jobs=150,
+        hook=_fault_hook(sleep_at, fail_at, repair_at),
     )
+    assert farm.victim_was_pooled
+    assert farm.state_at_fail is state_at_fail
+    assert farm.scheduler.tasks_lost == tasks_lost
+    assert farm.victim_repooled
     victim = farm.servers[0]
     assert victim.failure_count == 1
     assert victim.repair_count == 1
@@ -297,9 +281,9 @@ def test_facility_throttle_cap_on_pooled_servers_bit_identical():
     """A thermal throttle capping frequency across the zone hits pooled-idle
     servers too; ``Processor.set_frequency`` must materialize them first so
     the retune's energy accounting replays exactly like the per-server path
-    (this guards the frozen-account corruption fixed in this PR)."""
+    (a retune on a pooled server once froze its energy accounts)."""
     farm = diff_scenario(
-        n_servers=6, seed=21, tau_s=0.05, rate_hz=150.0, n_jobs=300,
+        n_servers=6, seed=21, rate_hz=150.0, n_jobs=300,
         hook=_throttle_hook(engage_at=0.4, release_at=1.2),
     )
     throttle = farm._throttle
@@ -312,18 +296,68 @@ def test_facility_throttle_cap_on_pooled_servers_bit_identical():
 
 
 def test_throttle_engage_while_farm_fully_pooled():
-    # No workload at all: every server is captured at t=0 and asleep when
-    # the throttle engages, so the retune exercises pure pool materialization.
+    # No workload at all: every server is captured at t=0 and still pooled,
+    # its idle cascade long over, when the throttle engages, so the retune
+    # exercises pure pool materialization.
+    pooled_before_engage = []
+
     def run(pool: bool) -> Farm:
-        farm = make_farm(pool, n_servers=4, seed=2, tau_s=0.01)
+        farm = make_farm(pool, n_servers=4, seed=2)
         _throttle_hook(engage_at=1.0, release_at=3.0)(farm)
+        if pool:
+            farm.engine.schedule_at(
+                0.5, lambda: pooled_before_engage.append(farm.pool.pooled_count)
+            )
         farm.engine.run()
         audit_farm(farm, audit="strict")
         return farm
 
     exact, pooled = run(False), run(True)
+    # The retune, not anything before it, took the servers out of the pool.
+    assert pooled_before_engage == [4]
+    assert pooled.pool.materializations == pooled.pool.captures == 4
     assert_equivalent(observables(exact), observables(pooled))
     assert pooled._throttle.engagements == 1
+
+
+# ----------------------------------------------------------------------
+# Directed edge: a controller takes servers out of the pool for good
+# ----------------------------------------------------------------------
+def test_attached_controller_takes_servers_out_of_the_pool():
+    """``attach_controller`` materializes a pooled idle server, and the pool
+    never captures a server with a controller again: from then on it runs,
+    and sleeps, on the exact path, with the exact path's observables."""
+    at_attach: Dict[str, int] = {}
+
+    def hook(farm: Farm) -> None:
+        controller = DelayTimerController(farm.engine, tau_s=0.05)
+
+        def attach_all() -> None:
+            pool = farm.pool
+            if pool is not None:
+                at_attach["pooled"] = pool.pooled_count
+            for server in farm.servers:
+                server.attach_controller(controller)
+            if pool is not None:
+                assert pool.pooled_count == 0
+                at_attach["captures"] = pool.captures
+
+        farm.engine.schedule_at(0.3, attach_all)
+
+    kwargs = dict(n_servers=6, seed=19, rate_hz=150.0, n_jobs=300, hook=hook)
+    exact = run_workload(False, **kwargs)
+    pooled = run_workload(True, **kwargs)
+    pool = pooled.pool
+    assert at_attach["pooled"] > 0
+    assert pool.captures == at_attach["captures"]
+    assert pool.materializations == pool.captures
+    assert pool.pooled_count == 0
+    assert_equivalent(observables(exact), observables(pooled))
+    now = pooled.engine.now
+    assert any(
+        s.residency.residency(now).get(ResidencyCategory.SYS_SLEEP, 0.0) > 0.0
+        for s in pooled.servers
+    )
 
 
 # ----------------------------------------------------------------------
@@ -331,13 +365,10 @@ def test_throttle_engage_while_farm_fully_pooled():
 # ----------------------------------------------------------------------
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    tau_s=st.sampled_from([0.0, 0.01, 0.05, 0.2, None]),
     rate_hz=st.sampled_from([40.0, 150.0, 400.0]),
 )
 @settings(max_examples=25, deadline=None)
-def test_pooled_random_workloads_bit_identical(seed, tau_s, rate_hz):
-    """Any seeded workload, any sleep aggressiveness: pooled observables are
-    float-for-float identical to the exact per-server event path."""
-    diff_scenario(
-        n_servers=6, seed=seed, tau_s=tau_s, rate_hz=rate_hz, n_jobs=200
-    )
+def test_pooled_random_workloads_bit_identical(seed, rate_hz):
+    """Any seeded workload, any load: pooled observables are float-for-float
+    identical to the exact per-server event path."""
+    diff_scenario(n_servers=6, seed=seed, rate_hz=rate_hz, n_jobs=200)

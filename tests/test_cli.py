@@ -175,6 +175,26 @@ class TestParser:
         with pytest.raises(SystemExit, match="requires --checkpoint"):
             _durability(args)
 
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+    def test_bad_checkpoint_every_is_a_usage_error(self, capsys, value):
+        # Each of these once parsed and silently turned periodic checkpoints
+        # off: the run wrote none and exited 0.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["scalability", "--checkpoint", "run.ckpt",
+                 "--checkpoint-every", value]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--checkpoint-every" in err
+
+    @pytest.mark.parametrize("value", ["0", "0.05"])
+    def test_checkpoint_every_accepts_zero_and_positive(self, value):
+        args = build_parser().parse_args(
+            ["scalability", "--checkpoint", "run.ckpt", "--checkpoint-every", value]
+        )
+        assert args.checkpoint_every == float(value)
+
     def test_durability_untouched_is_none(self):
         from repro.cli import _durability
 
