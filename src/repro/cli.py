@@ -32,8 +32,8 @@ bit-identical to ``--jobs 1``; commands that run a single simulation accept
 and ignore it).  Sweep points are not retried: a point that raises stops the
 sweep unless ``--keep-going`` is given, and a point that overruns
 ``--point-timeout S`` stops it regardless.  ``repro bench`` runs
-the core and network-data-plane microbenchmarks and records the performance
-trajectory in ``BENCH_core.json``.
+the eight hot-path microbenchmarks that CI gates and writes their rates to
+``BENCH_core.json``.
 
 Every subcommand also accepts the observability flags: ``--trace out.json``
 exports a Chrome/Perfetto trace of the run, ``--metrics out.json`` (or
@@ -116,8 +116,9 @@ def _positive(kind: type, what: str, zero_ok: bool = False):
 
 _seconds = _positive(float, "a finite number of seconds > 0")
 _count = _positive(int, "an integer >= 1")
-#: A delay timer (τ = 0 sleeps as soon as the server is idle) or a
-#: checkpoint interval (0 = only on interrupt).
+_rate = _positive(float, "a finite rate > 0 (per second)")
+#: A delay timer (τ = 0 sleeps as soon as the server is idle), a
+#: checkpoint interval (0 = only on interrupt) or an MTBF (0 = no faults).
 _seconds_or_zero = _positive(float, "a finite number of seconds >= 0", zero_ok=True)
 
 
@@ -450,12 +451,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     from repro.runner import bench
 
     code = bench.main(
-        out=args.out,
-        quick=args.quick,
-        sweep_jobs=max(2, args.jobs) if args.jobs > 1 else 4,
-        skip_sweep=args.skip_sweep,
-        check_against=args.check_against,
-        tolerance=args.tolerance,
+        out=args.out, quick=args.quick, check_against=args.check_against
     )
     if code:
         raise SystemExit(code)
@@ -557,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("provisioning", help="Fig. 4: threshold provisioning")
     p.add_argument("--servers", type=_count, default=50)
     p.add_argument("--duration", type=_seconds, default=120.0)
-    p.add_argument("--rate", type=float, default=2000.0, help="mean jobs/s")
-    p.add_argument("--day-length", type=float, default=60.0)
+    p.add_argument("--rate", type=_rate, default=2000.0, help="mean jobs/s")
+    p.add_argument("--day-length", type=_seconds, default=60.0)
     p.add_argument("--min-load", type=float, default=0.5)
     p.add_argument("--max-load", type=float, default=1.0)
     p.add_argument("--arrival-trace", default=None,
@@ -572,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-trace", help="synthesize an arrival trace file")
     p.add_argument("--style", choices=("wikipedia", "nlanr"), default="wikipedia")
     p.add_argument("--duration", type=_seconds, default=3600.0)
-    p.add_argument("--rate", type=float, default=100.0)
-    p.add_argument("--day-length", type=float, default=3600.0)
+    p.add_argument("--rate", type=_rate, default=100.0)
+    p.add_argument("--day-length", type=_seconds, default=3600.0)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(fn=_cmd_make_trace)
@@ -609,22 +605,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-server", help="Fig. 12: server power validation")
     p.add_argument("--duration", type=_seconds, default=1000.0)
-    p.add_argument("--rate", type=float, default=120.0)
+    p.add_argument("--rate", type=_rate, default=120.0)
     common(p)
     p.set_defaults(fn=_cmd_validate_server)
 
     p = sub.add_parser("validate-switch", help="Figs. 13/14: switch power validation")
     p.add_argument("--duration", type=_seconds, default=7200.0)
-    p.add_argument("--rate", type=float, default=400.0)
+    p.add_argument("--rate", type=_rate, default=400.0)
     common(p)
     p.set_defaults(fn=_cmd_validate_switch)
 
     p = sub.add_parser("faults", help="fault injection: availability vs MTBF sweep")
     p.add_argument("--workload", default="web-search", choices=sorted(WORKLOADS))
-    p.add_argument("--mtbfs", type=float, nargs="+",
+    p.add_argument("--mtbfs", type=_seconds_or_zero, nargs="+",
                    default=[120.0, 60.0, 30.0, 15.0],
-                   help="server mean-time-between-failures values (s)")
-    p.add_argument("--mttr", type=float, default=5.0,
+                   help="server mean-time-between-failures values (s); "
+                        "0 disables faults")
+    p.add_argument("--mttr", type=_seconds, default=5.0,
                    help="server mean-time-to-repair (s)")
     p.add_argument("--servers", type=_count, default=20)
     p.add_argument("--cores", type=_count, default=2)
@@ -632,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=_seconds, default=60.0)
     p.add_argument("--retry-limit", type=int, default=3,
                    help="re-dispatch attempts before a task's job is failed")
-    p.add_argument("--slo", type=float, default=None,
+    p.add_argument("--slo", type=_seconds, default=None,
                    help="count jobs slower than this latency (s) as SLO violations")
     common(p)
     p.set_defaults(fn=_cmd_faults)
@@ -721,13 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output JSON path ('' to skip writing)")
     p.add_argument("--quick", action="store_true",
                    help="reduced sizes for CI smoke runs")
-    p.add_argument("--skip-sweep", action="store_true",
-                   help="skip the jobs=1 vs jobs=N sweep wall-clock comparison")
     p.add_argument("--check-against", default=None, metavar="BASELINE",
                    help="compare against a baseline BENCH_core.json and exit "
                         "non-zero on regression")
-    p.add_argument("--tolerance", type=float, default=0.30,
-                   help="allowed fractional throughput drop vs baseline")
     common(p)
     p.set_defaults(fn=_cmd_bench)
 

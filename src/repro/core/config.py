@@ -302,20 +302,28 @@ class FaultConfig(ConfigMixin):
                 f"unknown fault distribution {self.distribution!r}; "
                 f"expected 'exponential' or 'weibull'"
             )
+        # Every check is written so that NaN fails it.
         for name in ("server_mtbf_s", "switch_mtbf_s", "link_mtbf_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("server_mttr_s", "switch_mttr_s", "link_mttr_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.weibull_failure_shape <= 0 or self.weibull_repair_shape <= 0:
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
+        if not (self.weibull_failure_shape > 0 and self.weibull_repair_shape > 0):
             raise ValueError("weibull shapes must be positive")
         if self.retry_limit < 0:
             raise ValueError(f"retry_limit must be >= 0, got {self.retry_limit}")
-        if self.retry_backoff_s < 0:
+        if not self.retry_backoff_s >= 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if self.retry_backoff_factor < 1.0:
+        if not self.retry_backoff_factor >= 1.0:
             raise ValueError("retry_backoff_factor must be >= 1")
+        if self.slo_latency_s is not None and not 0 < self.slo_latency_s < math.inf:
+            raise ValueError(
+                f"slo_latency_s must be None or positive and finite, "
+                f"got {self.slo_latency_s}"
+            )
 
     @property
     def any_stochastic(self) -> bool:

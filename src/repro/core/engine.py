@@ -183,9 +183,9 @@ class Engine:
         The hook *replaces* the ``callback(*args)`` call and is responsible
         for invoking it (so a profiler can time exactly the dispatch).  Pass
         None to uninstall.  With no hook installed :meth:`run` executes the
-        exact pre-hook loop; ``repro bench`` records what installing one
-        costs as ``telemetry.hook_overhead_pct``.  Installing a hook while
-        :meth:`run` is executing takes effect on the next :meth:`run` call.
+        exact pre-hook loop, whose throughput ``repro bench`` gates as
+        ``engine.events_per_s``.  Installing a hook while :meth:`run` is
+        executing takes effect on the next :meth:`run` call.
         """
         if hook is not None and not callable(hook):
             raise TypeError(f"dispatch hook must be callable or None, got {hook!r}")

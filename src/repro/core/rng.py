@@ -45,9 +45,10 @@ class RandomSource:
 def exponential(rng: np.random.Generator, rate: float) -> float:
     """Sample an exponential inter-arrival/service time with the given rate.
 
-    Raises ValueError for non-positive rates — a rate of zero would silently
-    produce infinite times and hang a simulation.
+    Raises ValueError unless the rate is positive — a rate of zero would
+    silently produce infinite times, and a NaN rate NaN times, either of
+    which hangs a simulation.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError(f"exponential rate must be positive, got {rate}")
     return float(rng.exponential(1.0 / rate))

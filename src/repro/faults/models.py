@@ -38,9 +38,9 @@ class ExponentialFaultModel(FaultModel):
     """Memoryless failures and repairs with the given MTBF/MTTR means."""
 
     def __init__(self, mtbf_s: float, mttr_s: float):
-        if mtbf_s <= 0:
+        if not mtbf_s > 0:
             raise ValueError(f"mtbf_s must be positive, got {mtbf_s}")
-        if mttr_s <= 0:
+        if not mttr_s > 0:
             raise ValueError(f"mttr_s must be positive, got {mttr_s}")
         self.mtbf_s = mtbf_s
         self.mttr_s = mttr_s
@@ -71,11 +71,11 @@ class WeibullFaultModel(FaultModel):
         failure_shape: float = 1.5,
         repair_shape: float = 1.0,
     ):
-        if mtbf_s <= 0:
+        if not mtbf_s > 0:
             raise ValueError(f"mtbf_s must be positive, got {mtbf_s}")
-        if mttr_s <= 0:
+        if not mttr_s > 0:
             raise ValueError(f"mttr_s must be positive, got {mttr_s}")
-        if failure_shape <= 0 or repair_shape <= 0:
+        if not (failure_shape > 0 and repair_shape > 0):
             raise ValueError("Weibull shapes must be positive")
         self.mtbf_s = mtbf_s
         self.mttr_s = mttr_s

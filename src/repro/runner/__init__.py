@@ -15,8 +15,8 @@ This package provides:
   policy: a fail-fast per-point timeout, ``keep_going`` for points that
   raise, and checkpoint/resume through a
   :class:`~repro.runner.journal.SweepJournal`;
-* :mod:`repro.runner.bench` — the ``repro bench`` microbenchmark harness that
-  tracks the simulator's performance trajectory in ``BENCH_core.json``.
+* :mod:`repro.runner.bench` — the ``repro bench`` harness: eight hot-path
+  microbenchmarks that CI gates against ``BENCH_core.json``.
 """
 
 from repro.runner.journal import SweepJournal, point_fingerprint, stable_repr

@@ -1,22 +1,21 @@
-"""The ``repro bench`` harness: measure the simulator's hot paths.
+"""The ``repro bench`` harness: gate the simulator's hot paths.
 
-Runs the core microbenchmarks (raw event throughput, schedule/cancel churn,
-full-stack task churn), a small delay-timer sweep at ``jobs=1`` vs
-``jobs=N`` to quantify the parallel-runner speedup, and one scalability
-point, then writes the numbers to ``BENCH_core.json``.  The committed file
-is the repo's performance trajectory: every perf-focused PR re-runs the
-bench and appends its numbers to the history table in EXPERIMENTS.md, and CI
-runs ``repro bench --quick --check-against BENCH_core.json`` so an engine
-regression >30% fails the build.
+Runs eight kernels: raw event throughput, schedule/cancel churn, full-stack
+task churn, the per-packet and packet-train network data planes, ECMP
+routing, one pooled 4,096-server scalability point and a 1,024-rank ring
+allreduce, then writes their rates to ``BENCH_core.json``.  CI runs
+``repro bench --quick --check-against BENCH_core.json``, which fails when any
+of the eight rates (:data:`WATCHED`) falls more than :data:`TOLERANCE` below
+the committed baseline.
 
-All figures are throughput rates (events/s, jobs/s) except the sweep entry,
-which records wall-clock seconds and the parallel speedup.
+All figures are throughput rates (events/s, jobs/s, packets/s, transfers/s,
+routes/s).  The paper's own runs are timed end to end by the repo benchmark,
+``python -m bench``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
@@ -24,19 +23,31 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.engine import Engine
 from repro.core.rng import RandomSource
-from repro.experiments import delay_timer, scalability
+from repro.experiments import scalability
 from repro.runner.sweep import host_cpus
 from repro.experiments.common import build_farm, drive
 from repro.core.config import small_cloud_server
 from repro.scheduling.policies import LeastLoadedPolicy
 from repro.workload.arrivals import PoissonProcess
-from repro.workload.profiles import (
-    ExponentialService,
-    SingleTaskJobFactory,
-    web_search_profile,
+from repro.workload.profiles import ExponentialService, SingleTaskJobFactory
+
+SCHEMA_VERSION = 9
+
+#: The ``(section, metric)`` rates the regression gate reads.
+WATCHED = (
+    ("engine", "events_per_s"),
+    ("engine", "schedule_cancel_per_s"),
+    ("farm", "jobs_per_s"),
+    ("network", "packets_per_s"),
+    ("network", "fanout_transfers_per_s"),
+    ("network", "routes_per_s"),
+    ("scalability", "events_per_s"),
+    ("collective", "allreduce_events_per_s"),
 )
 
-SCHEMA_VERSION = 8
+#: A watched rate regresses when it falls more than this fraction below
+#: the baseline.
+TOLERANCE = 0.30
 
 
 def bench_engine_events(n_events: int = 200_000) -> float:
@@ -80,117 +91,16 @@ def bench_schedule_cancel(n_timers: int = 200_000) -> float:
     return n_timers / elapsed
 
 
-def bench_task_churn(n_jobs: int = 20_000, traced: bool = False) -> float:
-    """Full-stack jobs/s: dispatch, execute and account short tasks.
-
-    With ``traced`` the identical workload runs under an active telemetry
-    session (trace + metrics), measuring the enabled-path emit cost end to
-    end; the default measures the guard-only disabled path.
-    """
-    def run() -> float:
-        farm = build_farm(4, small_cloud_server(), policy=LeastLoadedPolicy(), seed=1)
-        rng = RandomSource(1)
-        factory = SingleTaskJobFactory(ExponentialService(0.005), rng.stream("s"))
-        start = time.perf_counter()
-        drive(farm, PoissonProcess(2000.0, rng.stream("a")), factory,
-              max_jobs=n_jobs, drain=True)
-        elapsed = time.perf_counter() - start
-        return farm.scheduler.jobs_completed / elapsed
-
-    if not traced:
-        return run()
-    from repro.telemetry import session as telemetry_session
-
-    with telemetry_session.session(trace=True, metrics=True):
-        return run()
-
-
-def bench_telemetry_overhead(n_events: int = 200_000) -> Dict[str, Any]:
-    """The telemetry layer's on/off cost on the engine dispatch path.
-
-    Measures the :func:`bench_engine_events` workload three ways — no
-    dispatch hook (the instrumented engine's fast path, which must stay
-    within the regression tolerance of the committed pre-telemetry
-    baseline), a pass-through hook, and a full
-    :class:`~repro.telemetry.profiler.DispatchProfiler` — and reports the
-    hook-enabled overhead.  Rates are best-of-two to damp scheduler noise.
-    """
-    from repro.telemetry.profiler import DispatchProfiler
-
-    def run_once(mode: str) -> float:
-        engine = Engine()
-        fired = [0]
-
-        def tick() -> None:
-            fired[0] += 1
-            if fired[0] < n_events:
-                engine.post(0.001, tick)
-
-        sink = fired.__getitem__
-        for i in range(1000):
-            engine.post(float(i), sink, 0)
-        engine.post(0.0, tick)
-        if mode == "passthrough":
-            engine.set_dispatch_hook(lambda t, cb, a: cb(*a))
-        elif mode == "profiled":
-            DispatchProfiler().attach(engine)
-        start = time.perf_counter()
-        engine.run()
-        return engine.events_executed / (time.perf_counter() - start)
-
-    disabled = max(run_once("disabled"), run_once("disabled"))
-    passthrough = max(run_once("passthrough"), run_once("passthrough"))
-    profiled = max(run_once("profiled"), run_once("profiled"))
-    return {
-        "events_per_s_hook_disabled": round(disabled),
-        "events_per_s_hook_passthrough": round(passthrough),
-        "events_per_s_profiled": round(profiled),
-        "hook_overhead_pct": round((disabled - passthrough) / disabled * 100, 2),
-    }
-
-
-def bench_facility_overhead(n_jobs: int = 20_000) -> Dict[str, Any]:
-    """The facility co-simulation layer's cost on the farm hot path.
-
-    Runs the task-churn workload twice — without a facility (the committed
-    disabled-path rate, gated against the baseline: simulations that never
-    attach a facility must not pay for the layer's existence) and with one
-    ticking at 10 ms across the run — and reports the enabled tick overhead.
-    Rates are best-of-two to damp scheduler noise.
-    """
-    from repro.facility import Facility, FacilityConfig
-
-    def run_once(enabled: bool) -> Tuple[float, int]:
-        farm = build_farm(4, small_cloud_server(), policy=LeastLoadedPolicy(), seed=1)
-        rng = RandomSource(1)
-        factory = SingleTaskJobFactory(ExponentialService(0.005), rng.stream("s"))
-        facility = None
-        if enabled:
-            # Horizon just past the ~10 s the workload needs, so the tick
-            # chain covers the run but does not keep the queue alive after.
-            facility = Facility(
-                farm.engine, farm.servers, FacilityConfig(tick_s=0.01)
-            )
-            facility.start(until=12.0)
-        start = time.perf_counter()
-        drive(farm, PoissonProcess(2000.0, rng.stream("a")), factory,
-              max_jobs=n_jobs, drain=True)
-        elapsed = time.perf_counter() - start
-        ticks = 0
-        if facility is not None:
-            facility.stop()
-            ticks = facility.ticks
-        return farm.scheduler.jobs_completed / elapsed, ticks
-
-    disabled = max(run_once(False)[0], run_once(False)[0])
-    first = run_once(True)
-    enabled = max(first[0], run_once(True)[0])
-    return {
-        "jobs_per_s_disabled": round(disabled),
-        "jobs_per_s_enabled": round(enabled),
-        "ticks": first[1],
-        "tick_overhead_pct": round((disabled - enabled) / disabled * 100, 2),
-    }
+def bench_task_churn(n_jobs: int = 20_000) -> float:
+    """Full-stack jobs/s: dispatch, execute and account short tasks."""
+    farm = build_farm(4, small_cloud_server(), policy=LeastLoadedPolicy(), seed=1)
+    rng = RandomSource(1)
+    factory = SingleTaskJobFactory(ExponentialService(0.005), rng.stream("s"))
+    start = time.perf_counter()
+    drive(farm, PoissonProcess(2000.0, rng.stream("a")), factory,
+          max_jobs=n_jobs, drain=True)
+    elapsed = time.perf_counter() - start
+    return farm.scheduler.jobs_completed / elapsed
 
 
 def bench_net_packet_throughput(n_packets: int = 50_000) -> float:
@@ -364,28 +274,8 @@ def bench_collective(
     }
 
 
-def _sweep_wall_clock(jobs: int, n_servers: int, duration_s: float) -> float:
-    """Wall-clock seconds for an 8-point delay-timer sweep."""
-    start = time.perf_counter()
-    delay_timer.run_delay_timer_sweep(
-        web_search_profile(),
-        tau_values=(0.01, 0.05, 0.1, 0.4),
-        utilizations=(0.1, 0.3),
-        n_servers=n_servers,
-        n_cores=2,
-        duration_s=duration_s,
-        seed=1,
-        jobs=jobs,
-    )
-    return time.perf_counter() - start
-
-
-def run_bench(
-    quick: bool = False,
-    sweep_jobs: int = 4,
-    skip_sweep: bool = False,
-) -> Dict[str, Any]:
-    """Run the full bench suite and return the result document."""
+def run_bench(quick: bool = False) -> Dict[str, Any]:
+    """Run the eight gated kernels and return the result document."""
     result: Dict[str, Any] = {
         "schema": SCHEMA_VERSION,
         "quick": quick,
@@ -394,8 +284,7 @@ def run_bench(
             "implementation": platform.python_implementation(),
             "machine": platform.machine(),
             # Affinity-aware: in containers os.cpu_count() reports the host
-            # machine, not the CPUs this process (and the elastic sweep
-            # workers, which clamp to the same value) can actually use.
+            # machine, not the CPUs this process can actually use.
             "cpus": host_cpus(),
         },
     }
@@ -413,66 +302,25 @@ def run_bench(
         "jobs_per_s": round(bench_task_churn(n_churn)),
     }
 
-    # Telemetry on/off: the hook-disabled rate is gated against the committed
-    # baseline (zero-cost-when-off guarantee); the traced farm rate shows the
-    # full emit-site cost when a session is active.
-    result["telemetry"] = bench_telemetry_overhead(200_000)
-    result["telemetry"]["jobs_per_s_traced"] = round(
-        bench_task_churn(n_churn, traced=True)
-    )
-
-    # Facility on/off: simulations that never attach the facility layer must
-    # not pay for it (the disabled rate is gated against the baseline), and
-    # the ticking plant should cost ~nothing next to task churn.
-    result["facility"] = bench_facility_overhead(n_churn)
-
     # The packet and routing benches stay full-size in quick mode for the
     # same comparability reason as the engine benches: at smaller query
     # counts the BFS table builds / queue warm-up dominate and the measured
     # rate drops well below the committed full-mode baseline.
-    fanout_rate, fanout_speedup = bench_net_transfer_fanout(8 if quick else 25)
+    fanout_wall, fanout_transfers = _fanout_wall_clock(True, 8 if quick else 25)
     result["network"] = {
         "packets_per_s": round(bench_net_packet_throughput(50_000)),
-        "fanout_transfers_per_s": round(fanout_rate),
-        "fanout_speedup": round(fanout_speedup, 2),
+        "fanout_transfers_per_s": round(fanout_transfers / fanout_wall),
         "routes_per_s": round(bench_net_large_topology(30_000)),
     }
 
-    if not skip_sweep:
-        n_servers = 6 if quick else 12
-        duration_s = 3.0 if quick else 10.0
-        wall_serial = _sweep_wall_clock(1, n_servers, duration_s)
-        wall_parallel = _sweep_wall_clock(sweep_jobs, n_servers, duration_s)
-        result["sweep"] = {
-            "points": 8,
-            "workers": sweep_jobs,
-            "wall_s_jobs1": round(wall_serial, 3),
-            f"wall_s_jobs{sweep_jobs}": round(wall_parallel, 3),
-            "speedup": round(wall_serial / wall_parallel, 3) if wall_parallel else None,
-        }
-
-    # Pooled vs exact A/B at the 4,096-server point (quick mode shrinks the
-    # job count, not the farm, so the pooled fast path is always exercised at
-    # scale); full mode adds the 65,536-server point from the tentpole claim.
+    # The pooled fast path at 4,096 servers, best of 2 against host noise;
+    # quick mode shrinks the job count, not the farm, so the pool is always
+    # exercised at scale.
     n_scal_jobs = 5_000 if quick else 50_000
-    # Best-of-2 on BOTH paths of the A/B: a single 4-second sample is at the
-    # mercy of host noise, and pool_speedup divides the two — sampling them
-    # asymmetrically biased the ratio (the PR-8 fix).  ``pool`` is forced on
-    # one side and off the other; what the auto-selector would actually pick
-    # at this point is recorded alongside.
     scal = min(
         (
             scalability.run_scalability(
                 n_servers=4096, n_jobs=n_scal_jobs, pool=True
-            )
-            for _ in range(2)
-        ),
-        key=lambda r: r.wall_seconds,
-    )
-    exact = min(
-        (
-            scalability.run_scalability(
-                n_servers=4096, n_jobs=n_scal_jobs, pool=False
             )
             for _ in range(2)
         ),
@@ -483,24 +331,7 @@ def run_bench(
         "n_jobs": scal.n_jobs,
         "events_per_s": round(scal.events_per_second),
         "jobs_per_s": round(scal.jobs_per_wall_second),
-        "events_per_s_exact": round(exact.events_per_second),
-        "pool_speedup": round(
-            scal.jobs_per_wall_second / exact.jobs_per_wall_second, 2
-        ) if exact.jobs_per_wall_second else None,
-        "pool_auto": scalability.choose_pool(4096, 0.3),
-        "pool_captures": scal.pool_captures,
-        "pool_peak": scal.pool_peak,
     }
-    if not quick:
-        big = scalability.run_scalability(n_servers=65_536, n_jobs=50_000)
-        result["scalability_65536"] = {
-            "n_servers": big.n_servers,
-            "n_jobs": big.n_jobs,
-            "events_per_s": round(big.events_per_second),
-            "jobs_per_s": round(big.jobs_per_wall_second),
-            "pool_captures": big.pool_captures,
-            "pool_peak": big.pool_peak,
-        }
 
     # Collective data plane: the committed 1,024-rank ring-allreduce point
     # runs full-size in quick mode too — it IS the gate, and the strict
@@ -510,40 +341,26 @@ def run_bench(
 
 
 def check_regression(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: float = 0.30,
+    current: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[str]:
-    """Compare throughput metrics against a baseline document.
+    """Compare the :data:`WATCHED` rates against a baseline document.
 
     Returns a list of human-readable regression messages (empty = pass).  A
-    metric regresses when it falls more than ``tolerance`` (fractional)
-    below the baseline.  Only rate metrics are compared — wall-clock numbers
-    depend on bench sizing, which ``--quick`` changes.
+    rate regresses when it falls more than :data:`TOLERANCE` below the
+    baseline.  Only rates are compared, because ``--quick`` changes the
+    bench sizes and so every wall-clock figure.
     """
-    watched = [
-        ("engine", "events_per_s"),
-        ("engine", "schedule_cancel_per_s"),
-        ("farm", "jobs_per_s"),
-        ("telemetry", "events_per_s_hook_disabled"),
-        ("facility", "jobs_per_s_disabled"),
-        ("network", "packets_per_s"),
-        ("network", "fanout_transfers_per_s"),
-        ("network", "routes_per_s"),
-        ("scalability", "events_per_s"),
-        ("collective", "allreduce_events_per_s"),
-    ]
     problems = []
-    for section, metric in watched:
+    for section, metric in WATCHED:
         base = baseline.get(section, {}).get(metric)
         cur = current.get(section, {}).get(metric)
         if not base or not cur:
             continue
-        if cur < base * (1.0 - tolerance):
+        if cur < base * (1.0 - TOLERANCE):
             problems.append(
                 f"{section}.{metric} regressed: {cur:,.0f} < "
-                f"{base * (1.0 - tolerance):,.0f} "
-                f"(baseline {base:,.0f}, tolerance {tolerance:.0%})"
+                f"{base * (1.0 - TOLERANCE):,.0f} "
+                f"(baseline {base:,.0f}, tolerance {TOLERANCE:.0%})"
             )
     return problems
 
@@ -555,54 +372,19 @@ def render(result: Dict[str, Any]) -> str:
     lines.append(f"  engine events/s:          {engine.get('events_per_s', 0):>12,}")
     lines.append(f"  schedule+cancel pairs/s:  {engine.get('schedule_cancel_per_s', 0):>12,}")
     lines.append(f"  farm jobs/s:              {result.get('farm', {}).get('jobs_per_s', 0):>12,}")
-    telem = result.get("telemetry")
-    if telem:
-        lines.append(
-            f"  telemetry off events/s:   {telem.get('events_per_s_hook_disabled', 0):>12,} "
-            f"(hook on: {telem.get('hook_overhead_pct', 0):+.1f}%)"
-        )
-        lines.append(
-            f"  telemetry traced jobs/s:  {telem.get('jobs_per_s_traced', 0):>12,}"
-        )
-    facility = result.get("facility")
-    if facility:
-        lines.append(
-            f"  facility off jobs/s:      {facility.get('jobs_per_s_disabled', 0):>12,} "
-            f"(ticking: {facility.get('tick_overhead_pct', 0):+.1f}%)"
-        )
     network = result.get("network")
     if network:
         lines.append(f"  net packets/s:            {network.get('packets_per_s', 0):>12,}")
         lines.append(
-            f"  net fanout transfers/s:   {network.get('fanout_transfers_per_s', 0):>12,} "
-            f"({network.get('fanout_speedup', 0):.1f}x vs per-packet)"
+            f"  net fanout transfers/s:   {network.get('fanout_transfers_per_s', 0):>12,}"
         )
         lines.append(f"  net routes/s:             {network.get('routes_per_s', 0):>12,}")
-    sweep = result.get("sweep")
-    if sweep:
-        workers = sweep.get("workers", 4)
-        lines.append(
-            f"  sweep ({sweep['points']} pts) wall:     "
-            f"{sweep['wall_s_jobs1']:.2f}s @jobs=1 -> "
-            f"{sweep[f'wall_s_jobs{workers}']:.2f}s @jobs={workers} "
-            f"({sweep['speedup']:.2f}x)"
-        )
     scal = result.get("scalability", {})
-    line = (
+    lines.append(
         f"  scalability ({scal.get('n_servers', 0):,} servers): "
         f"{scal.get('events_per_s', 0):>12,} events/s, "
         f"{scal.get('jobs_per_s', 0):,} jobs/s"
     )
-    if scal.get("pool_speedup") is not None:
-        line += f" (pool {scal['pool_speedup']:.2f}x vs exact)"
-    lines.append(line)
-    big = result.get("scalability_65536")
-    if big:
-        lines.append(
-            f"  scalability ({big.get('n_servers', 0):,} servers): "
-            f"{big.get('events_per_s', 0):>12,} events/s, "
-            f"{big.get('jobs_per_s', 0):,} jobs/s"
-        )
     collective = result.get("collective")
     if collective:
         lines.append(
@@ -617,13 +399,10 @@ def render(result: Dict[str, Any]) -> str:
 def main(
     out: Optional[str] = "BENCH_core.json",
     quick: bool = False,
-    sweep_jobs: int = 4,
-    skip_sweep: bool = False,
     check_against: Optional[str] = None,
-    tolerance: float = 0.30,
 ) -> int:
     """Entry point used by the ``repro bench`` CLI subcommand."""
-    result = run_bench(quick=quick, sweep_jobs=sweep_jobs, skip_sweep=skip_sweep)
+    result = run_bench(quick=quick)
     print(render(result))
     if out:
         with open(out, "w") as fh:
@@ -633,10 +412,10 @@ def main(
     if check_against:
         with open(check_against) as fh:
             baseline = json.load(fh)
-        problems = check_regression(result, baseline, tolerance=tolerance)
+        problems = check_regression(result, baseline)
         if problems:
             for problem in problems:
                 print(f"REGRESSION: {problem}", file=sys.stderr)
             return 1
-        print(f"no regressions vs {check_against} (tolerance {tolerance:.0%})")
+        print(f"no regressions vs {check_against} (tolerance {TOLERANCE:.0%})")
     return 0

@@ -198,26 +198,12 @@ class Core:
     # ------------------------------------------------------------------
     # Pool fast-path support (repro.server.pool)
     # ------------------------------------------------------------------
-    def detach_c6_deadline(self) -> float:
-        """Cancel the pending C6 timer and return its absolute deadline.
-
-        Returns ``-inf`` if the core is already power-gated and ``+inf`` if no
-        timer is pending (the core would stay in C1 indefinitely).  Used by
-        :class:`repro.server.pool.ServerPool` at capture; the deadline is
-        re-armed verbatim by :meth:`restore_c6_deadline` on materialization.
-        """
-        if self.state is _C6:
-            return float("-inf")
-        handle = self._c6_timer
-        if handle is not None and handle.pending:
-            deadline = handle.time
-            handle.cancel()
-            self._c6_timer = None
-            return deadline
-        return float("inf")
-
     def restore_c6_deadline(self, deadline: float) -> None:
-        """Re-arm the C6 timer at its original absolute deadline."""
+        """Re-arm the C6 timer at its original absolute deadline.
+
+        :meth:`repro.server.pool.ServerPool.materialize` calls this with the
+        C6 deadline the pool recorded at capture, if it has not passed.
+        """
         self._cancel_c6_timer()
         self._c6_timer = self.engine.schedule_at(deadline, self._enter_c6)
 

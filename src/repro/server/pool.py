@@ -139,11 +139,13 @@ class ServerPool:
         core_dl = self._core_dl
         pc6_dl = self._pc6_dl
 
-        # Inlined core/package timer detach (see Core.detach_c6_deadline /
-        # Processor.detach_pc6_deadline): this loop runs once per capture on
-        # the farm hot path, and the call overhead is measurable at scale.
-        # ``settle`` accumulates the latest finite deadline for the slot's
-        # cohort in the same pass.
+        # Detach each core's C6 timer and each package's PC6 timer into the
+        # slot's deadline columns (ALREADY when the unit is already
+        # power-gated, NEVER when it never will be), inline because this
+        # loop runs once per capture on the farm hot path; materialize
+        # re-arms them through Core.restore_c6_deadline and
+        # Processor.restore_pc6_deadline.  ``settle`` accumulates the latest
+        # finite deadline for the slot's cohort in the same pass.
         idx = base
         settle = ALREADY
         for proc in procs:

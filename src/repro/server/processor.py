@@ -159,24 +159,12 @@ class Processor:
     # ------------------------------------------------------------------
     # Pool fast-path support (repro.server.pool)
     # ------------------------------------------------------------------
-    def detach_pc6_deadline(self) -> Optional[float]:
-        """Cancel the pending package-C6 timer and return its deadline.
-
-        Returns ``-inf`` if the package is already in PC6 and None if no timer
-        is pending (the pool derives the deadline from the core cascade).
-        """
-        if self.package_state is _PC6:
-            return float("-inf")
-        handle = self._pc6_timer
-        if handle is not None and handle.pending:
-            deadline = handle.time
-            handle.cancel()
-            self._pc6_timer = None
-            return deadline
-        return None
-
     def restore_pc6_deadline(self, deadline: float) -> None:
-        """Re-arm the package-C6 timer at its original absolute deadline."""
+        """Re-arm the package-C6 timer at its original absolute deadline.
+
+        :meth:`repro.server.pool.ServerPool.materialize` calls this with the
+        PC6 deadline the pool recorded at capture, if it has not passed.
+        """
         self._cancel_pc6_timer()
         self._pc6_timer = self.engine.schedule_at(deadline, self._enter_pc6)
 

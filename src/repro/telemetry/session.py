@@ -9,8 +9,8 @@ The simulator's emit sites follow one pattern::
         ts.power.complete("power", ...)
 
 With no session active this costs one module-global load and an ``is None``
-test; ``repro bench`` measures what the layer costs in its ``telemetry``
-section (``telemetry.hook_overhead_pct``).  The per-category attributes
+test, which ``repro bench`` gates inside ``farm.jobs_per_s`` (its farm runs
+every emit site with no session).  The per-category attributes
 (``ts.task``, ``ts.power``, ...) are the recorder when that category is
 enabled and ``None`` otherwise, so category filtering is also one attribute
 load at the call site, never a set lookup per event.

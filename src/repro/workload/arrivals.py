@@ -11,6 +11,7 @@ implements it and every utilization-sweep experiment uses it.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,8 +53,10 @@ class PoissonProcess(ArrivalProcess):
     """
 
     def __init__(self, rate_per_s: float, rng: np.random.Generator, start_time: float = 0.0):
-        if rate_per_s <= 0:
-            raise ValueError(f"arrival rate must be positive, got {rate_per_s}")
+        if not 0 < rate_per_s < math.inf:
+            raise ValueError(
+                f"arrival rate must be positive and finite, got {rate_per_s}"
+            )
         self.rate_per_s = rate_per_s
         self.rng = rng
         self.start_time = start_time
@@ -105,15 +108,21 @@ class MMPP2Process(ArrivalProcess):
         start_in_burst: bool = False,
         start_time: float = 0.0,
     ):
-        if lambda_h <= 0 or lambda_l <= 0:
-            raise ValueError("both arrival rates must be positive")
+        if not (0 < lambda_h < math.inf and 0 < lambda_l < math.inf):
+            raise ValueError(
+                f"both arrival rates must be positive and finite, got "
+                f"lambda_h={lambda_h}, lambda_l={lambda_l}"
+            )
         if lambda_h < lambda_l:
             raise ValueError(
                 f"lambda_h ({lambda_h}) should be the bursty (higher) rate; "
                 f"got lambda_l={lambda_l}"
             )
-        if rate_h_to_l <= 0 or rate_l_to_h <= 0:
-            raise ValueError("state transition rates must be positive")
+        if not (0 < rate_h_to_l < math.inf and 0 < rate_l_to_h < math.inf):
+            raise ValueError(
+                f"state transition rates must be positive and finite, got "
+                f"rate_h_to_l={rate_h_to_l}, rate_l_to_h={rate_l_to_h}"
+            )
         self.lambda_h = lambda_h
         self.lambda_l = lambda_l
         self.rate_h_to_l = rate_h_to_l

@@ -149,6 +149,15 @@ class ArrivalTrace:
                 handle.write(f"{t:.9f}\n")
 
 
+def _require_finite_positive(**values: float) -> None:
+    """Reject a synthesizer's rates and spans unless finite and > 0: with a
+    NaN or infinite one the arrival clock never reaches the end, or the
+    trace comes out silently empty."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _inhomogeneous_poisson(
     rng: np.random.Generator,
     rate_fn: Callable[[float], float],
@@ -156,8 +165,7 @@ def _inhomogeneous_poisson(
     duration_s: float,
 ) -> List[float]:
     """Sample an inhomogeneous Poisson process by thinning."""
-    if max_rate <= 0:
-        raise ValueError(f"max_rate must be positive, got {max_rate}")
+    _require_finite_positive(max_rate=max_rate, duration_s=duration_s)
     timestamps: List[float] = []
     t = 0.0
     while True:
@@ -185,8 +193,9 @@ def synthesize_wikipedia_trace(
     noise, floored at 5% of the mean so the farm never goes fully quiet.
     ``day_length_s`` can be shrunk to compress days into simulateable spans.
     """
-    if duration_s <= 0 or mean_rate <= 0:
-        raise ValueError("duration and mean rate must be positive")
+    _require_finite_positive(
+        duration_s=duration_s, mean_rate=mean_rate, day_length_s=day_length_s
+    )
     week_length_s = 7.0 * day_length_s
     # Slow noise: a random walk sampled per 1/20th of a day, linearly held.
     n_knots = max(2, int(duration_s / (day_length_s / 20.0)) + 2)
@@ -221,10 +230,14 @@ def synthesize_nlanr_trace(
     modulated Poisson process), producing the second-scale power wiggles the
     server validation experiment replays.
     """
-    if duration_s <= 0 or mean_rate <= 0:
-        raise ValueError("duration and mean rate must be positive")
-    if burst_rate_ratio <= 1:
-        raise ValueError(f"burst_rate_ratio must exceed 1, got {burst_rate_ratio}")
+    _require_finite_positive(
+        duration_s=duration_s, mean_rate=mean_rate,
+        mean_burst_s=mean_burst_s, mean_gap_s=mean_gap_s,
+    )
+    if not 1 < burst_rate_ratio < math.inf:
+        raise ValueError(
+            f"burst_rate_ratio must exceed 1 and be finite, got {burst_rate_ratio}"
+        )
     p_burst = mean_burst_s / (mean_burst_s + mean_gap_s)
     base_rate = mean_rate / (p_burst * burst_rate_ratio + (1 - p_burst))
     timestamps: List[float] = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.config import (
@@ -146,6 +148,21 @@ class TestFaultConfigValidation:
             FaultConfig(retry_limit=-1)
         with pytest.raises(ValueError):
             FaultConfig(retry_backoff_factor=0.5)
+
+    @pytest.mark.parametrize("field", [
+        "server_mtbf_s", "switch_mtbf_s", "link_mtbf_s",
+        "server_mttr_s", "switch_mttr_s", "link_mttr_s",
+        "weibull_failure_shape", "weibull_repair_shape",
+        "retry_backoff_s", "retry_backoff_factor",
+    ])
+    def test_rejects_nan(self, field):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            FaultConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("slo", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_slo_that_is_not_finite_and_positive(self, slo):
+        with pytest.raises(ValueError, match="slo_latency_s"):
+            FaultConfig(slo_latency_s=slo)
 
 
 class TestStockProfiles:

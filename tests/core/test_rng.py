@@ -56,6 +56,9 @@ class TestExponential:
             exponential(rng, 0.0)
         with pytest.raises(ValueError):
             exponential(rng, -1.0)
+        # NaN fails the positivity check too: NumPy would draw NaN times.
+        with pytest.raises(ValueError):
+            exponential(rng, float("nan"))
 
     def test_mean_close_to_inverse_rate(self, rng):
         rate = 4.0

@@ -47,6 +47,8 @@ class TestWeibullFaultModel:
             WeibullFaultModel(10.0, 1.0, failure_shape=0.0)
         with pytest.raises(ValueError):
             WeibullFaultModel(10.0, 1.0, repair_shape=-2.0)
+        with pytest.raises(ValueError):
+            WeibullFaultModel(10.0, 1.0, failure_shape=math.nan)
 
     def test_mean_matches_mtbf_for_any_shape(self):
         # scale = mean / gamma(1 + 1/shape) makes the distribution mean
@@ -64,6 +66,12 @@ class TestWeibullFaultModel:
 
 
 class TestFactory:
+    @pytest.mark.parametrize("distribution", ["exponential", "weibull"])
+    @pytest.mark.parametrize("mtbf, mttr", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_means(self, distribution, mtbf, mttr):
+        with pytest.raises(ValueError):
+            make_fault_model(distribution, mtbf, mttr)
+
     def test_builds_named_models(self):
         assert isinstance(make_fault_model("exponential", 1.0, 1.0), ExponentialFaultModel)
         assert isinstance(make_fault_model("weibull", 1.0, 1.0), WeibullFaultModel)

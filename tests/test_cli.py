@@ -28,6 +28,13 @@ COUNT_FLAGS = (
     ("scalability", "--servers"), ("scalability", "--num-jobs"),
     ("scalability", "--sizes"),
 )
+#: Every rate flag and every span flag other than --duration, by subcommand.
+RATE_AND_SPAN_FLAGS = (
+    ("provisioning", "--rate"), ("provisioning", "--day-length"),
+    ("make-trace", "--rate"), ("make-trace", "--day-length"),
+    ("validate-server", "--rate"), ("validate-switch", "--rate"),
+    ("faults", "--mttr"), ("faults", "--slo"),
+)
 
 
 class TestParser:
@@ -95,6 +102,27 @@ class TestParser:
             assert exc.value.code == 2, (command, flag)
             err = capsys.readouterr().err
             assert "usage:" in err and flag in err and "integer >= 1" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_rate_or_span_is_a_usage_error(self, capsys, value):
+        for command, flag in RATE_AND_SPAN_FLAGS:
+            extra = ["--out", "x.txt"] if command == "make-trace" else []
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, *extra, flag, value])
+            assert exc.value.code == 2, (command, flag)
+            err = capsys.readouterr().err
+            assert "usage:" in err and flag in err, (command, flag)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_mtbf_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["faults", "--mtbfs", "30", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--mtbfs" in err
+        # 0 stays valid: it disables faults for that sweep point.
+        args = build_parser().parse_args(["faults", "--mtbfs", "30", "0"])
+        assert args.mtbfs == [30.0, 0.0]
 
     def test_count_flags_accept_one(self):
         for command, flag in COUNT_FLAGS:
@@ -358,7 +386,7 @@ class TestExecution:
 
         out_path = tmp_path / "bench.json"
         main([
-            "bench", "--quick", "--skip-sweep", "--out", str(out_path),
+            "bench", "--quick", "--out", str(out_path),
         ])
         out = capsys.readouterr().out
         assert "events/s" in out
@@ -380,7 +408,7 @@ class TestExecution:
             "scalability": {"events_per_s": 1},
         }
         monkeypatch.setattr(bench, "run_bench", lambda **kwargs: result)
-        argv = ["bench", "--quick", "--skip-sweep",
+        argv = ["bench", "--quick",
                 "--out", str(tmp_path / "b.json"), "--check-against"]
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(result))

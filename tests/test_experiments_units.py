@@ -147,8 +147,9 @@ class TestPoolAutoSelection:
     def test_chooses_exact_path_below_idle_threshold(self):
         from repro.experiments.scalability import choose_pool
 
-        # The committed BENCH shows pool_speedup < 1 at 4,096 servers and
-        # rho = 0.3 (idle population ~2,867): auto must pick exact there.
+        # At 4,096 servers and rho = 0.3 (idle population ~2,867) the pooled
+        # path ran at 0.75x the exact path's jobs/s (ROADMAP.md, "Delete the
+        # pooled idle-server fast path"): auto must pick exact there.
         assert choose_pool(4096, 0.3) is False
 
     def test_chooses_pooled_path_for_big_idle_farms(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from repro.workload.arrivals import (
     TraceProcess,
     arrival_rate_for_utilization,
 )
+
+
+#: Rates that would hang or poison a simulation: NumPy draws NaN gaps for
+#: a NaN rate and 0.0 gaps for an infinite one, so the clock never advances.
+BAD_RATES = (math.nan, math.inf, 0.0, -1.0)
 
 
 def take(process, n):
@@ -36,6 +42,12 @@ class TestPoisson:
     def test_rejects_nonpositive_rate(self, rng):
         with pytest.raises(ValueError):
             PoissonProcess(0.0, rng)
+
+    @pytest.mark.timeout(2)
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_rejects_non_finite_or_non_positive_rate(self, rng, rate):
+        with pytest.raises(ValueError):
+            PoissonProcess(rate, rng)
 
     def test_timestamps_increase(self, rng):
         times = take(PoissonProcess(100.0, rng), 1000)
@@ -72,6 +84,15 @@ class TestMMPP2:
             MMPP2Process(2.0, 0.0, 1.0, 1.0, rng)
         with pytest.raises(ValueError):
             MMPP2Process(2.0, 1.0, 0.0, 1.0, rng)
+
+    @pytest.mark.timeout(2)
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    @pytest.mark.parametrize("slot", range(4))
+    def test_rejects_non_finite_or_non_positive_rates(self, rng, slot, rate):
+        rates = [4.0, 2.0, 1.0, 1.0]  # lambda_h, lambda_l, h->l, l->h
+        rates[slot] = rate
+        with pytest.raises(ValueError):
+            MMPP2Process(*rates, rng)
 
     def test_burst_fraction(self, rng):
         process = MMPP2Process(100.0, 10.0, rate_h_to_l=3.0, rate_l_to_h=1.0, rng=rng)

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.workload.trace import (
     ArrivalTrace,
+    _inhomogeneous_poisson,
     synthesize_nlanr_trace,
     synthesize_wikipedia_trace,
 )
+
+#: Rates and spans that would hang synthesis: a NaN or infinite rate never
+#: lets the arrival clock reach the end, nor does an infinite span.
+BAD_VALUES = (math.nan, math.inf, 0.0, -1.0)
 
 
 class TestArrivalTrace:
@@ -122,6 +129,28 @@ class TestWikipediaSynth:
         with pytest.raises(ValueError):
             synthesize_wikipedia_trace(rng, 10.0, 0.0)
 
+    @pytest.mark.timeout(2)
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("arg", ["duration_s", "mean_rate", "day_length_s"])
+    def test_rejects_non_finite_or_non_positive_inputs(self, rng, arg, value):
+        kwargs = {"duration_s": 100.0, "mean_rate": 10.0, "day_length_s": 50.0}
+        kwargs[arg] = value
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            synthesize_wikipedia_trace(rng, **kwargs)
+        assert rng.bit_generator.state == state  # raised before any draw
+
+    @pytest.mark.timeout(2)
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("arg", ["max_rate", "duration_s"])
+    def test_thinning_rejects_non_finite_or_non_positive_inputs(
+        self, rng, arg, value
+    ):
+        kwargs = {"max_rate": 10.0, "duration_s": 100.0}
+        kwargs[arg] = value
+        with pytest.raises(ValueError):
+            _inhomogeneous_poisson(rng, lambda t: 5.0, **kwargs)
+
 
 class TestNlanrSynth:
     def test_mean_rate_near_target(self, rng):
@@ -140,3 +169,22 @@ class TestNlanrSynth:
             synthesize_nlanr_trace(rng, 100.0, 10.0, burst_rate_ratio=1.0)
         with pytest.raises(ValueError):
             synthesize_nlanr_trace(rng, -1.0, 10.0)
+
+    @pytest.mark.timeout(2)
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize(
+        "arg", ["duration_s", "mean_rate", "mean_burst_s", "mean_gap_s"]
+    )
+    def test_rejects_non_finite_or_non_positive_inputs(self, rng, arg, value):
+        kwargs = {"duration_s": 100.0, "mean_rate": 10.0}
+        kwargs[arg] = value
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            synthesize_nlanr_trace(rng, **kwargs)
+        assert rng.bit_generator.state == state  # raised before any draw
+
+    @pytest.mark.timeout(2)
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_rejects_non_finite_burst_ratio(self, rng, ratio):
+        with pytest.raises(ValueError):
+            synthesize_nlanr_trace(rng, 100.0, 10.0, burst_rate_ratio=ratio)
