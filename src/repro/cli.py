@@ -50,7 +50,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.checkpoint import (
     CheckpointError,
@@ -98,20 +98,28 @@ def _workload(name: str) -> WorkloadProfile:
         ) from None
 
 
-def _positive(kind: type, what: str, zero_ok: bool = False):
-    """argparse ``type=`` for a finite number > 0 (>= 0 with ``zero_ok``),
-    parsed with ``kind``."""
+def _checked(kind: type, what: str, ok: Callable[[float], bool]):
+    """argparse ``type=`` for a value parsed with ``kind`` that ``ok`` holds
+    for.  Text ``kind`` cannot parse reads as NaN, which no check accepts."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not (0 <= value < math.inf if zero_ok else 0 < value < math.inf):
+        if not ok(value):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
     return parse
+
+
+def _positive(kind: type, what: str, zero_ok: bool = False):
+    """argparse ``type=`` for a finite number > 0 (>= 0 with ``zero_ok``),
+    parsed with ``kind``."""
+    if zero_ok:
+        return _checked(kind, what, lambda value: 0 <= value < math.inf)
+    return _checked(kind, what, lambda value: 0 < value < math.inf)
 
 
 _seconds = _positive(float, "a finite number of seconds > 0")
@@ -120,6 +128,13 @@ _rate = _positive(float, "a finite rate > 0 (per second)")
 #: A delay timer (τ = 0 sleeps as soon as the server is idle), a
 #: checkpoint interval (0 = only on interrupt) or an MTBF (0 = no faults).
 _seconds_or_zero = _positive(float, "a finite number of seconds >= 0", zero_ok=True)
+_count_or_zero = _positive(int, "an integer >= 0", zero_ok=True)
+_utilization = _positive(float, "a finite utilization > 0")
+_load = _positive(float, "a finite load per server > 0")
+_bytes = _positive(float, "a finite number of bytes > 0")
+_celsius = _checked(float, "a finite temperature (°C)", math.isfinite)
+_fraction = _checked(float, "a finite fraction in [0, 1)", lambda value: 0 <= value < 1)
+_fat_tree_k = _checked(int, "an even integer >= 2", lambda k: k >= 2 and k % 2 == 0)
 
 
 def _sweep_options(args: argparse.Namespace) -> SweepOptions:
@@ -228,6 +243,10 @@ def _parse_threshold_pairs(specs: List[str]) -> List[tuple]:
             raise SystemExit(
                 f"bad threshold pair {spec!r}; expected MIN:MAX (e.g. 0.5:1.5)"
             ) from None
+        if not (0 < lo < math.inf and 0 < hi < math.inf):
+            raise SystemExit(
+                f"bad threshold pair {spec!r}; loads must be finite and > 0"
+            )
         pairs.append((lo, hi))
     return pairs
 
@@ -555,8 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=_seconds, default=120.0)
     p.add_argument("--rate", type=_rate, default=2000.0, help="mean jobs/s")
     p.add_argument("--day-length", type=_seconds, default=60.0)
-    p.add_argument("--min-load", type=float, default=0.5)
-    p.add_argument("--max-load", type=float, default=1.0)
+    p.add_argument("--min-load", type=_load, default=0.5)
+    p.add_argument("--max-load", type=_load, default=1.0)
     p.add_argument("--arrival-trace", default=None,
                    help="replay an arrival trace file instead of synthesizing")
     p.add_argument("--sweep-thresholds", nargs="+", metavar="MIN:MAX",
@@ -578,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="web-search", choices=sorted(WORKLOADS))
     p.add_argument("--taus", type=_seconds_or_zero, nargs="+",
                    default=[0.0, 0.01, 0.05, 0.1, 0.4, 1.0, 5.0])
-    p.add_argument("--utilizations", type=float, nargs="+", default=[0.1, 0.3, 0.6])
+    p.add_argument("--utilizations", type=_utilization, nargs="+",
+                   default=[0.1, 0.3, 0.6])
     p.add_argument("--servers", type=_count, default=20)
     p.add_argument("--cores", type=_count, default=2)
     p.add_argument("--duration", type=_seconds, default=15.0)
@@ -587,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residency", help="Fig. 8: adaptive state residency")
     p.add_argument("--workload", default="web-search", choices=sorted(WORKLOADS))
-    p.add_argument("--utilizations", type=float, nargs="+",
+    p.add_argument("--utilizations", type=_utilization, nargs="+",
                    default=[0.1, 0.3, 0.5, 0.7, 0.9])
     p.add_argument("--servers", type=_count, default=10)
     p.add_argument("--cores", type=_count, default=10)
@@ -596,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_residency)
 
     p = sub.add_parser("joint", help="Fig. 11: joint server-network energy")
-    p.add_argument("--utilizations", type=float, nargs="+", default=[0.3, 0.6])
-    p.add_argument("--fat-tree-k", type=int, default=4)
+    p.add_argument("--utilizations", type=_utilization, nargs="+", default=[0.3, 0.6])
+    p.add_argument("--fat-tree-k", type=_fat_tree_k, default=4)
     p.add_argument("--num-jobs", type=_count, default=2000,
                    help="simulated jobs per grid point")
     common(p)
@@ -625,9 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="server mean-time-to-repair (s)")
     p.add_argument("--servers", type=_count, default=20)
     p.add_argument("--cores", type=_count, default=2)
-    p.add_argument("--utilization", type=float, default=0.3)
+    p.add_argument("--utilization", type=_utilization, default=0.3)
     p.add_argument("--duration", type=_seconds, default=60.0)
-    p.add_argument("--retry-limit", type=int, default=3,
+    p.add_argument("--retry-limit", type=_count_or_zero, default=3,
                    help="re-dispatch attempts before a task's job is failed")
     p.add_argument("--slo", type=_seconds, default=None,
                    help="count jobs slower than this latency (s) as SLO violations")
@@ -639,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="facility co-sim: CRAC setpoint × carbon profile sweep",
     )
     from repro.facility.signals import CARBON_PROFILES
-    p.add_argument("--setpoints", type=float, nargs="+", metavar="C",
+    p.add_argument("--setpoints", type=_celsius, nargs="+", metavar="C",
                    default=list(facility_carbon.DEFAULT_SETPOINTS_C),
                    help="CRAC supply setpoints to sweep (°C)")
     p.add_argument("--carbon", nargs="+", metavar="PROFILE",
@@ -650,9 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores", type=_count, default=2)
     p.add_argument("--zones", type=_count, default=2,
                    help="thermal zones the farm is partitioned into")
-    p.add_argument("--utilization", type=float, default=0.6)
+    p.add_argument("--utilization", type=_utilization, default=0.6)
     p.add_argument("--duration", type=_seconds, default=40.0)
-    p.add_argument("--thermal-limit", type=float, default=45.0,
+    p.add_argument("--thermal-limit", type=_celsius, default=45.0,
                    help="zone temperature (°C) at which DVFS throttling engages")
     common(p)
     p.set_defaults(fn=_cmd_facility_carbon)
@@ -669,17 +689,17 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(ai_training.ALGORITHMS),
                    choices=list(ai_training.ALGORITHMS),
                    help="gradient-collective algorithms to sweep")
-    p.add_argument("--fat-tree-k", type=int, default=4)
+    p.add_argument("--fat-tree-k", type=_fat_tree_k, default=4)
     p.add_argument("--steps", type=_count, default=4,
                    help="synchronized training steps per job")
-    p.add_argument("--compute", type=float, default=0.05,
+    p.add_argument("--compute", type=_seconds, default=0.05,
                    help="forward/backward compute time per step (s)")
-    p.add_argument("--bytes", type=float, default=4e6,
+    p.add_argument("--bytes", type=_bytes, default=4e6,
                    help="gradient buffer size per step (bytes)")
-    p.add_argument("--phase-batch", type=int, default=None, metavar="B",
+    p.add_argument("--phase-batch", type=_count, default=None, metavar="B",
                    help="fold B ring phases into one transfer (byte-exact; "
                         "default: exact up to 64 phases, then capped)")
-    p.add_argument("--jitter", type=float, default=0.0,
+    p.add_argument("--jitter", type=_fraction, default=0.0,
                    help="relative compute-time jitter in [0, 1) to model "
                         "stragglers")
     p.add_argument("--goal-trace", default=None, metavar="PATH",

@@ -32,8 +32,8 @@ and avoids allocation beyond the heap entry itself.
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 #: Compaction is considered once the heap holds at least this many entries;
@@ -205,8 +205,9 @@ class Engine:
         # False, and a NaN entry would run out of order and poison the clock.
         if not time >= self._now:
             raise SimulationError(_past_time_message(time, self._now))
-        heapq.heappush(self._heap, (time, self._seq, callback, args))
-        self._seq += 1
+        seq = self._seq
+        heappush(self._heap, (time, seq, callback, args))
+        self._seq = seq + 1
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` after ``delay`` seconds; not cancellable."""
@@ -221,9 +222,10 @@ class Engine:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
         if not time >= self._now:
             raise SimulationError(_past_time_message(time, self._now))
-        handle = EventHandle(time, self._seq, callback, args, self)
-        heapq.heappush(self._heap, (time, self._seq, None, handle))
-        self._seq += 1
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args, self)
+        heappush(self._heap, (time, seq, None, handle))
+        self._seq = seq + 1
         return handle
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
@@ -246,7 +248,7 @@ class Engine:
         """Execute the next pending event.  Returns False if none remain."""
         heap = self._heap
         while heap:
-            time, _seq, callback, args = heapq.heappop(heap)
+            time, _seq, callback, args = heappop(heap)
             if callback is None:
                 handle: EventHandle = args
                 if handle.cancelled:
@@ -299,7 +301,7 @@ class Engine:
     def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
         """The uninstrumented dispatch loop — the pre-hook hot path, verbatim."""
         executed = 0
-        pop = heapq.heappop
+        pop = heappop
         while not self._stopped:
             # Re-read the heap each iteration: compaction (triggered by
             # cancellations inside callbacks) rebinds the list.
@@ -337,7 +339,7 @@ class Engine:
         off: the branch happens once per :meth:`run`, not once per event.
         """
         executed = 0
-        pop = heapq.heappop
+        pop = heappop
         while not self._stopped:
             heap = self._heap
             while heap and heap[0][2] is None and heap[0][3].cancelled:
@@ -443,13 +445,13 @@ class Engine:
             for entry in self._heap
             if entry[2] is not None or not entry[3].cancelled
         ]
-        heapq.heapify(self._heap)
+        heapify(self._heap)
         self._cancelled = 0
 
     def _drop_cancelled_head(self) -> None:
         heap = self._heap
         while heap and heap[0][2] is None and heap[0][3].cancelled:
-            heapq.heappop(heap)
+            heappop(heap)
             self._cancelled -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -29,6 +29,7 @@ the queue non-empty forever).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
@@ -63,8 +64,10 @@ class FacilityConfig(ConfigMixin):
     throttle: ThrottleConfig = ThrottleConfig()
 
     def __post_init__(self) -> None:
-        if self.tick_s <= 0:
-            raise ValueError(f"facility tick must be positive, got {self.tick_s}")
+        if not 0 < self.tick_s < math.inf:
+            raise ValueError(f"facility tick must be finite and positive, got {self.tick_s}")
+        if not math.isfinite(self.setpoint_c):
+            raise ValueError(f"CRAC setpoint must be finite, got {self.setpoint_c}")
         if self.n_zones < 1:
             raise ValueError(f"need at least one zone, got {self.n_zones}")
 

@@ -17,6 +17,7 @@ the facility experiment measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -42,8 +43,10 @@ class ThrottleConfig(ConfigMixin):
     throttle_frequency_ghz: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.hysteresis_k < 0:
-            raise ValueError(f"hysteresis must be >= 0, got {self.hysteresis_k}")
+        if not math.isfinite(self.limit_c):
+            raise ValueError(f"throttle limit must be finite, got {self.limit_c}")
+        if not 0 <= self.hysteresis_k < math.inf:
+            raise ValueError(f"hysteresis must be finite and >= 0, got {self.hysteresis_k}")
         if (self.throttle_frequency_ghz is not None
                 and self.throttle_frequency_ghz <= 0):
             raise ValueError(

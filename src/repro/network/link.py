@@ -15,6 +15,10 @@ from typing import Dict, Optional, Tuple
 from repro.core.config import LinkConfig
 from repro.network.switch import LineCardState, Port, PortState
 
+# Enum members bound once (each ``Enum.MEMBER`` read is a Python-level call
+# in CPython 3.11; see repro.network.switch).
+_PORT_ACTIVE, _CARD_ACTIVE = PortState.ACTIVE, LineCardState.ACTIVE
+
 
 class Link:
     """An undirected, full-duplex link between two topology nodes."""
@@ -74,9 +78,11 @@ class Link:
         earlier instant (see :meth:`Port.end_activity`).
         """
         key = (src, dst)
-        if self._active[key] <= 0:
+        active = self._active
+        count = active[key]
+        if count <= 0:
             raise RuntimeError(f"no active traffic on {self} {key}")
-        self._active[key] -= 1
+        active[key] = count - 1
         for port in self._ports:
             port.end_activity(quiet_since)
 
@@ -90,15 +96,12 @@ class Link:
         busy queue's activity open across back-to-back packets only then.
         """
         for port in self._ports:
-            if port.state is not PortState.ACTIVE:
+            if port.state is not _PORT_ACTIVE:
                 return False
             card = port.linecard
-            if card.state is not LineCardState.ACTIVE or card._sleep_timer is not None:
+            if card.state is not _CARD_ACTIVE or card._sleep_timer is not None:
                 return False
         return True
-
-    def active_count(self, src: str, dst: str) -> int:
-        return self._active[(src, dst)]
 
     # ------------------------------------------------------------------
     # Adaptive link rate (ALR)

@@ -44,10 +44,14 @@ from repro.core.engine import Engine, EventHandle
 from repro.core.stats import LatencyCollector
 from repro.network.link import Link
 from repro.network.routing import Router
+from repro.network.switch import SwitchState
 from repro.network.topology import Topology
 from repro.telemetry import session as telemetry
 
 DEFAULT_MTU_BYTES = 1500
+#: Bound once (each ``Enum.MEMBER`` read is a Python-level call in CPython
+#: 3.11; see repro.network.switch).
+_SWITCH_ON = SwitchState.ON
 #: Distinct transfer sizes whose packetization a network keeps at once.
 _PACKETIZATION_CACHE_SIZE = 1024
 
@@ -87,7 +91,15 @@ class Packet:
 
 
 class _OutputQueue:
-    """FIFO output queue for one direction of one link."""
+    """FIFO output queue for one direction of one link.
+
+    The callbacks every packet posts and the link's hold gate are bound once
+    here instead of once per packet.  ``Link.awake`` stays the gate's one
+    definition: a queue binds whatever the class defines when it is built.
+    """
+
+    __slots__ = ("network", "engine", "link", "src", "dst", "key", "queue",
+                 "transmitting", "_post_at", "_awake", "_on_tx_done", "_on_arrival")
 
     def __init__(self, network: "PacketNetwork", link: Link, src: str, dst: str):
         self.network = network
@@ -98,6 +110,10 @@ class _OutputQueue:
         self.key = (src, dst)
         self.queue: Deque[Packet] = deque()
         self.transmitting = False
+        self._post_at = network.engine.post_at
+        self._awake = link.awake
+        self._on_tx_done = self._tx_done
+        self._on_arrival = network._hop_arrived
 
     def enqueue(self, packet: Packet) -> None:
         # A packet joining a hop a train reserved would contend with the
@@ -123,30 +139,32 @@ class _OutputQueue:
         packet = self.queue.popleft()
         self.transmitting = True
         self.network.packet_hops += 1
-        wake = self.link.begin_activity(self.src, self.dst)
-        tx_time = packet.size_bytes * 8.0 / self.link.current_rate_bps
-        self.engine.post(wake + tx_time, self._tx_done, packet)
+        link = self.link
+        wake = link.begin_activity(self.src, self.dst)
+        tx_time = packet.size_bytes * 8.0 / link.current_rate_bps
+        self._post_at(self.engine._now + (wake + tx_time), self._on_tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
+        queue = self.queue
         link = self.link
-        network = self.network
-        if self.queue and link.awake():
+        now = self.engine._now
+        if queue and self._awake():
             # Back-to-back on awake ports: ending and re-beginning the
             # activity here would change nothing (DESIGN.md, "Per-packet
             # path"), so hold it open and start the next packet directly.
             # Its wake latency would be 0.0, and 0.0 + tx_time == tx_time.
-            engine = self.engine
-            now = engine._now
-            engine.post_at(now + link.propagation_delay_s, network._hop_arrived, packet)
-            packet = self.queue.popleft()
+            post_at = self._post_at
+            post_at(now + link.config.propagation_delay_s, self._on_arrival, packet)
+            packet = queue.popleft()
+            network = self.network
             network.packet_hops += 1
             network.packet_hops_held += 1
-            engine.post_at(now + packet.size_bytes * 8.0 / link.current_rate_bps,
-                           self._tx_done, packet)
+            post_at(now + packet.size_bytes * 8.0 / link.current_rate_bps,
+                    self._on_tx_done, packet)
             return
         link.end_activity(self.src, self.dst)
-        self.engine.post(link.propagation_delay_s, network._hop_arrived, packet)
-        if self.queue:
+        self._post_at(now + link.config.propagation_delay_s, self._on_arrival, packet)
+        if queue:
             self._start_next()
         else:
             self.transmitting = False
@@ -208,7 +226,7 @@ class _Train:
         self.hops = hops
         self.packets = packets
         self.callback = callback
-        self.t0 = self.engine.now
+        self.t0 = self.engine._now
         self.alive = False
         # deps[h] = per-packet departure times off hop h (None until the
         # hop's window begins).
@@ -234,7 +252,7 @@ class _Train:
         if h == 0:
             t = self.t0 + (window_start_extra + tx[0])
             return list(itertools.accumulate(tx[1:], initial=t))
-        prop = link.propagation_delay_s
+        prop = link.config.propagation_delay_s
         prev_deps = self.deps[h - 1]
         t = prev_deps[0] + prop + (window_start_extra + tx[0])
         deps = [t]
@@ -269,7 +287,7 @@ class _Train:
         self.window_open[h] = True
         schedule_at = self.engine.schedule_at
         self.handles.append(schedule_at(deps[-1], self._end_hop, h))
-        prop = link.propagation_delay_s
+        prop = link.config.propagation_delay_s
         if h + 1 < len(self.hops):
             self.handles.append(schedule_at(deps[0] + prop, self._begin_hop, h + 1))
         else:
@@ -290,8 +308,8 @@ class _Train:
         last = len(self.hops) - 1
         t0 = self.t0
         deps = self.deps[last]
-        prop = self.hops[last][0].propagation_delay_s
-        network.packet_delay.extend((d + prop) - t0 for d in deps)
+        prop = self.hops[last][0].config.propagation_delay_s
+        network.packet_delay.extend([(d + prop) - t0 for d in deps])
         network.packets_delivered += len(deps)
         network.bytes_delivered += self.packets.total
         self.callback()
@@ -332,13 +350,13 @@ class _Train:
         self.alive = False
         self._unreserve()
         self.network.trains_materialized += 1
-        tm = self.engine.now
+        tm = self.engine._now
         ts = telemetry.ACTIVE
         if ts is not None and ts.net is not None:
             ts.net.instant("net", "train-materialize", "net/trains", tm)
+        # cancel() is a no-op on a handle that already fired.
         for handle in self.handles:
-            if handle.pending:
-                handle.cancel()
+            handle.cancel()
         self.handles = []
         sizes = self.packets.sizes
         n = len(sizes)
@@ -396,7 +414,7 @@ class _Train:
             # First packet is mid-transmission: its tx-done is already in
             # the analytic timetable; the rest wait in FIFO order.
             first_i, first_packet = entries[0]
-            post_at(self.deps[h][first_i], queue._tx_done, first_packet)
+            post_at(self.deps[h][first_i], queue._on_tx_done, first_packet)
             for _i, packet in entries[1:]:
                 queue.queue.append(packet)
         # A held window with no in-service packet is either past its last
@@ -574,7 +592,7 @@ class PacketNetwork:
                 if on_drop is not None:
                     on_drop(packet)
 
-        now = self.engine.now
+        now = self.engine._now
         queues = self._queues_on(path)
         first = queues[0]
         for size in sizes:
@@ -597,27 +615,22 @@ class PacketNetwork:
         race the back-to-back restart), and every on-route switch ON.
         """
         reserved = self._reserved
-        rate: Optional[float] = None
+        rate = hops[0][0].current_rate_bps
         for link, u, v in hops:
-            if link.config.adaptive_rates_bps:
-                return False
-            if rate is None:
-                rate = link.current_rate_bps
-            elif link.current_rate_bps != rate:
-                return False
-            if link.active_count(u, v):
+            if link.config.adaptive_rates_bps or link.current_rate_bps != rate:
                 return False
             # A train may hold (u, v) before its window there opens or after
             # it ends.
-            if (u, v) in reserved:
+            key = (u, v)
+            if link._active[key] or key in reserved:
                 return False
-            for port in link.ports.values():
+            for port in link._ports:
                 if port.profile.lpi_timer_s <= 0.0:
                     return False
         switches = self.topology.switches
         for node in path:
             switch = switches.get(node)
-            if switch is not None and not switch.is_on:
+            if switch is not None and switch.state is not _SWITCH_ON:
                 return False
         return True
 
@@ -653,11 +666,17 @@ class PacketNetwork:
         packet.hop_index = hop
         queues = packet.queues
         if hop < len(queues):
-            queues[hop].enqueue(packet)
+            queue = queues[hop]
+            if queue.transmitting and not self._reserved and self.max_queue_packets is None:
+                # All enqueue() would do: no train to fold back, no buffer
+                # to overflow, and the queue's next tx-done starts it.
+                queue.queue.append(packet)
+            else:
+                queue.enqueue(packet)
             return
         self.packets_delivered += 1
         self.bytes_delivered += packet.size_bytes
-        self.packet_delay.record(self.engine.now - packet.sent_at)
+        self.packet_delay.record(self.engine._now - packet.sent_at)
         if packet.on_delivered is not None:
             packet.on_delivered(packet)
 

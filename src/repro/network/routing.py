@@ -169,14 +169,17 @@ class Router:
         if src == dst:
             return [src]
         next_hops = self._reached_table(src, dst).next_hops
-        key_hash = None if flow_key is None else zlib.crc32(flow_key.encode("utf-8"))
+        # Hashed on the first equal-cost choice: many routes never meet one.
+        key_hash = None
         path = [src]
         node = src
         while node != dst:
             nhs = next_hops(node)
-            if len(nhs) == 1 or key_hash is None:
+            if len(nhs) == 1 or flow_key is None:
                 node = nhs[0]
             else:
+                if key_hash is None:
+                    key_hash = zlib.crc32(flow_key.encode("utf-8"))
                 node = nhs[(key_hash ^ self._salt(node)) % len(nhs)]
             path.append(node)
         return path

@@ -48,6 +48,16 @@ class SwitchState(enum.Enum):
     FAILED = "failed"
 
 
+# Enum members bound once: in CPython 3.11 every ``PortState.ACTIVE`` read
+# goes through ``EnumType``'s Python-level ``__getattr__`` hook, and ports
+# and line cards read them on every transmission (see repro.server.core_unit).
+_PORT_ACTIVE, _PORT_LPI, _PORT_OFF = PortState.ACTIVE, PortState.LPI, PortState.OFF
+_CARD_ACTIVE, _CARD_SLEEP, _CARD_OFF = (
+    LineCardState.ACTIVE, LineCardState.SLEEP, LineCardState.OFF,
+)
+_SWITCH_ON = SwitchState.ON
+
+
 class Port:
     """One switch port; its activity is driven by the attached link."""
 
@@ -78,20 +88,26 @@ class Port:
         A sleeping line card wakes with the port and adds its exit latency.
         """
         card = self.linecard
-        self._active_users += 1
-        if self._active_users == 1:
+        users = self._active_users + 1
+        self._active_users = users
+        if users == 1:
             card._busy_ports += 1
-        if self._lpi_timer is not None:
-            self._cancel_lpi_timer()
+        timer = self._lpi_timer
+        if timer is not None:
+            timer.cancel()
+            self._lpi_timer = None
         wake = 0.0
-        if self.state is not PortState.ACTIVE:
-            if self.state is PortState.LPI:
+        state = self.state
+        if state is not _PORT_ACTIVE:
+            if state is _PORT_LPI:
                 wake = self.profile.lpi_exit_latency_s
-            self._set_state(PortState.ACTIVE)
-        if card._sleep_timer is not None:
-            card._cancel_sleep_timer()
-        if card.state is LineCardState.SLEEP:
-            card._set_state(LineCardState.ACTIVE)
+            self._set_state(_PORT_ACTIVE)
+        timer = card._sleep_timer
+        if timer is not None:
+            timer.cancel()
+            card._sleep_timer = None
+        if card.state is _CARD_SLEEP:
+            card._set_state(_CARD_ACTIVE)
             wake += card.profile.sleep_exit_latency_s
         return wake
 
@@ -103,17 +119,25 @@ class Port:
         deadline ``quiet_since + lpi_timer_s``, exactly where a live call
         at ``quiet_since`` would have put it.
         """
-        if self._active_users <= 0:
+        users = self._active_users - 1
+        if users < 0:
             raise RuntimeError(f"{self} has no active users to end")
-        self._active_users -= 1
-        basis = self.engine.now if quiet_since is None else quiet_since
-        if self._active_users == 0:
+        self._active_users = users
+        engine = self.engine
+        basis = engine._now if quiet_since is None else quiet_since
+        candidate = self._quiet_candidate
+        if users == 0:
             self.linecard._busy_ports -= 1
-            if self._quiet_candidate is not None and self._quiet_candidate > basis:
-                basis = self._quiet_candidate
+            if candidate is not None and candidate > basis:
+                basis = candidate
             self._quiet_candidate = None
-            self._arm_lpi_timer_at(basis + self.profile.lpi_timer_s)
-        elif self._quiet_candidate is None or basis > self._quiet_candidate:
+            timer = self._lpi_timer
+            if timer is not None:
+                timer.cancel()
+            self._lpi_timer = engine.schedule_at(
+                basis + self.profile.lpi_timer_s, self._enter_lpi
+            )
+        elif candidate is None or basis > candidate:
             self._quiet_candidate = basis
 
     @property
@@ -125,40 +149,39 @@ class Port:
         if self.busy:
             raise RuntimeError(f"cannot power off busy {self}")
         self._cancel_lpi_timer()
-        self._set_state(PortState.OFF)
+        self._set_state(_PORT_OFF)
 
     # ------------------------------------------------------------------
-    def _arm_lpi_timer_at(self, deadline: float) -> None:
-        self._cancel_lpi_timer()
-        self._lpi_timer = self.engine.schedule_at(deadline, self._enter_lpi)
-
     def _cancel_lpi_timer(self) -> None:
-        if self._lpi_timer is not None and self._lpi_timer.pending:
+        # cancel() is a no-op on a handle that already fired.
+        if self._lpi_timer is not None:
             self._lpi_timer.cancel()
-        self._lpi_timer = None
+            self._lpi_timer = None
 
     def _enter_lpi(self) -> None:
         self._lpi_timer = None
-        if self._active_users == 0 and self.state is PortState.ACTIVE:
-            self._set_state(PortState.LPI)
+        if self._active_users == 0 and self.state is _PORT_ACTIVE:
+            self._set_state(_PORT_LPI)
             self.linecard.note_port_quiet()
 
     def _set_state(self, state: PortState) -> None:
         if state is self.state:
             return
         self.state = state
-        now = self.engine.now
-        self.tracker.set_state(state.value, now)
+        now = self.engine._now
+        self.tracker.set_state(state._value_, now)
         self.energy.set_power(self._state_power(), now)
 
     def _state_power(self) -> float:
-        if self.state is PortState.OFF:
-            return self.profile.off_w
-        if self.state is PortState.LPI:
-            return self.profile.lpi_w
+        state = self.state
+        profile = self.profile
+        if state is _PORT_OFF:
+            return profile.off_w
+        if state is _PORT_LPI:
+            return profile.lpi_w
         # Active power scales with the adapted link rate (ALR, §III-B):
         # a port running at a lower rate burns proportionally less.
-        return self.profile.lpi_w + (self.profile.active_w - self.profile.lpi_w) * self.rate_factor
+        return profile.lpi_w + (profile.active_w - profile.lpi_w) * self.rate_factor
 
     def set_rate_factor(self, factor: float) -> None:
         """Adaptive link rate changed; refresh active power accordingly."""
@@ -201,10 +224,6 @@ class LineCard:
         if self._busy_ports == 0:
             self._arm_sleep_timer()
 
-    @property
-    def all_ports_quiet(self) -> bool:
-        return self._busy_ports == 0
-
     # ------------------------------------------------------------------
     def _arm_sleep_timer(self) -> None:
         if self.profile.sleep_timer_s is None:
@@ -213,27 +232,29 @@ class LineCard:
         self._sleep_timer = self.engine.schedule(self.profile.sleep_timer_s, self._enter_sleep)
 
     def _cancel_sleep_timer(self) -> None:
-        if self._sleep_timer is not None and self._sleep_timer.pending:
+        # cancel() is a no-op on a handle that already fired.
+        if self._sleep_timer is not None:
             self._sleep_timer.cancel()
-        self._sleep_timer = None
+            self._sleep_timer = None
 
     def _enter_sleep(self) -> None:
         self._sleep_timer = None
-        if self.all_ports_quiet and self.state is LineCardState.ACTIVE:
-            self._set_state(LineCardState.SLEEP)
+        if self._busy_ports == 0 and self.state is _CARD_ACTIVE:
+            self._set_state(_CARD_SLEEP)
 
     def _set_state(self, state: LineCardState) -> None:
         if state is self.state:
             return
         self.state = state
-        now = self.engine.now
-        self.tracker.set_state(state.value, now)
+        now = self.engine._now
+        self.tracker.set_state(state._value_, now)
         self.energy.set_power(self._state_power(), now)
 
     def _state_power(self) -> float:
-        if self.state is LineCardState.OFF:
+        state = self.state
+        if state is _CARD_OFF:
             return self.profile.off_w
-        if self.state is LineCardState.SLEEP:
+        if state is _CARD_SLEEP:
             return self.profile.sleep_w
         return self.profile.active_w
 
@@ -306,7 +327,7 @@ class Switch:
     # ------------------------------------------------------------------
     @property
     def is_on(self) -> bool:
-        return self.state is SwitchState.ON
+        return self.state is _SWITCH_ON
 
     def sleep(self) -> bool:
         """Park the whole switch; refuses while any port carries traffic."""

@@ -33,6 +33,9 @@ class Topology:
         self.name = name
         self.graph = nx.Graph()
         self.server_nodes: List[str] = []
+        # server id -> node key, so per-transfer lookups skip the f-string
+        # and networkx's Python-level ``Graph.__contains__``.
+        self._server_node_of: Dict[int, str] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         # Fault state (driven by repro.faults): failed components are removed
@@ -53,6 +56,7 @@ class Topology:
             raise ValueError(f"server node {node!r} already exists")
         self.graph.add_node(node, kind="server", server_id=sid)
         self.server_nodes.append(node)
+        self._server_node_of[sid] = node
         return node
 
     def add_switch(
@@ -182,8 +186,8 @@ class Topology:
     # ------------------------------------------------------------------
     def server_node(self, server_id: int) -> str:
         """Node key for a server id (``h{i}``); validates existence."""
-        node = f"h{server_id}"
-        if node not in self.graph:
+        node = self._server_node_of.get(server_id)
+        if node is None:
             raise KeyError(f"no server node for id {server_id}")
         return node
 

@@ -10,6 +10,7 @@ over time (Fig. 4) tells operators how much capacity a workload really needs.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, List, Sequence
 
 from repro.core.engine import Engine
@@ -33,6 +34,10 @@ class ProvisioningManager(DelayTimerController):
         park_tau_s: float = 0.0,
         sleep_level: str = "s3",
     ):
+        for name, load in (("min", min_load_per_server), ("max", max_load_per_server)):
+            # NaN passes every comparison below and would switch parking off.
+            if not 0 < load < math.inf:
+                raise ValueError(f"{name} threshold must be finite and > 0, got {load}")
         if min_load_per_server >= max_load_per_server:
             raise ValueError(
                 f"min threshold {min_load_per_server} must be below "

@@ -97,6 +97,12 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             FacilityConfig(n_zones=0)
 
+    @pytest.mark.parametrize("field", ["setpoint_c", "tick_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            FacilityConfig(**{field: value})
+
     def test_config_json_round_trip(self):
         config = FacilityConfig(
             setpoint_c=26.0,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.config import ProcessorConfig, ServerConfig
@@ -109,6 +111,12 @@ class TestConfigValidation:
     def test_hysteresis_nonnegative(self):
         with pytest.raises(ValueError):
             ThrottleConfig(hysteresis_k=-1.0)
+
+    @pytest.mark.parametrize("field", ["limit_c", "hysteresis_k"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError):
+            ThrottleConfig(**{field: value})
 
     def test_throttle_frequency_positive(self):
         with pytest.raises(ValueError):

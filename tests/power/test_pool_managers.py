@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.engine import Engine
@@ -120,6 +122,18 @@ class TestProvisioningManager:
         with pytest.raises(ValueError):
             ProvisioningManager(engine, servers, min_load_per_server=2.0,
                                 max_load_per_server=1.0)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (math.nan, 1.0), (0.5, math.nan), (0.0, 1.0), (-0.5, 1.0), (0.5, math.inf),
+    ])
+    def test_rejects_non_finite_or_non_positive_thresholds(self, fast_sleep_config,
+                                                           lo, hi):
+        # NaN passes ``min >= max`` and would silently switch parking off.
+        engine = Engine()
+        servers = make_farm(engine, fast_sleep_config)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            ProvisioningManager(engine, servers, min_load_per_server=lo,
+                                max_load_per_server=hi)
 
     def test_parks_servers_when_idle(self, fast_sleep_config):
         engine = Engine()

@@ -36,6 +36,35 @@ RATE_AND_SPAN_FLAGS = (
     ("faults", "--mttr"), ("faults", "--slo"),
 )
 
+#: A value each model-input flag must refuse at parse time, by subcommand.
+BAD_MODEL_INPUTS = (
+    ("provisioning", "--min-load", "nan"), ("provisioning", "--min-load", "0"),
+    ("provisioning", "--max-load", "nan"), ("provisioning", "--max-load", "inf"),
+    ("facility-carbon", "--setpoints", "nan"), ("facility-carbon", "--setpoints", "-inf"),
+    ("facility-carbon", "--thermal-limit", "nan"),
+    ("faults", "--retry-limit", "-1"), ("faults", "--retry-limit", "1.5"),
+    ("delay-timer", "--utilizations", "nan"), ("residency", "--utilizations", "nan"),
+    ("joint", "--utilizations", "0"), ("faults", "--utilization", "nan"),
+    ("facility-carbon", "--utilization", "-0.5"),
+    ("ai-training", "--compute", "nan"), ("ai-training", "--bytes", "nan"),
+    ("ai-training", "--bytes", "0"), ("ai-training", "--phase-batch", "0"),
+    ("ai-training", "--jitter", "-1"), ("ai-training", "--jitter", "1"),
+    ("ai-training", "--fat-tree-k", "3"), ("ai-training", "--fat-tree-k", "0"),
+    ("joint", "--fat-tree-k", "3"),
+)
+#: The edge of each domain, which must still parse: (command, flag, text, value).
+GOOD_MODEL_INPUTS = (
+    ("provisioning", "--min-load", "0.01", 0.01),
+    ("facility-carbon", "--setpoints", "-5", -5.0),
+    ("facility-carbon", "--thermal-limit", "30", 30.0),
+    ("faults", "--retry-limit", "0", 0),
+    ("delay-timer", "--utilizations", "1.2", 1.2),
+    ("ai-training", "--phase-batch", "1", 1),
+    ("ai-training", "--jitter", "0", 0.0),
+    ("ai-training", "--fat-tree-k", "2", 2),
+    ("joint", "--fat-tree-k", "6", 6),
+)
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -129,6 +158,26 @@ class TestParser:
             args = build_parser().parse_args([command, flag, "1"])
             value = getattr(args, flag[2:].replace("-", "_"))
             assert value in (1, [1]), (command, flag)
+
+    @pytest.mark.parametrize("command, flag, value", BAD_MODEL_INPUTS)
+    def test_bad_model_input_is_a_usage_error(self, capsys, command, flag, value):
+        # Each value used to reach the model: a NaN threshold or setpoint
+        # printed wrong results and exited 0, the rest ended in a traceback.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+
+    def test_model_input_flags_accept_their_bounds(self):
+        for command, flag, value, parsed in GOOD_MODEL_INPUTS:
+            args = build_parser().parse_args([command, flag, value])
+            got = getattr(args, flag[2:].replace("-", "_"))
+            assert got in (parsed, [parsed]), (command, flag)
+
+    def test_bad_threshold_pair_exits_with_message(self):
+        with pytest.raises(SystemExit, match="finite and > 0"):
+            main(["provisioning", "--sweep-thresholds", "nan:1.0"])
 
     @pytest.mark.parametrize("value", ["nan", "-1", "inf", "soon"])
     def test_bad_tau_is_a_usage_error(self, capsys, value):
