@@ -48,9 +48,9 @@ class ThrottleConfig(ConfigMixin):
         if not 0 <= self.hysteresis_k < math.inf:
             raise ValueError(f"hysteresis must be finite and >= 0, got {self.hysteresis_k}")
         if (self.throttle_frequency_ghz is not None
-                and self.throttle_frequency_ghz <= 0):
+                and not 0 < self.throttle_frequency_ghz < math.inf):
             raise ValueError(
-                f"throttle frequency must be positive, "
+                f"throttle_frequency_ghz must be None or finite and positive, "
                 f"got {self.throttle_frequency_ghz}"
             )
 

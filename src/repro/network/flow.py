@@ -172,6 +172,11 @@ class FlowNetwork:
         adapt_link_rates: bool = False,
         local_transfer_delay_s: float = 0.0,
     ):
+        if not 0 <= local_transfer_delay_s < math.inf:
+            raise ValueError(
+                "local_transfer_delay_s must be finite and non-negative, "
+                f"got {local_transfer_delay_s}"
+            )
         self.engine = engine
         self.topology = topology
         self.router = router or Router(topology)

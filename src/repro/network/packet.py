@@ -450,6 +450,11 @@ class PacketNetwork:
             raise ValueError(
                 f"max_queue_packets must be None or >= 1, got {max_queue_packets}"
             )
+        if not 0 <= local_transfer_delay_s < math.inf:
+            raise ValueError(
+                "local_transfer_delay_s must be finite and non-negative, "
+                f"got {local_transfer_delay_s}"
+            )
         self.engine = engine
         self.topology = topology
         self.router = router or Router(topology)

@@ -15,10 +15,11 @@ source has a hop count, and resumes from its saved frontier when a farther
 source is asked for later; next-hop tuples are derived per node on first
 use.  A FIFO BFS labels every node at level d-1 before any node at level d,
 so a node's next hops are final the moment it is labelled and every answer
-equals the one a full BFS would give.  The BFS reads a plain-tuple snapshot
-of the graph's adjacency, taken once per :attr:`Router.epoch`.  Tables live
-in an LRU keyed by destination; topology fault mutations drop every table
-and the snapshot via the change-listener hook.
+equals the one a full BFS would give.  The BFS reads the topology's own
+adjacency map (:attr:`Topology.adjacency`) directly; there is no snapshot.
+Tables live in an LRU keyed by destination; every fault mutation edits the
+map and drops every table via the change-listener hook, so a paused BFS
+never resumes over a changed map.
 
 Dynamic power-aware selection (pick the path waking the fewest sleeping
 switches) is a memoised DP over the same DAG, exposed via
@@ -46,7 +47,7 @@ class _DestTable:
 
     __slots__ = ("dst", "dist", "frontier", "adj", "interned", "hops")
 
-    def __init__(self, dst: str, adj: Dict[str, Tuple[str, ...]],
+    def __init__(self, dst: str, adj: Dict[str, Dict[str, Link]],
                  interned: Dict[Tuple[str, ...], Tuple[str, ...]]):
         self.dst = dst
         self.dist: Dict[str, int] = {dst: 0}
@@ -100,9 +101,6 @@ class Router:
         self.max_cached_destinations = max_cached_destinations
         # destination -> _DestTable, LRU-evicted at max_cached_destinations.
         self._tables: "OrderedDict[str, _DestTable]" = OrderedDict()
-        # node -> neighbour tuple, snapshotted from the graph once per epoch
-        # so table growth never goes through networkx views.
-        self._adj: Optional[Dict[str, Tuple[str, ...]]] = None
         # Next-hop tuples are interned so tables over regular fabrics (where
         # thousands of nodes share the same few-way choice) share storage.
         self._interned: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
@@ -126,11 +124,7 @@ class Router:
         if table is not None:
             self._tables.move_to_end(dst)
             return table
-        adj = self._adj
-        if adj is None:
-            adj = self._adj = {
-                node: tuple(nbrs) for node, nbrs in self.topology.graph.adjacency()
-            }
+        adj = self.topology.adjacency
         if dst not in adj:
             raise ValueError(f"unknown node {dst!r}")
         table = _DestTable(dst, adj, self._interned)
@@ -305,9 +299,7 @@ class Router:
         return [self.topology.switches[n] for n in path if n in self.topology.switches]
 
     def invalidate_cache(self) -> None:
-        """Drop all next-hop tables and the adjacency snapshot (called after
-        mutating the topology)."""
+        """Drop all next-hop tables (called after mutating the topology)."""
         self._tables.clear()
-        self._adj = None
         self._hops_cache.clear()
         self.epoch += 1

@@ -4,9 +4,11 @@ HolDCSim "offers network configuration corresponding to several
 state-of-the-art topologies": fat-tree and flattened butterfly for
 switch-based architectures, CamCube for server-based architectures, and
 BCube for hybrid architectures.  All builders return a :class:`Topology`
-holding a networkx graph (for routing), the :class:`~repro.network.switch.Switch`
+holding its adjacency map (node -> neighbour -> link over the links that are
+up, which the router's BFS reads), the :class:`~repro.network.switch.Switch`
 objects (for power), and the :class:`~repro.network.link.Link` objects (for
-capacity and activity tracking).
+capacity and activity tracking).  The simulator needs no graph library: the
+map is the whole graph, and faults edit it in place.
 
 Node naming convention: servers are ``h{i}`` where ``i`` is the server id
 used by :class:`repro.server.Server`; switches carry descriptive names
@@ -16,8 +18,6 @@ used by :class:`repro.server.Server`; switches carry descriptive names
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.core.config import LinkConfig, SwitchConfig, datacenter_switch
 from repro.core.engine import Engine
@@ -31,15 +31,16 @@ class Topology:
     def __init__(self, engine: Engine, name: str = "topology"):
         self.engine = engine
         self.name = name
-        self.graph = nx.Graph()
+        #: node -> neighbour -> link, over the links that are up; every node
+        #: has an entry, so a failed node maps to an empty dict.
+        self.adjacency: Dict[str, Dict[str, Link]] = {}
         self.server_nodes: List[str] = []
-        # server id -> node key, so per-transfer lookups skip the f-string
-        # and networkx's Python-level ``Graph.__contains__``.
+        # server id -> node key, so per-transfer lookups skip the f-string.
         self._server_node_of: Dict[int, str] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
         # Fault state (driven by repro.faults): failed components are removed
-        # from the routing graph but keep their Switch/Link objects so power
+        # from the adjacency map but keep their Switch/Link objects so power
         # accounting and repair can restore them.
         self.failed_nodes: Set[str] = set()
         self.failed_links: Set[Tuple[str, str]] = set()
@@ -52,9 +53,9 @@ class Topology:
         """Add a server node; returns its node key (``h{i}``)."""
         sid = len(self.server_nodes) if server_id is None else server_id
         node = f"h{sid}"
-        if node in self.graph:
+        if node in self.adjacency:
             raise ValueError(f"server node {node!r} already exists")
-        self.graph.add_node(node, kind="server", server_id=sid)
+        self.adjacency[node] = {}
         self.server_nodes.append(node)
         self._server_node_of[sid] = node
         return node
@@ -63,17 +64,17 @@ class Topology:
         self, name: str, config: SwitchConfig, n_ports: Optional[int] = None
     ) -> Switch:
         """Add a switch node backed by a :class:`Switch` power model."""
-        if name in self.graph:
+        if name in self.adjacency:
             raise ValueError(f"switch node {name!r} already exists")
         switch = Switch(self.engine, config, name=name, n_ports=n_ports)
-        self.graph.add_node(name, kind="switch")
+        self.adjacency[name] = {}
         self.switches[name] = switch
         return switch
 
     def connect(self, u: str, v: str, link_config: Optional[LinkConfig] = None) -> Link:
         """Join two nodes with a link, allocating switch ports as needed."""
         for node in (u, v):
-            if node not in self.graph:
+            if node not in self.adjacency:
                 raise ValueError(f"unknown node {node!r}")
         key = self._link_key(u, v)
         if key in self.links:
@@ -83,7 +84,7 @@ class Topology:
             if node in self.switches:
                 link.attach_port(node, self.switches[node].allocate_port())
         self.links[key] = link
-        self.graph.add_edge(u, v, link=link)
+        self._refresh_edge(key)
         return link
 
     @staticmethod
@@ -124,7 +125,7 @@ class Topology:
 
     def fail_node(self, node: str) -> bool:
         """Take a node (switch or server) down with all incident links."""
-        if node not in self.graph:
+        if node not in self.adjacency:
             raise KeyError(f"unknown node {node!r}")
         if node in self.failed_nodes:
             return False
@@ -136,7 +137,7 @@ class Topology:
 
     def repair_node(self, node: str) -> bool:
         """Bring a failed node back, restoring its non-failed incident links."""
-        if node not in self.graph:
+        if node not in self.adjacency:
             raise KeyError(f"unknown node {node!r}")
         if node not in self.failed_nodes:
             return False
@@ -157,7 +158,8 @@ class Topology:
         """True when every node and every hop of a node path is healthy."""
         if any(node in self.failed_nodes for node in path):
             return False
-        return all(self.graph.has_edge(u, v) for u, v in zip(path, path[1:]))
+        adjacency = self.adjacency
+        return all(v in adjacency[u] for u, v in zip(path, path[1:]))
 
     def _incident_link_keys(self, node: str) -> List[Tuple[str, str]]:
         return [key for key in self.links if node in key]
@@ -170,12 +172,15 @@ class Topology:
         )
 
     def _refresh_edge(self, key: Tuple[str, str]) -> None:
+        """Make the adjacency map hold link ``key`` exactly when it is up."""
         u, v = key
         if self._edge_is_up(key):
-            if not self.graph.has_edge(u, v):
-                self.graph.add_edge(u, v, link=self.links[key])
-        elif self.graph.has_edge(u, v):
-            self.graph.remove_edge(u, v)
+            link = self.links[key]
+            self.adjacency[u][v] = link
+            self.adjacency[v][u] = link
+        else:
+            self.adjacency[u].pop(v, None)
+            self.adjacency[v].pop(u, None)
 
     def _notify_change(self) -> None:
         for callback in self._change_listeners:
@@ -210,8 +215,21 @@ class Topology:
         return len(self.switches)
 
     def is_connected(self) -> bool:
-        """True if every node can reach every other node."""
-        return nx.is_connected(self.graph) if len(self.graph) else True
+        """True if every node can reach every other node over links that are
+        up.  A failed node keeps its entry but loses its links, so it
+        disconnects any topology of two or more nodes."""
+        adjacency = self.adjacency
+        if not adjacency:
+            return True
+        start = next(iter(adjacency))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for nbr in adjacency[stack.pop()]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        return len(seen) == len(adjacency)
 
     # ------------------------------------------------------------------
     # Network-wide power telemetry

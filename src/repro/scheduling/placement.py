@@ -57,10 +57,8 @@ class GroupPlacementPolicy(DispatchPolicy):
         # fat-tree naming convention (edge-{pod}-{s}); other topologies
         # collapse to pod 0 with the attachment node as the "edge".
         self._attachment: Dict[int, Tuple[int, str]] = {}
-        graph = topology.graph
-        for node in topology.server_nodes:
-            server_id = graph.nodes[node]["server_id"]
-            switches = sorted(n for n in graph.neighbors(node) if topology.is_switch(n))
+        for server_id, node in topology._server_node_of.items():
+            switches = sorted(n for n in topology.adjacency[node] if topology.is_switch(n))
             attach = switches[0] if switches else node
             match = _EDGE_NAME.match(attach)
             pod = int(match.group(1)) if match else 0

@@ -122,6 +122,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ThrottleConfig(throttle_frequency_ghz=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_throttle_frequency_finite(self, value):
+        # A NaN ceiling used to throttle to the lowest rung and +inf to cap
+        # nothing; both are refused at construction, naming the field.
+        with pytest.raises(ValueError, match="throttle_frequency_ghz"):
+            ThrottleConfig(throttle_frequency_ghz=value)
+
     def test_release_threshold(self):
         assert ThrottleConfig(limit_c=45.0, hysteresis_k=3.0).release_c == 42.0
 

@@ -346,7 +346,7 @@ def test_hold_matches_end_and_begin_per_packet(seed, n_transfers, topo_name, pat
     switch_events = []
     for _ in range(n_switch_events):
         t, src, _dst, _size = events[int(rng.integers(len(events)))]
-        (name,) = topo.graph.neighbors(topo.server_node(src))
+        (name,) = topo.adjacency[topo.server_node(src)]
         t += float(rng.integers(0, 100)) * 1e-6
         action = SWITCH_ACTIONS[int(rng.integers(len(SWITCH_ACTIONS)))]
         switch_events.append((t, name, action))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.engine import Engine
 from repro.network.routing import Router
 from repro.network.topology import bcube, camcube, fat_tree, flattened_butterfly, star
+from tests.network._reference import to_networkx
 
 
 def builders():
@@ -151,10 +152,9 @@ def test_link_fault_churn_keeps_tables_consistent():
 # ----------------------------------------------------------------------
 class _FullTable:
     """Reference next-hop table: the whole BFS DAG toward ``dst``, built up
-    front by reading the networkx graph directly."""
+    front by reading the topology's adjacency map directly."""
 
-    def __init__(self, graph, dst):
-        adj = graph.adj
+    def __init__(self, adj, dst):
         dist = {dst: 0}
         frontier = deque((dst,))
         while frontier:
@@ -183,10 +183,10 @@ class _ReferenceRouter(Router):
     """The same queries served from eagerly built, uncached tables."""
 
     def _table(self, dst):
-        graph = self.topology.graph
-        if dst not in graph:
+        adj = self.topology.adjacency
+        if dst not in adj:
             raise ValueError(f"unknown node {dst!r}")
-        return _FullTable(graph, dst)
+        return _FullTable(adj, dst)
 
 
 def _outcome(fn, *args):
@@ -225,7 +225,7 @@ def test_lazy_tables_answer_like_full_bfs(topo_name, seed):
     topo = builders()[topo_name](engine)
     lazy, ref = Router(topo), _ReferenceRouter(topo)
     rng = np.random.default_rng(seed)
-    nodes = sorted(topo.graph.nodes)
+    nodes = sorted(topo.adjacency)
 
     def random_pairs(n):
         return [
@@ -258,11 +258,12 @@ def test_equal_cost_paths_match_networkx(topo_name):
 
     topo = builders()[topo_name](Engine())
     router = Router(topo)
+    graph = to_networkx(topo)
     servers = topo.server_nodes
     for src in servers[:4]:
         for dst in servers[-4:]:
             if src != dst:
-                expected = sorted(nx.all_shortest_paths(topo.graph, src, dst))
+                expected = sorted(nx.all_shortest_paths(graph, src, dst))
                 assert router.equal_cost_paths(src, dst) == expected
 
 
@@ -272,7 +273,7 @@ def test_far_source_after_near_one_resumes_the_same_table():
     near = lazy.route("h1", "h0")
     table = lazy._tables["h0"]
     grown = len(table.dist)
-    assert grown < topo.graph.number_of_nodes()
+    assert grown < len(topo.adjacency)
     assert near == ref.route("h1", "h0")
     # h15 sits in another pod: the paused BFS resumes on the same table.
     pairs = [("h15", "h0", "far"), ("h4", "h0", "pod"), ("h1", "h0", "near")]
@@ -291,7 +292,7 @@ def test_unknown_and_unreachable_nodes_raise_as_before():
     with pytest.raises(ValueError, match="no path between"):
         lazy.route("nope", "h0")
     # Partition h0 by failing its only uplink: both directions lose it.
-    edge = next(iter(topo.graph.adj["h0"]))
+    edge = next(iter(topo.adjacency["h0"]))
     topo.fail_link("h0", edge)
     for src, dst in (("h0", "h15"), ("h15", "h0")):
         assert _queries(lazy, src, dst, "k") == _queries(ref, src, dst, "k")
@@ -302,12 +303,15 @@ def test_unknown_and_unreachable_nodes_raise_as_before():
     assert lazy.route("h0", "h0") == ["h0"]
 
 
-def test_invalidation_drops_the_adjacency_snapshot():
+def test_invalidation_drops_tables_over_the_live_adjacency():
+    """A fault edits the map the tables read, so it must drop every table:
+    a paused BFS may not resume over a changed map."""
     topo = fat_tree(Engine(), 4)
     router = Router(topo)
     path = router.route("h0", "h15")
     victim = path[len(path) // 2]
     topo.fail_node(victim)
-    assert router._adj is None
+    assert not router._tables
     assert victim not in router.route("h0", "h15")
-    assert router._adj[victim] == ()
+    assert topo.adjacency[victim] == {}
+    assert router._tables["h15"].adj is topo.adjacency

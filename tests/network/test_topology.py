@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import LinkConfig, datacenter_switch
 from repro.core.engine import Engine
@@ -14,6 +16,7 @@ from repro.network.topology import (
     flattened_butterfly,
     star,
 )
+from tests.network._reference import to_networkx
 
 
 class TestTopologyPrimitives:
@@ -98,19 +101,19 @@ class TestFatTree:
         k = 4
         topo = fat_tree(Engine(), k)
         for name in topo.switches:
-            assert topo.graph.degree(name) == k
+            assert len(topo.adjacency[name]) == k
 
     def test_servers_have_one_uplink(self):
         topo = fat_tree(Engine(), 4)
         for node in topo.server_nodes:
-            assert topo.graph.degree(node) == 1
+            assert len(topo.adjacency[node]) == 1
 
     def test_full_bisection_path_diversity(self):
         """Cross-pod server pairs see (k/2)^2 equal-cost paths (via any core)."""
         import networkx as nx
 
         topo = fat_tree(Engine(), 4)
-        paths = list(nx.all_shortest_paths(topo.graph, "h0", "h15"))
+        paths = list(nx.all_shortest_paths(to_networkx(topo), "h0", "h15"))
         assert len(paths) == 4
 
 
@@ -126,13 +129,13 @@ class TestFlattenedButterfly:
         topo = flattened_butterfly(Engine(), rows, cols, servers_per_switch=1)
         # Each switch: (cols-1) row links + (rows-1) column links + 1 server.
         for name in topo.switches:
-            assert topo.graph.degree(name) == (cols - 1) + (rows - 1) + 1
+            assert len(topo.adjacency[name]) == (cols - 1) + (rows - 1) + 1
 
     def test_switch_diameter_is_two(self):
         import networkx as nx
 
         topo = flattened_butterfly(Engine(), 3, 3, servers_per_switch=1)
-        switch_graph = topo.graph.subgraph(topo.switches)
+        switch_graph = to_networkx(topo).subgraph(topo.switches)
         assert nx.diameter(switch_graph) <= 2
 
     def test_validates(self):
@@ -151,12 +154,12 @@ class TestBCube:
     def test_server_degree_is_levels_plus_one(self):
         topo = bcube(Engine(), 4, 1)
         for node in topo.server_nodes:
-            assert topo.graph.degree(node) == 2
+            assert len(topo.adjacency[node]) == 2
 
     def test_switch_degree_is_n(self):
         topo = bcube(Engine(), 4, 1)
         for name in topo.switches:
-            assert topo.graph.degree(name) == 4
+            assert len(topo.adjacency[name]) == 4
 
     def test_validates(self):
         with pytest.raises(ValueError):
@@ -176,14 +179,14 @@ class TestCamCube:
         """Every server in a 3-D torus (side >= 3) has exactly 6 neighbours."""
         topo = camcube(Engine(), 3)
         for node in topo.server_nodes:
-            assert topo.graph.degree(node) == 6
+            assert len(topo.adjacency[node]) == 6
 
     def test_side_two_collapses_duplicate_edges(self):
         topo = camcube(Engine(), 2)
         assert topo.n_servers == 8
         # side=2: +1 and -1 neighbours coincide, degree 3.
         for node in topo.server_nodes:
-            assert topo.graph.degree(node) == 3
+            assert len(topo.adjacency[node]) == 3
 
     def test_validates(self):
         with pytest.raises(ValueError):
@@ -203,3 +206,68 @@ class TestNetworkTelemetry:
         assert topo.network_energy_j() == pytest.approx(
             topo.network_power_w() * 10.0, rel=0.2
         )
+
+
+# ----------------------------------------------------------------------
+# The adjacency map under faults
+# ----------------------------------------------------------------------
+BUILDERS = {
+    "star": lambda e: star(e, 5),
+    "fat_tree": lambda e: fat_tree(e, 4),
+    "butterfly": lambda e: flattened_butterfly(e, 2, 3, 2),
+    "bcube": lambda e: bcube(e, 3, 1),
+    "camcube": lambda e: camcube(e, 3),
+}
+ACTIONS = ("fail_link", "repair_link", "fail_node", "repair_node")
+
+
+def _assert_adjacency_matches(topo, nodes, failed_nodes, failed_links):
+    """The map holds exactly the links that are up, in both directions,
+    against the test's own record of what failed."""
+    import networkx as nx
+
+    reference = nx.Graph()
+    reference.add_nodes_from(nodes)
+    reference.add_edges_from(
+        key for key in topo.links
+        if key not in failed_links and not failed_nodes.intersection(key)
+    )
+    assert topo.adjacency == {
+        node: {nbr: topo.link_between(node, nbr) for nbr in reference.adj[node]}
+        for node in nodes
+    }
+    for (u, v) in topo.links:
+        up = topo._edge_is_up((u, v))
+        assert (v in topo.adjacency[u]) is up
+        assert (u in topo.adjacency[v]) is up
+    assert topo.is_connected() == nx.is_connected(reference)
+
+
+@given(
+    topo_name=st.sampled_from(sorted(BUILDERS)),
+    steps=st.lists(
+        st.tuples(st.sampled_from(ACTIONS), st.integers(min_value=0, max_value=10**6)),
+        max_size=30,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_adjacency_tracks_random_fail_repair_sequences(topo_name, steps):
+    topo = BUILDERS[topo_name](Engine())
+    nodes = topo.server_nodes + list(topo.switches)
+    links = sorted(topo.links)
+    failed_nodes, failed_links = set(), set()
+    _assert_adjacency_matches(topo, nodes, failed_nodes, failed_links)
+    for action, pick in steps:
+        if action.endswith("_link"):
+            key, failed = links[pick % len(links)], failed_links
+            changed = getattr(topo, action)(*key)
+        else:
+            key, failed = nodes[pick % len(nodes)], failed_nodes
+            changed = getattr(topo, action)(key)
+        if action.startswith("fail"):
+            assert changed is (key not in failed)
+            failed.add(key)
+        else:
+            assert changed is (key in failed)
+            failed.discard(key)
+        _assert_adjacency_matches(topo, nodes, failed_nodes, failed_links)

@@ -3,8 +3,9 @@
 A NaN size used to complete a flow at t=NaN and crash packetization with
 "cannot convert float NaN to integer"; an infinite flow never completed.
 Each ``transfer()`` now raises ``ValueError`` before touching the network.
-A NaN or infinite MTU, a queue limit below one packet, and a NaN link rate
-or propagation delay are refused at construction, naming the field.
+A NaN or infinite MTU, a queue limit below one packet, a NaN link rate or
+propagation delay, and a NaN, infinite or negative same-server transfer
+delay are refused at construction, naming the field.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ def test_packet_network_rejects_queue_limit_below_one(limit):
     engine = Engine()
     with pytest.raises(ValueError, match="max_queue_packets"):
         PacketNetwork(engine, star(engine, 2), max_queue_packets=limit)
+
+
+@pytest.mark.parametrize("model", sorted(NETWORKS))
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -1e-6])
+def test_networks_reject_bad_local_transfer_delay(model, delay):
+    # Accepted, such a delay used to raise SimulationError mid-run, at the
+    # first same-server transfer.
+    engine = Engine()
+    with pytest.raises(ValueError, match="local_transfer_delay_s"):
+        NETWORKS[model](engine, star(engine, 2), local_transfer_delay_s=delay)
 
 
 @pytest.mark.parametrize("field, value", [
