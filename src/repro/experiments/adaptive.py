@@ -70,7 +70,7 @@ def _build_adaptive_farm(
         t_sleep=t_sleep,
         initial_active=initial_active,
     )
-    farm.scheduler.policy = PackingPolicy(order=lambda: manager.active_pool)
+    farm.scheduler.policy = PackingPolicy(order=manager.eligible_servers)
     farm.scheduler.eligible_provider = manager.eligible_servers
     manager.start()
 

@@ -291,6 +291,8 @@ class Job:
 
     def root_tasks(self) -> List[Task]:
         """Tasks with no dependencies; these become READY on job arrival."""
+        if not self._edges:
+            return list(self.tasks)
         indegree = self._indegrees()
         return [t for t in self.tasks if not indegree[t.index]]
 

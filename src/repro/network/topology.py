@@ -39,6 +39,9 @@ class Topology:
         self._server_node_of: Dict[int, str] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
+        # node -> keys of its links, in ``links`` order (filled by connect),
+        # so a node fault or repair touches only its own links.
+        self._incident: Dict[str, List[Tuple[str, str]]] = {}
         # Fault state (driven by repro.faults): failed components are removed
         # from the adjacency map but keep their Switch/Link objects so power
         # accounting and repair can restore them.
@@ -56,6 +59,7 @@ class Topology:
         if node in self.adjacency:
             raise ValueError(f"server node {node!r} already exists")
         self.adjacency[node] = {}
+        self._incident[node] = []
         self.server_nodes.append(node)
         self._server_node_of[sid] = node
         return node
@@ -68,6 +72,7 @@ class Topology:
             raise ValueError(f"switch node {name!r} already exists")
         switch = Switch(self.engine, config, name=name, n_ports=n_ports)
         self.adjacency[name] = {}
+        self._incident[name] = []
         self.switches[name] = switch
         return switch
 
@@ -84,6 +89,9 @@ class Topology:
             if node in self.switches:
                 link.attach_port(node, self.switches[node].allocate_port())
         self.links[key] = link
+        self._incident[u].append(key)
+        if v != u:
+            self._incident[v].append(key)
         self._refresh_edge(key)
         return link
 
@@ -130,7 +138,7 @@ class Topology:
         if node in self.failed_nodes:
             return False
         self.failed_nodes.add(node)
-        for key in self._incident_link_keys(node):
+        for key in self._incident[node]:
             self._refresh_edge(key)
         self._notify_change()
         return True
@@ -142,7 +150,7 @@ class Topology:
         if node not in self.failed_nodes:
             return False
         self.failed_nodes.discard(node)
-        for key in self._incident_link_keys(node):
+        for key in self._incident[node]:
             self._refresh_edge(key)
         self._notify_change()
         return True
@@ -160,9 +168,6 @@ class Topology:
             return False
         adjacency = self.adjacency
         return all(v in adjacency[u] for u, v in zip(path, path[1:]))
-
-    def _incident_link_keys(self, node: str) -> List[Tuple[str, str]]:
-        return [key for key in self.links if node in key]
 
     def _edge_is_up(self, key: Tuple[str, str]) -> bool:
         return (

@@ -55,6 +55,8 @@ class AdaptivePoolManager(DelayTimerController):
         self.servers = list(servers)
         self.active_pool: List["Server"] = []
         self.sleep_pool: List["Server"] = []
+        # eligible_servers()'s list, rebuilt after the pools change.
+        self._eligible: Optional[List["Server"]] = None
         self.promotions = 0
         self.demotions = 0
         self._started = False
@@ -81,10 +83,17 @@ class AdaptivePoolManager(DelayTimerController):
     # Pool membership
     # ------------------------------------------------------------------
     def eligible_servers(self) -> List["Server"]:
-        """Servers the front-end load balancer may dispatch to (active pool)."""
-        return list(self.active_pool)
+        """Servers the front-end load balancer may dispatch to (active pool).
+
+        The same list until a server moves between pools; callers must not
+        mutate it.
+        """
+        if self._eligible is None:
+            self._eligible = list(self.active_pool)
+        return self._eligible
 
     def _make_active(self, server: "Server", initial: bool = False) -> None:
+        self._eligible = None
         if server in self.sleep_pool:
             self.sleep_pool.remove(server)
         if server not in self.active_pool:
@@ -96,6 +105,7 @@ class AdaptivePoolManager(DelayTimerController):
             self.promotions += 1
 
     def _make_sleeping(self, server: "Server", initial: bool = False) -> None:
+        self._eligible = None
         if server in self.active_pool:
             self.active_pool.remove(server)
         if server not in self.sleep_pool:

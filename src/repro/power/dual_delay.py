@@ -46,6 +46,7 @@ class DualDelayTimerPolicy:
         self.servers = list(servers)
         self.high_pool: List["Server"] = self.servers[:high_pool_size]
         self.low_pool: List["Server"] = self.servers[high_pool_size:]
+        self._dispatch_order = self.high_pool + self.low_pool
         self.tau_high_s = tau_high_s
         self.tau_low_s = tau_low_s
         self.high_controller = DelayTimerController(engine, tau_high_s, sleep_level)
@@ -58,5 +59,7 @@ class DualDelayTimerPolicy:
             server.attach_controller(self.low_controller)
 
     def dispatch_order(self) -> List["Server"]:
-        """Server priority order for the packing dispatcher: high-τ pool first."""
-        return self.high_pool + self.low_pool
+        """Server priority order for the packing dispatcher: high-τ pool
+        first.  The pools are fixed, so this is one list; callers must not
+        mutate it."""
+        return self._dispatch_order

@@ -27,6 +27,7 @@ from repro.network.routing import Router
 from repro.network.topology import Topology
 from repro.power.controller import DelayTimerController
 from repro.scheduling.policies import DispatchPolicy
+from repro.server.server import first_startable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import Server
@@ -111,6 +112,8 @@ class JointEnergyManager(DelayTimerController):
         self.target_pending_per_server = target_pending_per_server
         self.scale_down_interval_s = scale_down_interval_s
         self.activations = 0
+        # eligible_servers()'s list, rebuilt after the active set changes.
+        self._eligible: Optional[List["Server"]] = None
 
         for server in self.servers:
             server.attach_controller(self)
@@ -147,9 +150,14 @@ class JointEnergyManager(DelayTimerController):
         return JointDispatchPolicy(self)
 
     def eligible_servers(self) -> List["Server"]:
-        if self.mode == "balanced":
-            return list(self.servers)
-        return list(self.active_order)
+        """The servers dispatch may use: the whole farm when balanced, else
+        the active set.  The same list until the active set changes;
+        callers must not mutate it."""
+        if self._eligible is None:
+            self._eligible = list(
+                self.servers if self.mode == "balanced" else self.active_order
+            )
+        return self._eligible
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -158,9 +166,9 @@ class JointEnergyManager(DelayTimerController):
         if self.mode == "balanced":
             return min(candidates, key=lambda s: (s.pending_task_count, s.server_id))
         # Consolidate: first active server that can start the task now.
-        for server in self.active_order:
-            if server.can_start_task():
-                return server
+        server = first_startable(self.active_order)
+        if server is not None:
+            return server
         # Active set saturated: activate the cheapest additional server in
         # the background.  The triggering task still goes to an already-awake
         # server — queueing it behind a multi-second wake would be worse than
@@ -181,6 +189,7 @@ class JointEnergyManager(DelayTimerController):
     def _activate(self, server: "Server") -> None:
         if server in self.active_order:
             return
+        self._eligible = None
         self.active_order.append(server)
         server.tags["joint_pool"] = "active"
         self.set_tau(server, None)
@@ -190,6 +199,7 @@ class JointEnergyManager(DelayTimerController):
     def _deactivate(self, server: "Server") -> None:
         if server not in self.active_order or len(self.active_order) <= 1:
             return
+        self._eligible = None
         self.active_order.remove(server)
         server.tags["joint_pool"] = "parked"
         self.set_tau(server, self._tau_value)

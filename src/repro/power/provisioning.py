@@ -11,7 +11,7 @@ over time (Fig. 4) tells operators how much capacity a workload really needs.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.engine import Engine
 from repro.core.stats import TimeSeries
@@ -52,6 +52,8 @@ class ProvisioningManager(DelayTimerController):
         # Initially all servers are in the active state (§IV-A).
         self.active_servers: List["Server"] = list(servers)
         self.parked_servers: List["Server"] = []
+        # eligible_servers()'s list, rebuilt after a park or an activation.
+        self._eligible: Optional[List["Server"]] = None
         self.active_count_series = TimeSeries("active_servers")
         self._started = False
         for server in self.servers:
@@ -60,8 +62,14 @@ class ProvisioningManager(DelayTimerController):
 
     # ------------------------------------------------------------------
     def eligible_servers(self) -> List["Server"]:
-        """Servers currently receiving dispatched work."""
-        return list(self.active_servers)
+        """Servers currently receiving dispatched work.
+
+        The same list until a server is parked or activated; callers must
+        not mutate it.
+        """
+        if self._eligible is None:
+            self._eligible = list(self.active_servers)
+        return self._eligible
 
     @property
     def active_server_count(self) -> int:
@@ -91,6 +99,7 @@ class ProvisioningManager(DelayTimerController):
 
     def _park_one(self) -> None:
         server = min(self.active_servers, key=lambda s: (s.pending_task_count, s.server_id))
+        self._eligible = None
         self.active_servers.remove(server)
         self.parked_servers.append(server)
         server.tags["provisioning"] = "parked"
@@ -101,6 +110,7 @@ class ProvisioningManager(DelayTimerController):
     def _activate_one(self) -> None:
         awake = [s for s in self.parked_servers if s.can_execute]
         server = awake[0] if awake else self.parked_servers[0]
+        self._eligible = None
         self.parked_servers.remove(server)
         self.active_servers.append(server)
         server.tags["provisioning"] = "active"

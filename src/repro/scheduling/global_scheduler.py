@@ -23,6 +23,7 @@ from repro.core.engine import Engine
 from repro.core.stats import LatencyCollector
 from repro.jobs.task import Job, Task, TaskState
 from repro.scheduling.policies import DispatchPolicy, LeastLoadedPolicy
+from repro.server.states import SystemState
 from repro.telemetry import session as telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # Enum members bound once (each ``Enum.MEMBER`` read is a Python-level call
 # in CPython 3.11; see repro.server.core_unit).
 _READY, _QUEUED = TaskState.READY, TaskState.QUEUED
+_FAILED = SystemState.FAILED
 
 
 class _TransferDone:
@@ -50,7 +52,7 @@ class _TransferDone:
     def __call__(self) -> None:
         sched = self.scheduler
         task = self.task
-        sched.transfer_delay.record(sched.engine.now - self.started_at)
+        sched.transfer_delay.record(sched.engine._now - self.started_at)
         task.transfer_finished()
         if task.dependencies_met:
             sched._submit(task, sched._placements[task])
@@ -70,7 +72,10 @@ class GlobalScheduler:
         use_global_queue: hold tasks centrally when the policy returns None.
         eligible_provider: optional callable returning the servers currently
             eligible for dispatch (pool managers plug in here); defaults to
-            the full farm.
+            the full farm, which is also used while the provider returns no
+            server that is up.  It must return a list it never mutates
+            afterwards (a new list when membership changes): the scheduler
+            drops failed servers once per list it sees.
         retry_limit: dispatch attempts a task lost to a failure may consume
             before its job is abandoned.
         retry_backoff_s: delay before the first re-dispatch of a lost task;
@@ -138,6 +143,10 @@ class GlobalScheduler:
         # s.is_failed] per placement is O(n) and dominates farm-scale runs;
         # fail()/repair() invalidate it through the availability listeners.
         self._alive: Optional[List["Server"]] = None
+        # The provider's last list and its servers that are up, cached the
+        # same way.
+        self._eligible: Optional[List["Server"]] = None
+        self._eligible_alive: List["Server"] = []
 
         # Bound once and shared by every server: each read of
         # ``self._on_task_complete`` makes a new 64-byte bound method.
@@ -173,15 +182,29 @@ class GlobalScheduler:
     # ------------------------------------------------------------------
     def _on_availability_change(self, server: "Server") -> None:
         self._alive = None
+        self._eligible = None
 
     def _candidates(self) -> List["Server"]:
+        """The provider's servers that are up, else every server that is up.
+
+        Each returned list is reused until the provider returns a new list
+        or a server fails or is repaired, so a policy may key its own
+        derived lists on its identity.
+        """
         if self.eligible_provider is not None:
             eligible = self.eligible_provider()
-            if eligible:
-                return [s for s in eligible if not s.is_failed]
+            if eligible is not self._eligible:
+                self._eligible = eligible
+                self._eligible_alive = [
+                    s for s in eligible if s._system_state is not _FAILED
+                ]
+            if self._eligible_alive:
+                return self._eligible_alive
         alive = self._alive
         if alive is None:
-            alive = self._alive = [s for s in self.servers if not s.is_failed]
+            alive = self._alive = [
+                s for s in self.servers if s._system_state is not _FAILED
+            ]
         return alive
 
     def _place_task(self, task: Task) -> None:
@@ -223,7 +246,7 @@ class GlobalScheduler:
                 launched = True
                 self.transfers_launched += 1
                 self.transfer_bytes_launched += size_bytes
-                started_at = self.engine.now
+                started_at = self.engine._now
                 done = _TransferDone(self, task, started_at)
                 self.network.transfer(
                     src_server_id, server.server_id, size_bytes, done,
@@ -243,13 +266,13 @@ class GlobalScheduler:
         self.transfers_dropped += 1
 
     def _submit(self, task: Task, server: "Server") -> None:
-        if server.is_failed:
+        if server._system_state is _FAILED:
             # Placement went stale (the server died between placement and
             # submission, e.g. while a result transfer was in flight).
             self.tasks_lost += 1
             self._recover_task(task)
             return
-        task.ready_time = self.engine.now
+        task.ready_time = self.engine._now
         server.submit_task(task)
 
     # ------------------------------------------------------------------
@@ -316,7 +339,7 @@ class GlobalScheduler:
     # Completion handling (wired into every server)
     # ------------------------------------------------------------------
     def _on_task_complete(self, server: "Server", task: Task) -> None:
-        now = self.engine.now
+        now = self.engine._now
         # A finished task is never submitted again; dropping its placement
         # keeps completed tasks (and their jobs) from staying reachable.
         self._placements.pop(task, None)

@@ -13,14 +13,25 @@ an idle gap long enough to sleep.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.jobs.task import Task
+from repro.server.server import first_startable
+from repro.server.states import SystemState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.server.server import Server
+
+# Bound once (each ``Enum.MEMBER`` read is a Python-level call in CPython
+# 3.11; see repro.server.core_unit).
+_S0 = SystemState.S0
+
+#: The least-loaded order: fewest pending tasks, then lowest server id.  As
+#: an ``attrgetter`` the key makes no Python-level call of its own.
+_by_load = attrgetter("pending_task_count", "server_id")
 
 
 class DispatchPolicy:
@@ -56,7 +67,34 @@ class LeastLoadedPolicy(DispatchPolicy):
     ) -> Optional["Server"]:
         if not candidates:
             return None
-        return min(candidates, key=lambda s: (s.pending_task_count, s.server_id))
+        return min(candidates, key=_by_load)
+
+
+class _PriorityOrder:
+    """The candidates in a fixed priority order (``order()`` filtered to
+    ``candidates``), rebuilt only when either list is a new one.
+
+    ``order`` and the scheduler hand out lists they never mutate: a pool
+    manager builds a new list when it moves a server, and the scheduler a
+    new candidate list when a server fails or is repaired.  So a list seen
+    before, by identity, filters to the same servers as last time.
+    """
+
+    __slots__ = ("order", "_ordered", "_candidates", "_servers")
+
+    def __init__(self, order: Callable[[], Sequence["Server"]]):
+        self.order = order
+        self._ordered: Optional[Sequence["Server"]] = None
+        self._candidates: Optional[Sequence["Server"]] = None
+        self._servers: List["Server"] = []
+
+    def __call__(self, candidates: Sequence["Server"]) -> List["Server"]:
+        ordered = self.order()
+        if ordered is not self._ordered or candidates is not self._candidates:
+            allowed = set(id(s) for s in candidates)
+            self._servers = [s for s in ordered if id(s) in allowed]
+            self._ordered, self._candidates = ordered, candidates
+        return self._servers
 
 
 class RandomPolicy(DispatchPolicy):
@@ -84,27 +122,25 @@ class PackingPolicy(DispatchPolicy):
 
     ``order`` optionally fixes the priority order (e.g. the dual-delay-timer
     policy puts its high-τ pool first); by default candidates are taken in
-    the order given.
+    the order given.  It must return a list it never mutates afterwards
+    (a new list when the order changes): the filtered order is rebuilt
+    only when ``order()`` or the candidates are a new list.
     """
 
     def __init__(self, order: Optional[Callable[[], List["Server"]]] = None):
-        self._order = order
+        self._order = _PriorityOrder(order) if order is not None else None
 
     def select_server(
         self, task: Task, candidates: Sequence["Server"]
     ) -> Optional["Server"]:
-        servers = candidates
-        if self._order is not None:
-            allowed = set(id(s) for s in candidates)
-            servers = [s for s in self._order() if id(s) in allowed]
+        servers = candidates if self._order is None else self._order(candidates)
         if not servers:
             return None
-        for server in servers:
-            if server.can_start_task():
-                return server
-        awake = [s for s in servers if s.can_execute]
-        pool = awake or servers
-        return min(pool, key=lambda s: (s.pending_task_count, s.server_id))
+        server = first_startable(servers)
+        if server is not None:
+            return server
+        awake = [s for s in servers if s._system_state is _S0]
+        return min(awake or servers, key=_by_load)
 
 
 class TypeAwarePolicy(DispatchPolicy):
@@ -143,25 +179,22 @@ class PowerObliviousPackingPolicy(DispatchPolicy):
     paying the wake latency).  This models front ends that route on load
     information only, which is what makes small delay timers expensive: a
     server that sleeps during a short lull is immediately woken by the next
-    arrival routed to it.
+    arrival routed to it.  ``order`` is as in :class:`PackingPolicy`.
     """
 
     def __init__(self, order: Optional[Callable[[], List["Server"]]] = None):
-        self._order = order
+        self._order = _PriorityOrder(order) if order is not None else None
 
     def select_server(
         self, task: Task, candidates: Sequence["Server"]
     ) -> Optional["Server"]:
-        servers = candidates
-        if self._order is not None:
-            allowed = set(id(s) for s in candidates)
-            servers = [s for s in self._order() if id(s) in allowed]
+        servers = candidates if self._order is None else self._order(candidates)
         if not servers:
             return None
         for server in servers:
             if server.pending_task_count < server.total_cores:
                 return server
-        return min(servers, key=lambda s: (s.pending_task_count, s.server_id))
+        return min(servers, key=_by_load)
 
 
 class CapacityGatedPolicy(DispatchPolicy):

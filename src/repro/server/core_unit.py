@@ -98,7 +98,10 @@ class Core:
         if self.current_task is not None:
             raise RuntimeError(f"{self} is busy with {self.current_task}")
         now = self.engine._now
-        self._cancel_c6_timer()
+        timer = self._c6_timer  # _cancel_c6_timer inlined
+        if timer is not None:
+            timer.cancel()
+            self._c6_timer = None
         proc = self.processor
         wake_delay = 0.0
         if self.state is _C6:

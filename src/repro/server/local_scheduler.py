@@ -39,6 +39,12 @@ class LocalScheduler:
         """Accept a task into the server's local queue(s)."""
         raise NotImplementedError
 
+    def submit(self, task: Task) -> None:
+        """Accept a task while the server is in S0: queue it, then start as
+        many queued tasks as free cores allow."""
+        self.enqueue(task)
+        self.dispatch()
+
     def dispatch(self) -> None:
         """Start as many queued tasks as free cores allow (only while in S0)."""
         raise NotImplementedError
@@ -72,6 +78,22 @@ class UnifiedQueueScheduler(LocalScheduler):
         if queue is None:
             queue = self._queue = deque()
         queue.append(task)
+
+    def submit(self, task: Task) -> None:
+        # With nothing waiting, the task is the queue's head: start it on
+        # the core dispatch() would pick, or queue it when none is free.
+        # Either way the same core takes it at the same instant, and no
+        # deque is made for a task that never waits.
+        if not self._queue:
+            server = self.server
+            core = server.find_available_core()
+            if core is None:
+                self.enqueue(task)
+            else:
+                server.start_task_on_core(core, task)
+            return
+        self.enqueue(task)
+        self.dispatch()
 
     def dispatch(self) -> None:
         if not self.server.can_execute:

@@ -97,9 +97,9 @@ class Processor:
         """Exit package C6 if needed; returns the exit latency to charge.
 
         Called by the local scheduler just before assigning a task to one of
-        this package's cores.
+        this package's cores.  A pending package-C6 timer is left to the
+        core's move to ACTIVE, whose :meth:`on_core_state_change` cancels it.
         """
-        self._cancel_pc6_timer()
         if self.package_state is _PC6:
             self._set_package_state(_PC0)
             return self.config.package_profile.pc6_exit_latency_s
@@ -151,10 +151,17 @@ class Processor:
         if self._state_mask == self._all_c6_mask:
             self._arm_pc6_timer()
         else:
-            self._cancel_pc6_timer()
+            # _cancel_pc6_timer and _notify_power_change inlined: this runs
+            # twice per task.
+            timer = self._pc6_timer
+            if timer is not None:
+                timer.cancel()
+                self._pc6_timer = None
             if self.package_state is _PC6:
                 self._set_package_state(_PC0)
-        self._notify_power_change()
+        server = self._server
+        if server is not None and not server._notify_held:
+            server._update_accounts(self.engine._now)
 
     # ------------------------------------------------------------------
     # Pool fast-path support (repro.server.pool)

@@ -21,7 +21,7 @@ breakdown Fig. 9 of the paper reports.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import ServerConfig
 from repro.core.engine import Engine, EventHandle
@@ -42,6 +42,23 @@ _S3, _S5, _WAKING, _FAILED = (
     SystemState.S3, SystemState.S5, SystemState.WAKING, SystemState.FAILED,
 )
 _PC6 = PackageState.PC6
+
+
+def first_startable(servers: Iterable["Server"]) -> Optional["Server"]:
+    """The first of ``servers`` that can start a task at once: it is in S0
+    and some package has a free core.
+
+    This is the one definition of "can start a task now".
+    :meth:`Server.can_start_task` asks it of one server; the packing
+    policies scan their priority order with it, reading each server's
+    state without a call per server.
+    """
+    for server in servers:
+        if server._system_state is _S0:
+            for proc in server.processors:
+                if proc._busy < proc.config.n_cores:
+                    return server
+    return None
 
 
 class Server:
@@ -210,12 +227,14 @@ class Server:
             raise RuntimeError(f"cannot submit task to failed server {self.name}")
         self.tasks_submitted += 1
         task.server_id = self.server_id
-        self.local_scheduler.enqueue(task)
+        # The controller hears of the arrival before the task starts or
+        # queues; its only use of the hook is to cancel the delay timer.
         if self.power_controller is not None:
             self.power_controller.on_task_arrival(self, task)
         if self._system_state is _S0:
-            self.local_scheduler.dispatch()
+            self.local_scheduler.submit(task)
         else:
+            self.local_scheduler.enqueue(task)
             self.request_wake()
 
     @property
@@ -225,14 +244,9 @@ class Server:
 
     def can_start_task(self) -> bool:
         """True when a task submitted now would start at once: the server is
-        in S0 and some core is free.
+        in S0 and some core is free (see :func:`first_startable`).
         """
-        if self._system_state is not _S0:
-            return False
-        for proc in self.processors:
-            if proc._busy < proc.config.n_cores:
-                return True
-        return False
+        return first_startable((self,)) is self
 
     def all_cores(self) -> List[Core]:
         """Every core across all sockets."""
@@ -249,7 +263,7 @@ class Server:
 
     def start_task_on_core(self, core: Core, task: Task) -> None:
         """Dispatch ``task`` on ``core``, charging package-C6 exit latency."""
-        if not self.can_execute:
+        if self._system_state is not _S0:
             raise RuntimeError(f"{self.name} cannot execute in {self.system_state.value}")
         delay = core.processor.prepare_dispatch()
         # The C1/C6->ACTIVE transition inside assign() fires a power-change
@@ -310,7 +324,10 @@ class Server:
     @property
     def pending_task_count(self) -> int:
         """Running + queued tasks — the per-server load estimator input."""
-        return self.running_task_count + self.queued_task_count
+        n = self.local_scheduler.queued_count
+        for proc in self.processors:
+            n += proc._busy
+        return n
 
     @property
     def is_idle(self) -> bool:

@@ -70,21 +70,25 @@ class _PoissonArrivals:
 
     Same draws as a ``t += Exp(rate)`` generator, but unlike a generator it
     pickles, so a workload driver can ride inside a checkpointed world
-    (:mod:`repro.checkpoint`) mid-run.
+    (:mod:`repro.checkpoint`) mid-run.  The rate is checked once and its
+    scale ``1.0 / rate`` kept: the same float :func:`exponential` passes to
+    the generator on every draw.
     """
 
-    __slots__ = ("_t", "_rng", "_rate")
+    __slots__ = ("_t", "_rng", "_scale")
 
     def __init__(self, start_time: float, rng: np.random.Generator, rate_per_s: float):
+        if not rate_per_s > 0:
+            raise ValueError(f"exponential rate must be positive, got {rate_per_s}")
         self._t = start_time
         self._rng = rng
-        self._rate = rate_per_s
+        self._scale = 1.0 / rate_per_s
 
     def __iter__(self) -> "_PoissonArrivals":
         return self
 
     def __next__(self) -> float:
-        self._t += exponential(self._rng, self._rate)
+        self._t += float(self._rng.exponential(self._scale))
         return self._t
 
 

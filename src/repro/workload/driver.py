@@ -62,10 +62,11 @@ class WorkloadDriver:
             return
         if self.until is not None and when > self.until:
             return
-        if when < self.engine.now:
+        now = self.engine._now
+        if when < now:
             # Traces may start before the current clock (e.g. replays mid-run);
             # deliver immediately rather than rejecting the event.
-            when = self.engine.now
+            when = now
         self.engine.post_at(when, self._inject, when)
 
     def _inject(self, when: float) -> None:

@@ -83,7 +83,8 @@ class TestEnvelope:
     def test_version_3_checkpoint_refused(self, tmp_path):
         # Version 4 gave the server model slotted layouts: a version-3 world
         # would unpickle into classes with missing fields, so it is refused
-        # before the payload is touched.
+        # before the payload is touched.  (Version 5 changed the Poisson
+        # arrival stream's slots.)
         path = str(tmp_path / "v3.ckpt")
         write_checkpoint(path, b"payload-bytes", _meta())
         header_line, payload = open(path, "rb").read().split(b"\n", 1)
@@ -91,11 +92,11 @@ class TestEnvelope:
         header["version"] = 3
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
-        assert CHECKPOINT_VERSION == 4
+        assert CHECKPOINT_VERSION == 5
         with pytest.raises(
             CheckpointError,
             match="written by checkpoint format version 3, this build reads "
-                  "version 4; re-run from scratch",
+                  "version 5; re-run from scratch",
         ):
             read_checkpoint(path)
 

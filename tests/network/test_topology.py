@@ -241,6 +241,10 @@ def _assert_adjacency_matches(topo, nodes, failed_nodes, failed_links):
         assert (v in topo.adjacency[u]) is up
         assert (u in topo.adjacency[v]) is up
     assert topo.is_connected() == nx.is_connected(reference)
+    # A node fault or repair refreshes the node's incident list: exactly
+    # the links a full scan finds, in ``links`` order.
+    for node in nodes:
+        assert topo._incident[node] == [key for key in topo.links if node in key]
 
 
 @given(

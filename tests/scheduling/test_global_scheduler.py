@@ -282,3 +282,30 @@ class TestPlacementRetention:
         engine.run()
         assert scheduler.jobs_completed == 1
         assert scheduler._placements == {}
+
+
+class TestEligibleProvider:
+    def test_all_failed_eligible_servers_fall_back_to_the_alive_farm(self):
+        # A provider whose every server has failed must not strand the job
+        # while other servers are up: it counts as no provider list at all.
+        engine, servers, scheduler = make_farm(n_servers=4)
+        scheduler.eligible_provider = lambda: [servers[0]]
+        servers[0].fail()
+        jobs = [single_task_job(0.1) for _ in range(3)]
+        for job in jobs:
+            scheduler.submit_job(job)
+        engine.run()
+        assert scheduler.tasks_lost == 0
+        assert scheduler.jobs_failed == 0
+        assert scheduler.jobs_completed == 3
+        assert all(job.finished for job in jobs)
+        assert servers[0].tasks_submitted == 0
+
+    def test_failed_eligible_servers_are_skipped(self):
+        engine, servers, scheduler = make_farm(n_servers=4, policy=RoundRobinPolicy())
+        scheduler.eligible_provider = lambda: [servers[1], servers[2]]
+        servers[1].fail()
+        for _ in range(3):
+            scheduler.submit_job(single_task_job(0.1))
+        engine.run()
+        assert [s.tasks_submitted for s in servers] == [0, 0, 3, 0]
