@@ -23,7 +23,11 @@ Cancellation is lazy (the entry stays queued and is skipped when popped),
 which keeps ``cancel()`` O(1).  Policies that cancel constantly — delay
 timers rearm on every task — would otherwise grow the heap without bound, so
 the engine compacts it whenever cancelled entries outnumber live ones (and
-the heap is big enough for compaction to pay for itself).
+the heap is big enough for compaction to pay for itself).  A caller that
+rarely cancels, but then cancels a batch at once (a packet train folding
+back into per-packet events), allocates no handles: it keeps the sequence
+numbers :meth:`Engine.post_at` returns and removes the batch with
+:meth:`Engine.cancel_posted`, one O(heap) pass.
 
 Simulating a >20K-server farm (Table I of the paper) pushes millions of
 events through this loop; :meth:`Engine.run` inlines the pop-dispatch cycle
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 #: Compaction is considered once the heap holds at least this many entries;
 #: below it, lazily dropping cancelled entries on pop is cheaper than a sweep.
@@ -146,8 +150,9 @@ class Engine:
         self._cancelled = 0  # cancelled EventHandles still sitting in the heap
         self._dispatch_hook: Optional[Callable[[float, Callable[..., Any], tuple], None]] = None
         self.events_executed = 0
-        #: Handles cancelled while still queued (cancelling a fired or
-        #: already-cancelled handle does not count).
+        #: Events cancelled while still queued: handles, and posted events
+        #: removed by :meth:`cancel_posted` (cancelling a fired or
+        #: already-cancelled event does not count).
         self.events_cancelled = 0
 
     # ------------------------------------------------------------------
@@ -194,12 +199,14 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling — fast (fire-and-forget) path
     # ------------------------------------------------------------------
-    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``callback(*args)`` at absolute ``time``; not cancellable.
+    def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> int:
+        """Schedule ``callback(*args)`` at absolute ``time``; returns its
+        sequence number.
 
         This is the hot path: the heap entry is a plain tuple and no handle
         is allocated.  Use :meth:`schedule_at` when the event may need to be
-        cancelled.
+        cancelled one at a time; :meth:`cancel_posted` removes a batch of
+        these by sequence number.
         """
         # Written as ``not >=`` so a NaN time fails too: ``nan < now`` is
         # False, and a NaN entry would run out of order and poison the clock.
@@ -208,12 +215,34 @@ class Engine:
         seq = self._seq
         heappush(self._heap, (time, seq, callback, args))
         self._seq = seq + 1
+        return seq
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` after ``delay`` seconds; not cancellable."""
         if not delay >= 0:
             raise SimulationError(_bad_delay_message(delay))
         self.post_at(self._now + delay, callback, *args)
+
+    def cancel_posted(self, seqs: Iterable[int]) -> int:
+        """Remove the still-queued posted events among ``seqs``.
+
+        ``seqs`` are sequence numbers returned by :meth:`post_at`; one whose
+        event already ran is ignored.  One pass over the heap removes the
+        rest, so this costs O(heap) whatever the count: it suits rare batch
+        cancels, not per-event churn.  Each removed event counts in
+        ``events_cancelled``, and every survivor keeps its ``(time, seq)``
+        key, so their order (same-time FIFO included) is unchanged.  Returns
+        the number removed.
+        """
+        targets = set(seqs)
+        heap = self._heap
+        kept = [entry for entry in heap if entry[1] not in targets or entry[2] is None]
+        removed = len(heap) - len(kept)
+        if removed:
+            heapify(kept)
+            self._heap = kept
+            self.events_cancelled += removed
+        return removed
 
     # ------------------------------------------------------------------
     # Scheduling — cancellable path

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -39,9 +40,9 @@ class StateTracker:
 
     A farm holds six trackers per server, so the layout is lean: slots, and
     one dict holding both residency seconds (keyed by state name) and
-    transition counts (keyed by a ``(src, dst)`` tuple).  Each transition
-    key is interned on its first insert, so every tracker that records the
-    same transition shares one key tuple.
+    transition counts (keyed by an interned ``"\\x1f{src}\\x1f{dst}"``
+    string, see :func:`_transition_key`).  Every key is a plain string, so
+    the dict never becomes tracked by the cyclic garbage collector.
     """
 
     __slots__ = ("_state", "_since", "_start", "_totals")
@@ -70,21 +71,19 @@ class StateTracker:
         since = self._since
         if now < since:
             raise ValueError(f"time moved backwards: {now} < {since}")
+        try:
+            key = _TRANSITION_KEYS[prev][state]
+        except KeyError:
+            key = _transition_key(prev, state)
         totals = self._totals
         totals[prev] = totals.get(prev, 0.0) + (now - since)
-        key = (prev, state)
-        n = totals.get(key)
-        if n is None:
-            totals[_TRANSITION_KEYS.setdefault(key, key)] = 1
-        else:
-            # An existing entry keeps its stored (interned) key.
-            totals[key] = n + 1
+        totals[key] = totals.get(key, 0) + 1
         self._state = state
         self._since = now
 
     def residency(self, now: float) -> Dict[str, float]:
         """Residency seconds per state, including the current open interval."""
-        out = {k: v for k, v in self._totals.items() if type(k) is not tuple}
+        out = {k: v for k, v in self._totals.items() if k[:1] != _SEP}
         out[self._state] = out.get(self._state, 0.0) + (now - self._since)
         return out
 
@@ -100,9 +99,9 @@ class StateTracker:
         """Count transitions, optionally filtered by source and/or target."""
         total = 0
         for key, count in self._totals.items():
-            if type(key) is not tuple:
+            if key[:1] != _SEP:
                 continue
-            from_state, to_state = key
+            _, from_state, to_state = key.split(_SEP)
             if src is not None and from_state != src:
                 continue
             if dst is not None and to_state != dst:
@@ -113,14 +112,34 @@ class StateTracker:
     @property
     def transitions(self) -> Dict[Tuple[str, str], int]:
         """The raw ``(src, dst) -> count`` transition map (read-only view)."""
-        return {k: v for k, v in self._totals.items() if type(k) is tuple}
+        return {
+            tuple(k.split(_SEP)[1:]): v
+            for k, v in self._totals.items() if k[:1] == _SEP
+        }
 
 
-#: Interned ``(src, dst)`` transition keys shared by every tracker.  Keys
-#: compare by value, so interning changes which equal tuple a tracker
-#: stores, never a lookup; the table holds one entry per distinct pair of
-#: state names, as small as the models' state graphs.
-_TRANSITION_KEYS: Dict[Tuple[str, str], Tuple[str, str]] = {}
+#: Leads and splits a transition key; no state name may contain it.
+_SEP = "\x1f"
+
+#: src -> dst -> the interned transition key, shared by every tracker; one
+#: entry per distinct pair of state names, as small as the models' state
+#: graphs.  A key is a plain string: a ``(src, dst)`` tuple built at run
+#: time stays tracked by the cyclic collector until a collection untracks
+#: it, and a dict that receives it meanwhile stays tracked for good (CPython
+#: untracks dicts only in full collections).  The key spells out its pair,
+#: so a checkpoint restored in another process decodes the same counts.
+_TRANSITION_KEYS: Dict[str, Dict[str, str]] = {}
+
+
+def _transition_key(src: str, dst: str) -> str:
+    """The interned count key of transition ``src -> dst``."""
+    if _SEP in src or _SEP in dst:
+        raise ValueError(f"state names may not contain {_SEP!r}: {src!r} -> {dst!r}")
+    by_dst = _TRANSITION_KEYS.setdefault(src, {})
+    key = by_dst.get(dst)
+    if key is None:
+        key = by_dst[dst] = sys.intern(f"{_SEP}{src}{_SEP}{dst}")
+    return key
 
 
 class EnergyAccount:

@@ -19,8 +19,10 @@ Models a complete data center interconnect:
 
 Both communication models expose ``transfer(src_server_id, dst_server_id,
 size_bytes, callback, on_drop=None)``, the interface the global scheduler
-uses to move DAG results between servers.  Only packets are ever dropped, so
-only :class:`PacketNetwork` calls ``on_drop``.
+uses to move DAG results between servers, and both resolve its route
+through :meth:`Router.transfer_plan`.  Only the packet model loses data (a
+tail-dropped packet, or a transfer started across a partition, which a flow
+would wait out), so only :class:`PacketNetwork` calls ``on_drop``.
 """
 
 from repro.network.link import Link

@@ -216,7 +216,10 @@ class FlowNetwork:
         Same-server transfers complete after ``local_transfer_delay_s`` (data
         never leaves the machine).  Returns the created flow, if any.
         ``on_drop`` is never called: a flow loses no data.  It is accepted
-        so both network models take the same arguments.
+        so both network models take the same arguments.  A flow that starts
+        while failures partition its endpoints is stranded, like a running
+        flow cut off by a fault, and :meth:`retry_stranded` starts it once
+        a repair restores a path.
         """
         if not 0 <= size_bytes < math.inf:
             raise ValueError(
@@ -225,10 +228,25 @@ class FlowNetwork:
         if src_server_id == dst_server_id or size_bytes == 0:
             self.engine.post(self.local_transfer_delay_s, callback)
             return None
-        src = self.topology.server_node(src_server_id)
-        dst = self.topology.server_node(dst_server_id)
-        now = self.engine.now
-        flow = self._build_flow(src, dst, size_bytes * 8.0, callback, now)
+        now = self.engine._now
+        # Per-network transfer counter, not the repr of a shared
+        # itertools.count: distinct transfers between the same pair must get
+        # distinct flow keys so ECMP actually spreads them.
+        self._transfer_seq += 1
+        plan = self.router.transfer_plan(src_server_id, dst_server_id, self._transfer_seq)
+        self._flow_seq += 1
+        if plan is None:
+            server_node = self.topology.server_node
+            src, dst = server_node(src_server_id), server_node(dst_server_id)
+            path: List[str] = []
+            hops: List[DirectedLink] = []
+        else:
+            path, hops = plan.path, plan.hops
+            src, dst = path[0], path[-1]
+        flow = Flow(
+            src, dst, path, hops, size_bytes * 8.0, callback, now,
+            flow_id=self._flow_seq,
+        )
         ts = telemetry.ACTIVE
         if ts is not None and ts.net is not None:
             rec = ts.net
@@ -236,30 +254,12 @@ class FlowNetwork:
                 "net", "flow", "net/flows", now, rec.seq_id("flow", flow),
                 args={"src": src, "dst": dst, "bytes": size_bytes},
             )
-        self._launch(flow)
+        if plan is None:
+            self.flows_stranded += 1
+            self._stranded.append(flow)
+        else:
+            self._launch(flow)
         return flow
-
-    def _build_flow(
-        self,
-        src: str,
-        dst: str,
-        size_bits: float,
-        callback: Callable[[], None],
-        now: float,
-    ) -> Flow:
-        # Per-network transfer counter, not the repr of a shared
-        # itertools.count: distinct transfers between the same pair must get
-        # distinct flow keys so ECMP actually spreads them.
-        self._transfer_seq += 1
-        path = self.router.route(src, dst, flow_key=f"{src}->{dst}#{self._transfer_seq}")
-        hops = self.router.links_on_path(path)
-        if not hops:
-            raise ValueError(f"degenerate route {path}")
-        self._flow_seq += 1
-        return Flow(
-            src, dst, path, hops, size_bits, callback, now,
-            flow_id=self._flow_seq,
-        )
 
     # ------------------------------------------------------------------
     # Flow lifecycle

@@ -40,7 +40,7 @@ from bisect import bisect_right
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.engine import Engine, EventHandle
+from repro.core.engine import Engine
 from repro.core.stats import LatencyCollector
 from repro.network.link import Link
 from repro.network.routing import Router
@@ -212,10 +212,13 @@ class _Train:
     ``materialize()`` converts the remaining analytic schedule back into
     real :class:`Packet` objects and per-packet events with identical
     timestamps; it runs whenever competing traffic touches a reserved hop.
+    The train's own events are posted without handles: it keeps their
+    sequence numbers, and a materialization removes the ones still queued
+    with one :meth:`Engine.cancel_posted` pass over the heap.
     """
 
     __slots__ = ("network", "engine", "path", "hops", "packets", "callback",
-                 "t0", "alive", "deps", "begun", "window_open", "handles")
+                 "t0", "alive", "deps", "begun", "window_open", "seqs")
 
     def __init__(self, network: "PacketNetwork", path: List[str],
                  hops: List[Tuple[Link, str, str]], packets: _Packetization,
@@ -233,7 +236,8 @@ class _Train:
         self.deps: List[Optional[List[float]]] = [None] * len(hops)
         self.begun = 0  # hops whose window has begun
         self.window_open = [False] * len(hops)  # begun but end not yet run
-        self.handles: List[EventHandle] = []
+        # Sequence numbers of every event the train posted.
+        self.seqs: List[int] = []
 
     # ------------------------------------------------------------------
     # Analytic pipeline schedule
@@ -285,13 +289,14 @@ class _Train:
         self.deps[h] = deps
         self.begun = h + 1
         self.window_open[h] = True
-        schedule_at = self.engine.schedule_at
-        self.handles.append(schedule_at(deps[-1], self._end_hop, h))
+        post_at = self.engine.post_at
+        seqs = self.seqs
+        seqs.append(post_at(deps[-1], self._end_hop, h))
         prop = link.config.propagation_delay_s
         if h + 1 < len(self.hops):
-            self.handles.append(schedule_at(deps[0] + prop, self._begin_hop, h + 1))
+            seqs.append(post_at(deps[0] + prop, self._begin_hop, h + 1))
         else:
-            self.handles.append(schedule_at(deps[-1] + prop, self._complete))
+            seqs.append(post_at(deps[-1] + prop, self._complete))
 
     def _end_hop(self, h: int) -> None:
         self.window_open[h] = False
@@ -354,10 +359,9 @@ class _Train:
         ts = telemetry.ACTIVE
         if ts is not None and ts.net is not None:
             ts.net.instant("net", "train-materialize", "net/trains", tm)
-        # cancel() is a no-op on a handle that already fired.
-        for handle in self.handles:
-            handle.cancel()
-        self.handles = []
+        # Sequence numbers that already fired are skipped.
+        self.engine.cancel_posted(self.seqs)
+        self.seqs = []
         sizes = self.packets.sizes
         n = len(sizes)
         n_hops = len(self.hops)
@@ -429,6 +433,28 @@ class _Train:
             link, u, v = self.hops[h]
             deps = self.deps[h]
             link.end_activity(u, v, quiet_since=deps[bisect_right(deps, tm) - 1])
+
+
+def _trainable(hops: List[Tuple[Link, str, str]]) -> bool:
+    """The static half of train eligibility for a route's hops.
+
+    False when no train can ever take the route: a hop with adaptive-rate
+    stepping, hops configured at different rates (the pipeline recurrence
+    assumes equal service rates, and a link without adaptive rates stays at
+    its configured rate), or a port with a non-positive LPI timer (a zero
+    timer can race the back-to-back restart).  Links, their ports and every
+    config are fixed once a topology is built, so a route plan keeps the
+    answer for its life.
+    """
+    rate = hops[0][0].config.rate_bps
+    for link, _u, _v in hops:
+        config = link.config
+        if config.adaptive_rates_bps or config.rate_bps != rate:
+            return False
+        for port in link._ports:
+            if port.profile.lpi_timer_s <= 0.0:
+                return False
+    return True
 
 
 class PacketNetwork:
@@ -511,7 +537,7 @@ class PacketNetwork:
         dst_server_id: int,
         size_bytes: float,
         callback: Callable[[], None],
-        on_drop: Optional[Callable[[Packet], None]] = None,
+        on_drop: Optional[Callable[[Optional[Packet]], None]] = None,
     ) -> None:
         """Scheduler-facing transfer: packetize and call back on completion.
 
@@ -520,6 +546,11 @@ class PacketNetwork:
         The first drop marks the transfer stranded (``transfers_stranded``)
         and fires ``on_drop`` (once, with the dropped packet) so experiments
         fail loudly instead of waiting forever.
+
+        A transfer that starts while failures partition its endpoints is
+        lost the same way: there is no retransmission, so it is counted in
+        ``transfers_stranded``, ``on_drop`` fires once with no packet, and
+        it is never delivered.
 
         A transfer of two or more packets on an idle route is modeled as a
         packet train (see the module docstring); timestamps and power
@@ -532,11 +563,14 @@ class PacketNetwork:
         if src_server_id == dst_server_id or size_bytes == 0:
             self.engine.post(self.local_transfer_delay_s, callback)
             return
-        src = self.topology.server_node(src_server_id)
-        dst = self.topology.server_node(dst_server_id)
         self._transfer_seq += 1
-        flow_key = f"{src}->{dst}#{self._transfer_seq}"
-        path = self.router.route(src, dst, flow_key=flow_key)
+        plan = self.router.transfer_plan(src_server_id, dst_server_id, self._transfer_seq)
+        if plan is None:
+            self.transfers_stranded += 1
+            if on_drop is not None:
+                on_drop(None)
+            return
+        path = plan.path
         cache = self._packetizations
         packets = cache.get(size_bytes)
         if packets is None:
@@ -557,7 +591,7 @@ class PacketNetwork:
             xid = self._transfer_seq
             rec.begin(
                 "net", "transfer", "net/transfers", self.engine.now, xid,
-                args={"src": src, "dst": dst, "bytes": size_bytes,
+                args={"src": path[0], "dst": path[-1], "bytes": size_bytes,
                       "packets": n_packets},
             )
             inner_callback = callback
@@ -566,16 +600,23 @@ class PacketNetwork:
                 rec.end("net", "transfer", "net/transfers", self.engine.now, xid)
                 inner_callback()
 
-        # Single-packet trains gain nothing over per-packet events.
-        if self.fast_path and self.max_queue_packets is None and n_packets >= 2:
-            hops = self.router.links_on_path(path)
-            if self._train_eligible(path, hops):
+        # Single-packet trains gain nothing over per-packet events.  The
+        # live half of eligibility runs first, so a plan's static half is
+        # worked out only once a transfer finds its hops idle: on a
+        # contended all-to-all most plans are used once and never do.
+        if (self.fast_path and self.max_queue_packets is None and n_packets >= 2
+                and plan.trainable is not False
+                and self._train_eligible(path, plan.hops)):
+            trainable = plan.trainable
+            if trainable is None:
+                trainable = plan.trainable = _trainable(plan.hops)
+            if trainable:
                 if rec is not None:
                     rec.instant(
                         "net", "train-engage", "net/trains",
                         self.engine.now, args={"packets": n_packets},
                     )
-                _Train(self, path, hops, packets, callback).engage()
+                _Train(self, path, plan.hops, packets, callback).engage()
                 return
 
         # Per-packet fallback.  Materialize any trains holding links on this
@@ -610,28 +651,19 @@ class PacketNetwork:
     # ------------------------------------------------------------------
     def _train_eligible(self, path: List[str],
                         hops: List[Tuple[Link, str, str]]) -> bool:
-        """True when the route can be simulated analytically.
-
-        Gates: every directed hop idle and unreserved (the reverse direction
-        may carry traffic — links are full duplex, with per-direction queues
-        and rates, and hop windows read port wake latencies live), uniform
-        link rate with no adaptive-rate stepping (the pipeline recurrence
-        assumes equal service rates), positive LPI timers (a zero timer can
-        race the back-to-back restart), and every on-route switch ON.
+        """The live half of train eligibility (:func:`_trainable` is the
+        static half): every directed hop idle and unreserved (the reverse
+        direction may carry traffic — links are full duplex, with
+        per-direction queues and rates, and hop windows read port wake
+        latencies live), and every on-route switch ON.
         """
         reserved = self._reserved
-        rate = hops[0][0].current_rate_bps
         for link, u, v in hops:
-            if link.config.adaptive_rates_bps or link.current_rate_bps != rate:
-                return False
             # A train may hold (u, v) before its window there opens or after
             # it ends.
             key = (u, v)
             if link._active[key] or key in reserved:
                 return False
-            for port in link._ports:
-                if port.profile.lpi_timer_s <= 0.0:
-                    return False
         switches = self.topology.switches
         for node in path:
             switch = switches.get(node)

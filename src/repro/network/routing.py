@@ -21,6 +21,14 @@ Tables live in an LRU keyed by destination; every fault mutation edits the
 map and drops every table via the change-listener hook, so a paused BFS
 never resumes over a changed map.
 
+Both network models resolve a transfer between two servers through
+:meth:`Router.transfer_plan`.  A pair whose shortest path is unique gets a
+cached :class:`RoutePlan` (path and directed hops): ECMP hashes the flow key
+only at a multi-way node, so such a route never depends on the key.  A pair
+with an equal-cost choice hashes each transfer's key through :meth:`route`,
+as before; from its second transfer on, the plan of each path it takes is
+cached too.  Plans are dropped with the tables, so none outlives an epoch.
+
 Dynamic power-aware selection (pick the path waking the fewest sleeping
 switches) is a memoised DP over the same DAG, exposed via
 :meth:`Router.route_power_aware` / :meth:`Router.min_wake_cost` and used by
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict, deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.network.link import Link
 from repro.network.topology import Topology
@@ -93,12 +101,36 @@ class _DestTable:
         return nhs
 
 
+class RoutePlan:
+    """One resolved route: its node path and its directed ``(link, u, v)``
+    hops.
+
+    Plans are shared by every transfer that takes the route, so neither list
+    may be mutated.  ``trainable`` belongs to the packet network: the static
+    half of its train eligibility for this route, None until it first asks.
+    """
+
+    __slots__ = ("path", "hops", "trainable")
+
+    def __init__(self, path: List[str], hops: List[Tuple[Link, str, str]]):
+        self.path = path
+        self.hops = hops
+        self.trainable: Optional[bool] = None
+
+
 class Router:
     """Next-hop-table route computation over a :class:`Topology`."""
 
     def __init__(self, topology: Topology, max_cached_destinations: int = 4096):
+        if max_cached_destinations < 1:
+            raise ValueError(
+                f"max_cached_destinations must be >= 1, got {max_cached_destinations}"
+            )
         self.topology = topology
         self.max_cached_destinations = max_cached_destinations
+        #: Most entries the plan cache holds; past it a transfer's route is
+        #: resolved afresh and not kept.
+        self.max_cached_plans = 4 * max_cached_destinations
         # destination -> _DestTable, LRU-evicted at max_cached_destinations.
         self._tables: "OrderedDict[str, _DestTable]" = OrderedDict()
         # Next-hop tuples are interned so tables over regular fabrics (where
@@ -106,8 +138,12 @@ class Router:
         self._interned: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         # Per-node hash salt so consecutive hops of one flow decorrelate.
         self._salts: Dict[str, int] = {}
-        # path (as tuple) -> directed (link, u, v) hop triples.
-        self._hops_cache: Dict[Tuple[str, ...], List[Tuple[Link, str, str]]] = {}
+        # The one route cache.  (src server id, dst server id) -> the pair's
+        # RoutePlan when its shortest path is unique, else its (src node,
+        # dst node); and path tuple -> RoutePlan for the paths equal-cost
+        # pairs take.  Server ids are ints and node names strings, so the
+        # two kinds of key never collide.
+        self._plans: Dict[tuple, Union[RoutePlan, Tuple[str, str]]] = {}
         #: Bumped on every invalidation; tables are rebuilt lazily afterwards.
         self.epoch = 0
         #: Destination tables started (telemetry for tests and benchmarks).
@@ -177,6 +213,59 @@ class Router:
                 node = nhs[(key_hash ^ self._salt(node)) % len(nhs)]
             path.append(node)
         return path
+
+    def transfer_plan(self, src_id: int, dst_id: int, seq: int) -> Optional[RoutePlan]:
+        """The route of transfer ``seq`` from server ``src_id`` to server
+        ``dst_id`` (distinct), or None while failures partition them.
+
+        Answers what ``route(src, dst, flow_key=f"{src}->{dst}#{seq}")``
+        would, over the servers' nodes.  A pair with a unique shortest path
+        is answered from its plan, without the key.  A pair's first lookup
+        (a miss) costs one :meth:`try_route` plus one walk of its path in
+        the table, to tell the two kinds of pair apart.
+        """
+        plans = self._plans
+        pair = (src_id, dst_id)
+        entry = plans.get(pair)
+        if entry.__class__ is RoutePlan:
+            return entry
+        if entry is None:
+            return self._plan_miss(pair, seq)
+        src, dst = entry
+        path = self.route(src, dst, f"{src}->{dst}#{seq}")
+        key = tuple(path)
+        plan = plans.get(key)
+        if plan is None:
+            plan = RoutePlan(path, self.links_on_path(path))
+            self._hold(key, plan)
+        return plan
+
+    def _plan_miss(self, pair: Tuple[int, int], seq: int) -> Optional[RoutePlan]:
+        topology = self.topology
+        src, dst = topology.server_node(pair[0]), topology.server_node(pair[1])
+        path = self.try_route(src, dst, f"{src}->{dst}#{seq}")
+        if path is None:
+            return None
+        # The route just walked this table (newest in the LRU, so still
+        # held), and every node it left has its next hops derived: reading
+        # them while collecting the hops is the one extra walk.
+        next_hops = self._tables[dst].hops
+        link_between = topology.link_between
+        unique = True
+        hops = []
+        for u, v in zip(path, path[1:]):
+            if len(next_hops[u]) > 1:
+                unique = False
+            hops.append((link_between(u, v), u, v))
+        plan = RoutePlan(path, hops)
+        # An equal-cost pair's first plan is not kept: a pair that never
+        # repeats (every pair of an all-to-all) would only fill the cache.
+        self._hold(pair, plan if unique else (src, dst))
+        return plan
+
+    def _hold(self, key: tuple, entry: Union[RoutePlan, Tuple[str, str]]) -> None:
+        if len(self._plans) < self.max_cached_plans:
+            self._plans[key] = entry
 
     def try_route(self, src: str, dst: str, flow_key: Optional[str] = None) -> Optional[List[str]]:
         """Like :meth:`route` but returns None when no path exists (e.g. the
@@ -285,21 +374,16 @@ class Router:
     # ------------------------------------------------------------------
     def links_on_path(self, path: List[str]) -> List[Tuple[Link, str, str]]:
         """Directed ``(link, from_node, to_node)`` triples along a node path."""
-        key = tuple(path)
-        hops = self._hops_cache.get(key)
-        if hops is None:
-            link_between = self.topology.link_between
-            hops = [(link_between(u, v), u, v) for u, v in zip(path, path[1:])]
-            if len(self._hops_cache) < 4 * self.max_cached_destinations:
-                self._hops_cache[key] = hops
-        return hops
+        link_between = self.topology.link_between
+        return [(link_between(u, v), u, v) for u, v in zip(path, path[1:])]
 
     def switches_on_path(self, path: List[str]) -> List:
         """The :class:`Switch` objects traversed by a node path, in order."""
         return [self.topology.switches[n] for n in path if n in self.topology.switches]
 
     def invalidate_cache(self) -> None:
-        """Drop all next-hop tables (called after mutating the topology)."""
+        """Drop all next-hop tables and route plans (called after mutating
+        the topology)."""
         self._tables.clear()
-        self._hops_cache.clear()
+        self._plans.clear()
         self.epoch += 1

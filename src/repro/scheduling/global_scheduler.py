@@ -135,7 +135,8 @@ class GlobalScheduler:
         self.on_job_failed: Optional[Callable[[Job], None]] = None
 
         # Pending result transfers recorded per not-yet-placed child task:
-        # child -> list of (src_server_id, bytes).
+        # child -> list of (src_server_id, bytes), for edges that carry
+        # bytes (a zero-byte edge never launches a transfer).
         self._pending_sources: Dict[Task, List[Tuple[int, float]]] = {}
         self._placements: Dict[Task, "Server"] = {}
 
@@ -241,7 +242,7 @@ class GlobalScheduler:
         sources = self._pending_sources.pop(task, ())
         launched = False
         for src_server_id, size_bytes in sources:
-            if size_bytes > 0 and src_server_id != server.server_id and self.network is not None:
+            if src_server_id != server.server_id and self.network is not None:
                 task.transfer_started()
                 launched = True
                 self.transfers_launched += 1
@@ -369,9 +370,10 @@ class GlobalScheduler:
         for _src, child_index, transfer_bytes in job._children.get(task.index, ()):
             child = job.tasks[child_index]
             child.parent_finished()
-            self._pending_sources.setdefault(child, []).append(
-                (server.server_id, transfer_bytes)
-            )
+            if transfer_bytes > 0:
+                self._pending_sources.setdefault(child, []).append(
+                    (server.server_id, transfer_bytes)
+                )
             if child.remaining_parents == 0:
                 child.state = _READY
                 self._place_task(child)

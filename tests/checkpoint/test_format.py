@@ -84,7 +84,7 @@ class TestEnvelope:
         # Version 4 gave the server model slotted layouts: a version-3 world
         # would unpickle into classes with missing fields, so it is refused
         # before the payload is touched.  (Version 5 changed the Poisson
-        # arrival stream's slots.)
+        # arrival stream's slots, version 6 the state trackers' count keys.)
         path = str(tmp_path / "v3.ckpt")
         write_checkpoint(path, b"payload-bytes", _meta())
         header_line, payload = open(path, "rb").read().split(b"\n", 1)
@@ -92,11 +92,11 @@ class TestEnvelope:
         header["version"] = 3
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
-        assert CHECKPOINT_VERSION == 5
+        assert CHECKPOINT_VERSION == 6
         with pytest.raises(
             CheckpointError,
             match="written by checkpoint format version 3, this build reads "
-                  "version 5; re-run from scratch",
+                  "version 6; re-run from scratch",
         ):
             read_checkpoint(path)
 

@@ -184,9 +184,12 @@ class TestFastPath:
         engine.run()
         assert order == [0, 1, 2, 3]
 
-    def test_post_returns_nothing(self, engine):
+    def test_post_at_returns_its_seq_and_post_nothing(self, engine):
+        # post_at hands back the sequence number cancel_posted takes.
         assert engine.post(1.0, lambda: None) is None
-        assert engine.post_at(2.0, lambda: None) is None
+        assert engine.post_at(2.0, lambda: None) == 1
+        assert engine.post_at(2.0, lambda: None) == 2
+        assert engine.events_scheduled == 3
 
     def test_post_at_in_past_raises(self, engine):
         engine.schedule(1.0, lambda: None)
@@ -219,6 +222,95 @@ class TestFastPath:
         engine.schedule(2.0, lambda: None).cancel()
         assert engine.pending_count() == 1
         assert engine.peek_time() == 1.0
+
+
+class TestCancelPosted:
+    def test_removes_only_listed_queued_events(self, engine):
+        seen = []
+        seqs = [engine.post_at(1.0, seen.append, i) for i in range(6)]
+        handle = engine.schedule(1.0, seen.append, "handle")
+        assert engine.cancel_posted([seqs[1], seqs[4]]) == 2
+        assert engine.events_cancelled == 2
+        engine.run()
+        # The survivors keep same-time FIFO order, handle included.
+        assert seen == [0, 2, 3, 5, "handle"]
+        assert not handle.pending
+
+    def test_fired_and_unknown_seqs_are_no_ops(self, engine):
+        seen = []
+        first = engine.post_at(1.0, seen.append, "a")
+        second = engine.post_at(2.0, seen.append, "b")
+        engine.run(until=1.5)
+        assert engine.cancel_posted([first, first, 10**9]) == 0
+        assert engine.cancel_posted([]) == 0
+        assert engine.events_cancelled == 0
+        assert engine.cancel_posted([first, second]) == 1
+        assert engine.cancel_posted([second]) == 0  # already removed
+        engine.run()
+        assert seen == ["a"]
+        assert engine.events_cancelled == 1
+
+    def test_handle_seqs_are_left_to_their_handles(self, engine):
+        handle = engine.schedule(1.0, lambda: None)
+        assert engine.cancel_posted([handle.seq]) == 0
+        assert handle.pending
+        assert engine.events_cancelled == 0
+
+    def test_cancel_from_a_callback_of_the_same_instant(self, engine):
+        seen = []
+        seqs = []
+
+        def cancel_rest():
+            seen.append("cancel")
+            engine.cancel_posted(seqs)
+
+        engine.post_at(1.0, cancel_rest)
+        seqs += [engine.post_at(1.0, seen.append, i) for i in range(3)]
+        engine.post_at(1.0, seen.append, "kept")
+        engine.run()
+        assert seen == ["cancel", "kept"]
+        assert engine.events_cancelled == 3
+
+    @given(
+        events=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=4), st.booleans(),
+                      st.booleans()),
+            min_size=1, max_size=60,
+        ),
+        cut=st.integers(min_value=0, max_value=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_cancelling_handles(self, events, cut):
+        """Posting and batch-cancelling runs exactly like scheduling and
+        cancelling each handle: same order, same counts."""
+
+        def run(batched):
+            engine = Engine()
+            seen, seqs, handles = [], [], []
+            for i, (t, cancellable, cancel) in enumerate(events):
+                if cancellable and batched:
+                    seqs.append((engine.post_at(float(t), seen.append, i), cancel))
+                elif cancellable:
+                    handles.append((engine.schedule_at(float(t), seen.append, i), cancel))
+                else:
+                    engine.post_at(float(t), seen.append, i)
+
+            def cancel_marked():
+                if batched:
+                    engine.cancel_posted(seq for seq, cancel in seqs if cancel)
+                else:
+                    for handle, cancel in handles:
+                        if cancel:
+                            handle.cancel()
+
+            engine.post_at(float(cut) - 0.5 if cut else 0.0, cancel_marked)
+            engine.run()
+            counts = (engine.events_scheduled, engine.events_executed,
+                      engine.events_cancelled, engine.pending_count())
+            assert counts[0] == counts[1] + counts[2] + counts[3]
+            return seen, counts
+
+        assert run(batched=True) == run(batched=False)
 
 
 class TestNanTimes:

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import stats
+from repro.core.config import onoff_cloud_server
 from repro.core.engine import Engine
+from repro.core.rng import RandomSource
 from repro.core.stats import (
     CdfResult,
     EnergyAccount,
@@ -17,6 +22,11 @@ from repro.core.stats import (
     StateTracker,
     TimeSeriesSampler,
 )
+from repro.experiments.common import build_farm, drive
+from repro.power.controller import DelayTimerController
+from repro.scheduling.policies import PackingPolicy
+from repro.workload.arrivals import PoissonProcess
+from repro.workload.profiles import web_search_profile
 
 
 class TestStateTracker:
@@ -80,6 +90,68 @@ class TestStateTracker:
             tracker.set_state(state, t)
         horizon = t + 1.0
         assert sum(tracker.residency(horizon).values()) == pytest.approx(horizon)
+
+
+class TestTrackerKeys:
+    """Transition counts are keyed by interned plain strings, so a tracker
+    dict never becomes tracked by the cyclic garbage collector (a fresh
+    ``(src, dst)`` tuple key would leave it tracked for good)."""
+
+    def test_tracker_dict_stays_untracked(self):
+        tracker = StateTracker("gc-key-a")
+        # Names built at run time, so no constant tuple is reused.
+        a, b = "-".join(("gc", "key", "a")), "-".join(("gc", "key", "b"))
+        for t, state in enumerate((b, a, b, "gc-key-c"), start=1):
+            tracker.set_state(state, float(t))
+        assert not gc.is_tracked(tracker._totals)
+        assert tracker.transitions == {
+            ("gc-key-a", "gc-key-b"): 2, ("gc-key-b", "gc-key-a"): 1,
+            ("gc-key-b", "gc-key-c"): 1,
+        }
+        assert tracker.transition_count() == 4
+        assert tracker.transition_count(src="gc-key-b") == 2
+        assert tracker.transition_count(dst="gc-key-b") == 2
+        assert tracker.transition_count(src="gc-key-a", dst="gc-key-b") == 2
+        assert tracker.residency(5.0) == {
+            "gc-key-a": 2.0, "gc-key-b": 2.0, "gc-key-c": 1.0,
+        }
+
+    def test_counts_survive_a_restore_into_a_fresh_key_table(self, monkeypatch):
+        # A checkpoint restored in another process starts with an empty
+        # key table; the pickled keys spell out their pairs.
+        tracker = StateTracker("up")
+        tracker.set_state("down", 1.0)
+        tracker.set_state("up", 2.0)
+        payload = pickle.dumps(tracker)
+        monkeypatch.setattr(stats, "_TRANSITION_KEYS", {})
+        restored = pickle.loads(payload)
+        assert restored.transitions == tracker.transitions
+        restored.set_state("down", 3.0)
+        assert restored.transitions == {("up", "down"): 2, ("down", "up"): 1}
+        assert restored.transition_count(dst="down") == 2
+
+    def test_separator_in_a_state_name_is_refused(self):
+        tracker = StateTracker("a")
+        with pytest.raises(ValueError, match="may not contain"):
+            tracker.set_state("b\x1fc", 1.0)
+        assert tracker.state == "a"
+        assert tracker.residency(2.0) == {"a": 2.0}
+
+    def test_farm_trackers_stay_untracked_after_a_run(self):
+        profile = web_search_profile()
+        farm = build_farm(8, onoff_cloud_server(n_cores=2), policy=PackingPolicy(), seed=3)
+        controller = DelayTimerController(farm.engine, 0.05)
+        for server in farm.servers:
+            server.attach_controller(controller)
+        rng = RandomSource(3)
+        arrivals = PoissonProcess(200.0, rng.stream("arrivals"))
+        drive(farm, arrivals, profile.job_factory(rng.stream("service")),
+              duration_s=2.0, audit="off")
+        trackers = [s.residency for s in farm.servers]
+        trackers += [p.tracker for s in farm.servers for p in s.processors]
+        trackers += [c.tracker for s in farm.servers for c in s.all_cores()]
+        assert sum(t.transition_count() for t in trackers) > 1000
+        assert [t for t in trackers if gc.is_tracked(t._totals)] == []
 
 
 class TestEnergyAccount:

@@ -17,16 +17,18 @@ activity for every packet.
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import LinkConfig, PortPowerProfile, datacenter_switch
 from repro.core.engine import Engine
 from repro.network.link import Link
 from repro.network.packet import PacketNetwork
-from repro.network.topology import fat_tree, star
+from repro.network.topology import Topology, fat_tree, star
 
 HORIZON = 5.0
 
@@ -170,6 +172,36 @@ def test_fast_path_reduces_events_at_least_4x():
     assert observables(topo_f, net_f, done_f) == observables(topo_s, net_s, done_s)
     assert net_f.trains_engaged == 4
     assert engine_s.events_executed >= 4 * engine_f.events_executed
+
+
+def _gated_star(gate, engine):
+    """An 8-server star whose every route fails one static train gate."""
+    if gate == "zero_lpi_timer":
+        config = dataclasses.replace(
+            datacenter_switch(ports_per_linecard=8),
+            port_profile=PortPowerProfile(active_w=0.9, lpi_w=0.09, lpi_timer_s=0.0),
+        )
+        return star(engine, 8, switch_config=config)
+    if gate == "adaptive_rates":
+        return star(engine, 8, link_config=LinkConfig(
+            rate_bps=1e9, adaptive_rates_bps=(1e8, 1e9)))
+    topo = Topology(engine)  # two configured rates on every route
+    topo.add_switch("sw0", datacenter_switch(ports_per_linecard=8), n_ports=8)
+    for i in range(8):
+        topo.connect(topo.add_server(i), "sw0",
+                     LinkConfig(rate_bps=1e9 if i % 2 == 0 else 5e8))
+    return topo
+
+
+@pytest.mark.parametrize("gate", ["adaptive_rates", "mixed_rates", "zero_lpi_timer"])
+def test_static_gates_keep_trains_off(gate):
+    # Each route is idle at every start, so only the static half of the
+    # eligibility (which a route plan remembers) keeps the trains off.
+    events = [(0.0, 0, 1, 30_000.0), (0.01, 0, 1, 30_000.0),
+              (0.02, 1, 0, 30_000.0), (0.03, 0, 1, 30_000.0)]
+    net = assert_equivalent(events, builder=lambda e: _gated_star(gate, e))
+    assert net.trains_engaged == 0
+    assert net.packets_delivered == 4 * 20
 
 
 def test_fast_path_flag_off_disables_batching():

@@ -70,14 +70,34 @@ class TestErrors:
         with pytest.raises(KeyError):
             network.transfer(0, 99, 1e6, lambda: None)
 
-    def test_disconnected_route_raises(self):
+
+
+class TestPartitions:
+    def test_disconnected_route_strands_the_flow(self):
+        # A flow with no path strands like a running flow cut off by a
+        # fault, instead of raising "no path" from the router.
         engine = Engine()
         topo = Topology(engine)
         topo.add_server(0)
         topo.add_server(1)
         network = FlowNetwork(engine, topo)
-        with pytest.raises(ValueError, match="no path"):
-            network.transfer(0, 1, 1e6, lambda: None)
+        done = []
+        flow = network.transfer(0, 1, 1e6, lambda: done.append(engine.now))
+        assert flow is not None and flow.path == [] and flow.hops == []
+        assert network.flows_stranded == 1
+        assert network.stranded_flow_count == 1
+        assert network.active_flow_count == 0
+        engine.run()
+        assert done == []
+        # Connecting the servers alone does not resume it: a repair does,
+        # through retry_stranded.
+        topo.connect("h0", "h1", LinkConfig(rate_bps=1e9))
+        network.router.invalidate_cache()
+        assert network.retry_stranded() == 1
+        engine.run()
+        assert len(done) == 1
+        assert network.flows_completed == 1
+        assert network.stranded_flow_count == 0
 
 
 class TestTelemetry:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Engine
-from repro.network.routing import Router
+from repro.network.routing import RoutePlan, Router
 from repro.network.topology import bcube, camcube, fat_tree, flattened_butterfly, star
 from tests.network._reference import to_networkx
 
@@ -315,3 +315,104 @@ def test_invalidation_drops_tables_over_the_live_adjacency():
     assert victim not in router.route("h0", "h15")
     assert topo.adjacency[victim] == {}
     assert router._tables["h15"].adj is topo.adjacency
+
+
+# ----------------------------------------------------------------------
+# Transfer route plans
+# ----------------------------------------------------------------------
+FAULT_ACTIONS = ("fail_link", "repair_link", "fail_node", "repair_node")
+
+
+@given(
+    topo_name=st.sampled_from(sorted(builders())),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(("transfer",) * 4 + FAULT_ACTIONS),
+            st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        max_size=40,
+    ),
+    max_cached_destinations=st.sampled_from((1, 2, 4096)),
+)
+@settings(max_examples=60, deadline=None)
+def test_transfer_plans_answer_like_a_fresh_router(topo_name, steps,
+                                                   max_cached_destinations):
+    """Every transfer's plan equals ``route`` with the transfer's flow key
+    on a fresh router over the same faulted topology; a pair with an
+    equal-cost choice always goes through ``route``; no plan outlives an
+    epoch; and the cache stays within its bound."""
+    topo = builders()[topo_name](Engine())
+    router = Router(topo, max_cached_destinations=max_cached_destinations)
+    routed = []
+    plain_route = router.route
+
+    def counting_route(src, dst, flow_key=None):
+        routed.append((src, dst))
+        return plain_route(src, dst, flow_key)
+
+    router.route = counting_route
+    n = topo.n_servers
+    nodes = topo.server_nodes + list(topo.switches)
+    links = sorted(topo.links)
+    issued, stale = [], []
+    seq = 0
+    for action, a, b in steps:
+        if action != "transfer":
+            if action.endswith("_link"):
+                changed = getattr(topo, action)(*links[b % len(links)])
+            else:
+                changed = getattr(topo, action)(nodes[b % len(nodes)])
+            if changed:
+                assert not router._plans
+                stale += issued
+                issued = []
+            continue
+        src_id, dst_id = a % n, (a + 1 + b % (n - 1)) % n
+        seq += 1
+        epoch = router.epoch
+        routed.clear()
+        plan = router.transfer_plan(src_id, dst_id, seq)
+        assert router.epoch == epoch
+        src, dst = topo.server_node(src_id), topo.server_node(dst_id)
+        fresh = Router(topo)
+        expected = fresh.try_route(src, dst, flow_key=f"{src}->{dst}#{seq}")
+        if expected is None:
+            assert plan is None
+            continue
+        assert plan.path == expected
+        assert plan.hops == fresh.links_on_path(expected)
+        assert all(plan is not old for old in stale)
+        issued.append(plan)
+        if len(fresh.equal_cost_paths(src, dst)) > 1:
+            assert routed == [(src, dst)]
+            assert not isinstance(router._plans.get((src_id, dst_id)), RoutePlan)
+        elif not routed:
+            assert router._plans[(src_id, dst_id)] is plan
+        assert len(router._plans) <= router.max_cached_plans
+
+
+def test_plan_cache_stops_at_its_bound():
+    """Past its bound the cache keeps nothing new, and routes still come out
+    right."""
+    topo = fat_tree(Engine(), 4)
+    router, fresh = Router(topo, max_cached_destinations=1), Router(topo)
+    assert router.max_cached_plans == 4
+    seq = 0
+    for _ in range(2):
+        for src_id in range(topo.n_servers):
+            for dst_id in range(topo.n_servers):
+                if src_id == dst_id:
+                    continue
+                seq += 1
+                src, dst = topo.server_node(src_id), topo.server_node(dst_id)
+                plan = router.transfer_plan(src_id, dst_id, seq)
+                assert plan.path == fresh.route(src, dst, flow_key=f"{src}->{dst}#{seq}")
+                assert plan.hops == fresh.links_on_path(plan.path)
+                assert len(router._plans) <= 4
+    assert len(router._plans) == 4
+
+
+def test_max_cached_destinations_must_be_positive():
+    with pytest.raises(ValueError, match="max_cached_destinations must be >= 1"):
+        Router(star(Engine(), 2), max_cached_destinations=0)

@@ -142,6 +142,29 @@ class TestNetworkTransfers:
         assert network.flows_completed == 0
         assert job.finished
 
+    def test_zero_byte_edges_record_no_pending_source(self):
+        # _assign launches no transfer for a zero-byte edge, so completing
+        # a parent records nothing for its still-blocked child.
+        engine = Engine()
+        network = self._star_net(engine)
+        _, _, scheduler = make_farm(
+            n_servers=4, network=network, policy=RoundRobinPolicy(), engine=engine
+        )
+        job = Job()
+        job.add_task(0.1, name="p1")
+        job.add_task(0.3, name="p2")
+        job.add_task(0.1, name="child")
+        job.add_edge(0, 2, 0.0)
+        job.add_edge(1, 2, 125e4)
+        scheduler.submit_job(job)
+        engine.run(until=0.2)
+        assert [t.state for t in job.tasks[:2]] == [TaskState.FINISHED, TaskState.RUNNING]
+        assert scheduler._pending_sources == {}
+        engine.run()
+        assert job.finished
+        assert scheduler.transfers_launched == 1
+        assert network.flows_completed == 1
+
     def test_child_waits_for_all_transfers(self):
         engine = Engine()
         network = self._star_net(engine, rate=1e8)

@@ -63,8 +63,9 @@ SCRIPT = textwrap.dedent(
     done, refused = [], []
 
     def start(src, dst, size):
-        # A transfer cannot start across a partition (transfer() raises
-        # "no path between"); only running flows strand and resume.
+        # Only transfers with a path start, so every one lands by t=1 (one
+        # started across a partition would strand until a repair; see
+        # tests/network/test_partitioned_transfers.py).
         if network.router.try_route(topo.server_node(src), topo.server_node(dst)) is None:
             refused.append(src)
         else:
