@@ -13,8 +13,10 @@ again.  On Table I at 20,480 servers that was ~40% of the wall time.
 * afterwards, if the build grew the heap by at least :data:`GROWTH_GATE`
   (CPython's own trigger for a full collection), the heap is moved to the
   permanent generation with :func:`gc.freeze`, so later collections scan
-  only what the run allocates: jobs, tasks, trains.  The Job/Task cycles the
-  run makes are collected as before;
+  only what the run allocates: jobs, tasks, trains.  A run makes no cyclic
+  garbage: the scheduler frees a completed job by reference count
+  (:meth:`repro.jobs.task.Job.release_tasks`).  A failed job is the one
+  exception; its Job/Task cycle is left to the collector;
 * the next build first releases that world (:func:`gc.unfreeze`, then
   :func:`gc.collect`), so a process that builds and drops worlds one after
   another (a test session, a notebook, a ``--jobs 1`` sweep) gets a dropped

@@ -55,7 +55,9 @@ class FaultInjector:
         topology: optional :class:`~repro.network.topology.Topology` whose
             switches and links are subject to faults.
         network: optional :class:`~repro.network.flow.FlowNetwork` asked to
-            re-route flows around newly failed components.
+            re-route flows around newly failed components.  A network
+            without its two hooks, ``reroute_around_failures()`` and
+            ``retry_stranded()`` (a packet network), is refused.
     """
 
     def __init__(
@@ -68,6 +70,19 @@ class FaultInjector:
         topology=None,
         network=None,
     ):
+        if network is not None and not all(
+            hasattr(network, hook)
+            for hook in ("reroute_around_failures", "retry_stranded")
+        ):
+            raise ValueError(
+                f"{type(network).__name__} lacks the fault hooks "
+                "reroute_around_failures() and retry_stranded(); only the "
+                "flow network re-routes traffic around faults (packets in "
+                "flight through a failed element: ROADMAP.md item 7(a)). "
+                "Pass topology= alone to fault a packet network's topology: "
+                "new transfers then route around failures, but packets "
+                "already in flight do not."
+            )
         self.engine = engine
         self.config = config
         self.servers = list(servers)

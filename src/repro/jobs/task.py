@@ -41,6 +41,10 @@ class Task:
     0.0 = fully memory/IO bound and insensitive to DVFS), modeling the paper's
     "various types of workloads with different levels of computation
     intensiveness" (§III-A).
+
+    ``job`` is the task's job while that job runs, and None once it has
+    completed (see :meth:`Job.release_tasks`).  A failed job's tasks keep
+    it.
     """
 
     __slots__ = (
@@ -124,7 +128,9 @@ class Task:
         return self._remaining_parents == 0 and self._remaining_transfers == 0
 
     def __repr__(self) -> str:
-        return f"<Task {self.job.job_id}:{self.index} {self.state.value}>"
+        job = self.job
+        job_id = "-" if job is None else job.job_id
+        return f"<Task {job_id}:{self.index} {self.state.value}>"
 
 
 class Job:
@@ -346,6 +352,19 @@ class Job:
             self.finish_time = now
             return True
         return False
+
+    def release_tasks(self) -> None:
+        """Drop every task's back-reference to this job (``task.job = None``).
+
+        ``Task.job`` and ``Job.tasks`` point at each other, so without this
+        a completed job waits for the cyclic collector.  The scheduler calls
+        it once the job has completed and its completion has been recorded;
+        the job is then freed by reference count as soon as nothing else
+        holds it.  :attr:`tasks`, :attr:`finished` and :meth:`latency` keep
+        working.
+        """
+        for task in self.tasks:
+            task.job = None
 
     @property
     def finished(self) -> bool:

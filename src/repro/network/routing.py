@@ -285,18 +285,21 @@ class Router:
             return [[src]]
         next_hops = self._reached_table(src, dst).next_hops
         paths: List[List[str]] = []
-        stack: List[str] = [src]
-
-        def expand(node: str) -> None:
-            if node == dst:
-                paths.append(list(stack))
-                return
-            for nh in next_hops(node):
-                stack.append(nh)
-                expand(nh)
-                stack.pop()
-
-        expand(src)
+        # An explicit DFS (no recursive closure, which would reference
+        # itself and leave a cycle per call): ``pending[i]`` iterates the
+        # next hops of ``path[i]`` not yet taken.
+        path: List[str] = [src]
+        pending = [iter(next_hops(src))]
+        while pending:
+            node = next(pending[-1], None)
+            if node is None:
+                pending.pop()
+                path.pop()
+            elif node == dst:
+                paths.append(path + [node])
+            else:
+                path.append(node)
+                pending.append(iter(next_hops(node)))
         # next_hops tuples are sorted, so DFS already emits paths in
         # lexicographic order; sort() is a cheap no-op guard.
         paths.sort()
@@ -314,7 +317,9 @@ class Router:
         """Memoised suffix wake cost over the next-hop DAG.
 
         ``cost(n)`` is the minimum number of non-ON switches on any shortest
-        path from ``n`` to the destination, counting ``n`` itself.
+        path from ``n`` to the destination, counting ``n`` itself.  It fills
+        the memo with an explicit post-order stack: a recursive closure
+        would reference itself and leave a cycle per call.
         """
         next_hops = table.next_hops
         dst = table.dst
@@ -325,9 +330,18 @@ class Router:
             cached = memo.get(node)
             if cached is not None:
                 return cached
-            best = node_cost(node) + min(cost(nh) for nh in next_hops(node))
-            memo[node] = best
-            return best
+            stack = [node]
+            while stack:
+                top = stack[-1]
+                nhs = next_hops(top)
+                missing = [nh for nh in nhs if nh not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                stack.pop()
+                if top not in memo:
+                    memo[top] = node_cost(top) + min(memo[nh] for nh in nhs)
+            return memo[node]
 
         return cost
 

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Enum members bound once (each ``Enum.MEMBER`` read is a Python-level call
 # in CPython 3.11; see repro.server.core_unit).
-_READY, _QUEUED = TaskState.READY, TaskState.QUEUED
+_BLOCKED, _READY, _QUEUED = TaskState.BLOCKED, TaskState.READY, TaskState.QUEUED
 _FAILED = SystemState.FAILED
 
 
@@ -328,6 +328,13 @@ class GlobalScheduler:
         job.failed = True
         self.jobs_failed += 1
         self.active_jobs -= 1
+        # Its blocked tasks are never placed now (a failed job's completions
+        # expand no children), so their recorded transfer sources would
+        # otherwise hold the job for the rest of the run.  A task waiting in
+        # the global queue keeps its sources: a drain still assigns it.
+        for task in job.tasks:
+            if task.state is _BLOCKED:
+                self._pending_sources.pop(task, None)
         ts = telemetry.ACTIVE
         if ts is not None and ts.job is not None:
             rec = ts.job
@@ -405,6 +412,9 @@ class GlobalScheduler:
                 self.slo_violations += 1
             if self.on_job_complete is not None:
                 self.on_job_complete(job)
+            # Nothing reads a completed job through its tasks any more;
+            # breaking the Job<->Task cycle frees it by reference count.
+            job.release_tasks()
         if self.global_queue:
             self._drain_global_queue(server)
 

@@ -8,11 +8,13 @@ performance work.  Without a profiler the engine runs its hook-free loop,
 whose throughput ``repro bench`` gates as ``engine.events_per_s``.
 
 While its telemetry session is active the profiler also counts CPython's
-cyclic-GC passes and their wall-clock per generation (through
-``gc.callbacks``).  Collector time is otherwise charged to whichever handler
-happened to allocate, or to no handler at all during a world's build.  Each
-summary also records how many objects sit in the settled heap (frozen out of
-cyclic-GC passes by :mod:`repro.core.heap`) when it is taken.
+cyclic-GC passes, their wall-clock and the objects they collected per
+generation (through ``gc.callbacks``).  Collector time is otherwise charged
+to whichever handler happened to allocate, or to no handler at all during a
+world's build; the collected count tells passes that found nothing from
+cyclic garbage coming back.  Each summary also records how many objects sit
+in the settled heap (frozen out of cyclic-GC passes by
+:mod:`repro.core.heap`) when it is taken.
 
 Summaries are plain dicts so per-sweep-point profiles can cross process
 boundaries and be merged into one fleet-wide table.
@@ -51,8 +53,12 @@ class DispatchProfiler:
         self._stats: Dict[str, List[float]] = {}
         self.events = 0
         self.wall_s = 0.0
-        #: Cyclic-GC [passes, total_s] per generation, youngest first.
-        self.gc_stats: List[List[float]] = [[0, 0.0] for _ in range(GC_GENERATIONS)]
+        #: Cyclic-GC [passes, total_s, collected] per generation, youngest
+        #: first; ``collected`` counts the unreachable objects the passes
+        #: freed.
+        self.gc_stats: List[List[float]] = [
+            [0, 0.0, 0] for _ in range(GC_GENERATIONS)
+        ]
         self._gc_t0 = 0.0
         #: Largest settled-heap size among the merged summaries.
         self.settled_objects = 0
@@ -84,6 +90,7 @@ class DispatchProfiler:
             rec = self.gc_stats[info["generation"]]
             rec[0] += 1
             rec[1] += perf_counter() - self._gc_t0
+            rec[2] += info["collected"]
 
     def _dispatch(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
         t0 = perf_counter()
@@ -113,7 +120,10 @@ class DispatchProfiler:
                 key: {"calls": rec[0], "total_s": rec[1], "max_s": rec[2]}
                 for key, rec in self._stats.items()
             },
-            "gc": [{"passes": rec[0], "total_s": rec[1]} for rec in self.gc_stats],
+            "gc": [
+                {"passes": rec[0], "total_s": rec[1], "collected": rec[2]}
+                for rec in self.gc_stats
+            ],
             "settled_objects": gc.get_freeze_count(),
         }
 
@@ -135,6 +145,8 @@ class DispatchProfiler:
         for rec, stats in zip(self.gc_stats, summary.get("gc", ())):
             rec[0] += stats["passes"]
             rec[1] += stats["total_s"]
+            # Summaries written before the count existed (old journals).
+            rec[2] += stats.get("collected", 0)
         self.settled_objects = max(
             self.settled_objects, summary.get("settled_objects", 0)
         )
@@ -159,14 +171,16 @@ class DispatchProfiler:
     def top_table(self, k: int = 10) -> str:
         """The hot-handler table, ready to print."""
         per_gen = ", ".join(
-            f"gen{gen} {passes}/{total_s:.3f}s"
-            for gen, (passes, total_s) in enumerate(self.gc_stats)
+            f"gen{gen} {passes}/{total_s:.3f}s/{collected}"
+            for gen, (passes, total_s, collected) in enumerate(self.gc_stats)
         )
         lines = [
             f"event-loop profile: {self.events} events, "
             f"{self.wall_s:.3f}s dispatch wall-clock",
             f"gc: {sum(rec[0] for rec in self.gc_stats)} cyclic-collector passes, "
-            f"{sum(rec[1] for rec in self.gc_stats):.3f}s (passes/time: {per_gen})",
+            f"{sum(rec[1] for rec in self.gc_stats):.3f}s, "
+            f"{sum(rec[2] for rec in self.gc_stats)} objects collected "
+            f"(passes/time/collected: {per_gen})",
             f"heap: {self.settled_objects} objects settled (frozen out of cyclic GC)",
             f"{'handler':<40} {'calls':>10} {'total(s)':>10} "
             f"{'mean(us)':>10} {'max(us)':>10} {'share':>7}",

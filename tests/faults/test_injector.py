@@ -14,7 +14,8 @@ from repro.experiments.fault_resilience import (
 )
 from repro.faults.injector import FaultInjector
 from repro.network.flow import FlowNetwork
-from repro.network.topology import star
+from repro.network.packet import PacketNetwork
+from repro.network.topology import fat_tree, star
 from repro.scheduling.policies import LeastLoadedPolicy
 from repro.workload.arrivals import PoissonProcess
 from repro.workload.profiles import DeterministicService, SingleTaskJobFactory
@@ -176,6 +177,43 @@ class TestTraceDriven:
         engine.run()
         assert done and done[0] == pytest.approx(2.5, rel=0.05)
         assert network.flows_stranded == 1
+
+
+class TestNetworkHooks:
+    def test_packet_network_refused_at_construction(self):
+        # A switch or link fault would call FlowNetwork-only hooks and end
+        # the run with AttributeError at the first fault.
+        engine = Engine()
+        topo = fat_tree(engine, 4, link_config=LinkConfig(rate_bps=1e9))
+        cfg = FaultConfig(enabled=True, switch_mtbf_s=0.5, switch_mttr_s=0.02,
+                          link_mtbf_s=0.5, link_mttr_s=0.02)
+        with pytest.raises(ValueError) as err:
+            FaultInjector(engine, cfg, RandomSource(11), topology=topo,
+                          network=PacketNetwork(engine, topo))
+        message = str(err.value)
+        for words in ("PacketNetwork", "reroute_around_failures()",
+                      "retry_stranded()", "item 7(a)", "topology= alone"):
+            assert words in message
+
+    def test_packet_network_topology_alone_routes_new_transfers_around(self):
+        engine = Engine()
+        topo = fat_tree(engine, 4, link_config=LinkConfig(rate_bps=1e9))
+        network = PacketNetwork(engine, topo)
+        cfg = FaultConfig(enabled=True, switch_mtbf_s=0.5, switch_mttr_s=0.02,
+                          link_mtbf_s=0.5, link_mttr_s=0.02)
+        injector = FaultInjector(engine, cfg, RandomSource(11), topology=topo)
+        injector.start()
+        done = []
+        n_transfers = 50
+        for i in range(n_transfers):
+            engine.schedule(0.01 * i, network.transfer, i % 16, (i * 7 + 3) % 16,
+                            10_000.0, lambda: done.append(engine.now))
+        engine.run(until=1.0)
+        injector.stop()
+        assert injector.failures_injected > 0
+        # Each new transfer either found a route around the failures and
+        # landed, or met a partition and was counted as stranded.
+        assert done and len(done) + network.transfers_stranded == n_transfers
 
 
 class TestStop:

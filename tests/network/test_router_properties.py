@@ -416,3 +416,55 @@ def test_plan_cache_stops_at_its_bound():
 def test_max_cached_destinations_must_be_positive():
     with pytest.raises(ValueError, match="max_cached_destinations must be >= 1"):
         Router(star(Engine(), 2), max_cached_destinations=0)
+
+
+@given(
+    topo_name=st.sampled_from(sorted(builders())),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_power_aware_queries_match_brute_force_over_equal_cost_paths(topo_name, seed):
+    """The wake-cost DP answers what enumerating every shortest path does:
+    the cheapest path's cost, and the cheapest path with ties broken by
+    name (the old ``min(paths, key=(wake_cost, path))``)."""
+    import numpy as np
+
+    topo = builders()[topo_name](Engine())
+    router = Router(topo)
+    rng = np.random.default_rng(seed)
+    for name in sorted(topo.switches):
+        if rng.random() < 0.5:
+            topo.switches[name].sleep()
+    nodes = sorted(topo.adjacency)
+    for _ in range(8):
+        src, dst = (nodes[i] for i in rng.integers(len(nodes), size=2))
+        paths = router.equal_cost_paths(src, dst)
+        assert router.min_wake_cost(src, dst) == min(map(router.wake_cost, paths))
+        assert router.route_power_aware(src, dst) == min(
+            paths, key=lambda p: (router.wake_cost(p), p)
+        )
+
+
+def test_router_queries_leave_no_cyclic_garbage():
+    # Recursive closures would reference themselves and leave a cycle per
+    # call; the joint manager asks for wake costs on every activation.
+    import gc
+
+    topo = fat_tree(Engine(), 4)
+    router = Router(topo)
+    for name in sorted(topo.switches)[::3]:
+        topo.switches[name].sleep()
+    servers = topo.server_nodes
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for src in servers[:4]:
+            for dst in servers[-4:]:
+                router.equal_cost_paths(src, dst)
+                router.route_power_aware(src, dst)
+                router.min_wake_cost(src, dst)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

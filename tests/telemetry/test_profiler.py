@@ -120,6 +120,30 @@ class TestGcAccounting:
         assert [g["passes"] for g in gens] == [2, 1, 0]
         assert all(g["total_s"] >= 0.0 for g in gens)
 
+    def test_watch_counts_the_objects_each_generation_collected(self):
+        prof = DispatchProfiler()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            prof.watch_gc()
+            gc.collect(0)  # nothing to find
+            for _ in range(10):
+                loop: list = []
+                loop.append(loop)  # one unreachable object once dropped
+            del loop
+            gc.collect(2)
+            prof.unwatch_gc()
+        finally:
+            if was_enabled:
+                gc.enable()
+        gens = prof.summary()["gc"]
+        assert [g["collected"] for g in gens] == [0, 0, 10]
+        gc_line = next(
+            ln for ln in prof.top_table().splitlines() if ln.startswith("gc:")
+        )
+        assert ", 10 objects collected (" in gc_line
+
     def test_watch_and_unwatch_are_idempotent(self):
         before = list(gc.callbacks)
         prof = DispatchProfiler()
@@ -132,21 +156,38 @@ class TestGcAccounting:
 
     def test_merge_sums_gc_counts_across_points(self):
         point = {"events": 0, "wall_s": 0.0, "handlers": {}, "gc": [
+            {"passes": 3, "total_s": 0.5, "collected": 0},
+            {"passes": 1, "total_s": 0.25, "collected": 7},
+            {"passes": 0, "total_s": 0.0, "collected": 0},
+        ]}
+        merged = DispatchProfiler.from_summaries([point, point, None])
+        assert merged.summary()["gc"] == [
+            {"passes": 6, "total_s": 1.0, "collected": 0},
+            {"passes": 2, "total_s": 0.5, "collected": 14},
+            {"passes": 0, "total_s": 0.0, "collected": 0},
+        ]
+        gc_lines = [ln for ln in merged.top_table().splitlines() if ln.startswith("gc:")]
+        assert gc_lines == [
+            "gc: 8 cyclic-collector passes, 1.500s, 14 objects collected "
+            "(passes/time/collected: gen0 6/1.000s/0, gen1 2/0.500s/14, "
+            "gen2 0/0.000s/0)"
+        ]
+
+    def test_merge_reads_a_summary_without_the_collected_count_as_0(self):
+        # A profile journaled before the count existed.
+        old = {"events": 0, "wall_s": 0.0, "handlers": {}, "gc": [
             {"passes": 3, "total_s": 0.5},
             {"passes": 1, "total_s": 0.25},
             {"passes": 0, "total_s": 0.0},
         ]}
-        merged = DispatchProfiler.from_summaries([point, point, None])
-        assert merged.summary()["gc"] == [
-            {"passes": 6, "total_s": 1.0},
-            {"passes": 2, "total_s": 0.5},
-            {"passes": 0, "total_s": 0.0},
-        ]
-        gc_lines = [ln for ln in merged.top_table().splitlines() if ln.startswith("gc:")]
-        assert gc_lines == [
-            "gc: 8 cyclic-collector passes, 1.500s "
-            "(passes/time: gen0 6/1.000s, gen1 2/0.500s, gen2 0/0.000s)"
-        ]
+        new = {"events": 0, "wall_s": 0.0, "handlers": {}, "gc": [
+            {"passes": 1, "total_s": 0.5, "collected": 4},
+            {"passes": 0, "total_s": 0.0, "collected": 0},
+            {"passes": 0, "total_s": 0.0, "collected": 0},
+        ]}
+        merged = DispatchProfiler.from_summaries([old, new])
+        assert [g["passes"] for g in merged.summary()["gc"]] == [4, 1, 0]
+        assert [g["collected"] for g in merged.summary()["gc"]] == [4, 0, 0]
 
     def test_merge_accepts_summaries_without_gc(self):
         prof = DispatchProfiler()
