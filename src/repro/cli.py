@@ -12,19 +12,12 @@ the paper's figure reports::
     python -m repro validate-server
     python -m repro validate-switch --duration 1800
     python -m repro scalability --servers 20480
-    python -m repro scalability --servers 20480 --checkpoint run.ckpt
     python -m repro faults --mtbfs 120 60 30 --retry-limit 3
     python -m repro bench --quick
 
-``scalability`` (a single run) takes the durable-run flags
-(:mod:`repro.checkpoint`): ``--checkpoint PATH --checkpoint-every T``
-snapshots the run's whole world atomically every T simulated seconds, and
-``--restore-from PATH`` resumes it; the resumed report is bit-identical to
-the plain run's.  SIGINT/SIGTERM on a durable run cut a final checkpoint
-and exit 130 with the resume command; a locked checkpoint or journal
-(another live run) fails fast with exit 2, and so does a checkpoint taken
-with other model parameters.  Sweeps are durable point by point through
-``--journal PATH --resume``.
+Sweeps are durable point by point through ``--journal PATH --resume``:
+Ctrl-C exits 130 with the resume command, and a journal locked by another
+live run fails fast with exit 2.
 
 Every subcommand accepts ``--jobs N`` to evaluate independent sweep points
 on up to N worker processes, never more than the host's CPUs (results are
@@ -52,13 +45,8 @@ import math
 import sys
 from typing import Callable, List, Optional
 
-from repro.checkpoint import (
-    CheckpointError,
-    DurabilityOptions,
-    LockHeldError,
-    RunInterrupted,
-)
 from repro.runner import SweepInterrupted, SweepOptions
+from repro.runner.lock import LockHeldError
 from repro.experiments import (
     adaptive,
     ai_training,
@@ -125,8 +113,8 @@ def _positive(kind: type, what: str, zero_ok: bool = False):
 _seconds = _positive(float, "a finite number of seconds > 0")
 _count = _positive(int, "an integer >= 1")
 _rate = _positive(float, "a finite rate > 0 (per second)")
-#: A delay timer (τ = 0 sleeps as soon as the server is idle), a
-#: checkpoint interval (0 = only on interrupt) or an MTBF (0 = no faults).
+#: A delay timer (τ = 0 sleeps as soon as the server is idle) or an MTBF
+#: (0 = no faults).
 _seconds_or_zero = _positive(float, "a finite number of seconds >= 0", zero_ok=True)
 _count_or_zero = _positive(int, "an integer >= 0", zero_ok=True)
 _utilization = _positive(float, "a finite utilization > 0")
@@ -146,21 +134,6 @@ def _sweep_options(args: argparse.Namespace) -> SweepOptions:
         keep_going=args.keep_going,
         journal_path=args.journal,
         resume=args.resume,
-    )
-
-
-def _durability(args: argparse.Namespace) -> Optional[DurabilityOptions]:
-    """Build a durability policy from the durable-run flags; None when untouched."""
-    if not hasattr(args, "checkpoint"):
-        return None
-    if args.checkpoint_every and not args.checkpoint:
-        raise SystemExit("--checkpoint-every requires --checkpoint PATH")
-    if not (args.checkpoint or args.restore_from):
-        return None
-    return DurabilityOptions(
-        checkpoint_path=args.checkpoint,
-        checkpoint_every_s=args.checkpoint_every,
-        restore_from=args.restore_from,
     )
 
 
@@ -445,13 +418,7 @@ def _cmd_scalability(args: argparse.Namespace) -> None:
         pool = False
     else:
         pool = "auto"
-    durability = _durability(args)
     if args.sizes:
-        if durability is not None:
-            raise SystemExit(
-                "--checkpoint/--restore-from make a single run durable; "
-                "sweep --sizes with --journal PATH --resume instead"
-            )
         sweep = scalability.run_scalability_sweep(
             args.sizes, n_jobs=args.num_jobs, seed=args.seed, jobs=args.jobs,
             sweep_options=_sweep_options(args), audit=_audit_mode(args),
@@ -461,7 +428,7 @@ def _cmd_scalability(args: argparse.Namespace) -> None:
         return
     result = scalability.run_scalability(
         n_servers=args.servers, n_jobs=args.num_jobs, seed=args.seed,
-        audit=_audit_mode(args), pool=pool, durability=durability,
+        audit=_audit_mode(args), pool=pool,
     )
     print(result.render())
 
@@ -544,29 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
         observability.add_argument(
             "--profile", action="store_true",
             help="profile the event loop and print the hot-handler table",
-        )
-
-    def durable(p: argparse.ArgumentParser) -> None:
-        group = p.add_argument_group(
-            "durable runs",
-            "checkpoint/restore of the single run (sweeps: --journal/--resume)",
-        )
-        group.add_argument(
-            "--checkpoint", default=None, metavar="PATH",
-            help="write full-state checkpoints to PATH (atomic replace); "
-                 "also written on SIGINT/SIGTERM before exiting 130",
-        )
-        group.add_argument(
-            "--checkpoint-every", type=_seconds_or_zero, default=0.0, metavar="T",
-            help="checkpoint every T simulated seconds; requires "
-                 "--checkpoint. 0 = only on interrupt",
-        )
-        group.add_argument(
-            "--restore-from", default=None, metavar="PATH",
-            help="resume from a checkpoint; the continued run is "
-                 "bit-identical to an uninterrupted one. Refuses a "
-                 "checkpoint whose model fingerprint does not match this "
-                 "invocation",
         )
 
     p = sub.add_parser("provisioning", help="Fig. 4: threshold provisioning")
@@ -727,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(disable the pooled fast path) for A/B "
                                  "debugging")
     common(p)
-    durable(p)
     p.set_defaults(fn=_cmd_scalability)
 
     p = sub.add_parser(
@@ -785,17 +728,7 @@ def main(argv: Optional[List[str]] = None) -> None:
                 file=sys.stderr,
             )
         raise SystemExit(130)
-    except RunInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        if exc.checkpoint_path:
-            print(
-                f"rerun the same command with --restore-from "
-                f"{exc.checkpoint_path} to continue from t={exc.sim_time:.6f}s; "
-                f"the completed run is bit-identical to an uninterrupted one",
-                file=sys.stderr,
-            )
-        raise SystemExit(130)
-    except (LockHeldError, CheckpointError) as exc:
+    except LockHeldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

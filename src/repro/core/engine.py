@@ -308,13 +308,6 @@ class Engine:
                 accidental event storms in tests).  Draining the queue in
                 exactly ``max_events`` events is not an error.
         """
-        self._dispatch(until, max_events)
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
-
-    def _dispatch(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """Execute events up to ``until`` (inclusive) without moving the
-        clock past the last one; :meth:`run` and :meth:`run_before` share it."""
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
         self._running = True
@@ -326,6 +319,8 @@ class Engine:
                 self._run_hooked(until, max_events, self._dispatch_hook)
         finally:
             self._running = False
+        if until is not None and self._now < until and not self._stopped:
+            self._now = until
 
     def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
         """The uninstrumented dispatch loop — the pre-hook hot path, verbatim."""
@@ -391,24 +386,6 @@ class Engine:
             executed += 1
             hook(time, callback, args)
 
-    def run_before(self, t: float) -> bool:
-        """Execute every event strictly before ``t``; True while events remain.
-
-        Events at exactly ``t`` stay queued.  The clock stays on the last
-        executed event, so a run cut into segments (a durable run that
-        checkpoints between them) ends where one uninterrupted :meth:`run`
-        would — ``now`` feeds end-of-run reports and energy integrals.
-        Implemented as the inclusive dispatch loop with a horizon one ulp
-        below ``t``, so cutting pays nothing on the per-event hot path.
-        """
-        if t < self._now:
-            raise SimulationError(
-                f"cannot run before t={t}: the clock is already at t={self._now}"
-            )
-        if t > self._now:
-            self._dispatch(math.nextafter(t, -math.inf), None)
-        return self.peek_time() is not None
-
     def stop(self) -> None:
         """Stop the loop after the current event; usable from callbacks."""
         self._stopped = True
@@ -421,25 +398,6 @@ class Engine:
         "deliberately halted with work outstanding" at simulation end.
         """
         return self._stopped
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle support for whole-world checkpoints.
-
-        Heap entries alias the model's callbacks and :class:`EventHandle`
-        objects, so an engine is only ever pickled *together with* the model
-        it drives — one ``pickle.dumps`` of the whole world, which is what
-        :mod:`repro.checkpoint` does.  The dispatch hook is observer wiring
-        (a profiler, possibly holding open file handles), never simulated
-        state, so it is dropped; a restored run re-installs its own.
-        """
-        if self._running:
-            raise SimulationError("cannot pickle an engine while run() is executing")
-        state = self.__dict__.copy()
-        state["_dispatch_hook"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Introspection

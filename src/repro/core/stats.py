@@ -127,7 +127,7 @@ _SEP = "\x1f"
 #: time stays tracked by the cyclic collector until a collection untracks
 #: it, and a dict that receives it meanwhile stays tracked for good (CPython
 #: untracks dicts only in full collections).  The key spells out its pair,
-#: so a checkpoint restored in another process decodes the same counts.
+#: so a tracker unpickled in another process decodes the same counts.
 _TRANSITION_KEYS: Dict[str, Dict[str, str]] = {}
 
 

@@ -2,9 +2,9 @@
 
 Every experiment runs one lifecycle on a :class:`Farm` (the joint and AI
 fat-tree clusters are Farms too).  It opens by registering its metrics when
-the world is built, started or restored, so an early stop still exports
-them; it runs with :func:`drive` (to a time horizon) or
-:func:`run_until_jobs` (to a job target); it closes with :func:`audit_farm`.
+the world is built or started, so an early stop still exports them; it
+runs with :func:`drive` (to a time horizon) or :func:`run_until_jobs` (to a
+job target); it closes with :func:`audit_farm`.
 """
 
 from __future__ import annotations

@@ -13,23 +13,15 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from repro.checkpoint import (
-    DurabilityOptions,
-    load_world,
-    run_durably,
-    scenario_fingerprint,
-)
 from repro.core.config import ServerConfig, small_cloud_server
 from repro.core.rng import RandomSource
 from repro.experiments.common import (
     audit_farm,
     build_farm,
     finish_workload,
-    register_session_metrics,
     start_workload,
 )
 from repro.runner import SweepOptions, SweepSpec, run_sweep
-from repro.telemetry import session as telemetry
 from repro.scheduling.policies import RoundRobinPolicy
 from repro.workload.arrivals import PoissonProcess, arrival_rate_for_utilization
 from repro.workload.profiles import ExponentialService, SingleTaskJobFactory
@@ -77,20 +69,14 @@ class ScalabilityResult:
     pool_enabled: bool = True
     pool_captures: int = 0
     pool_peak: int = 0
-    #: Events and jobs already done in the checkpoint a restored run resumed;
-    #: ``wall_seconds`` did not time them, so the rates leave them out.
-    restored_events: int = 0
-    restored_jobs: int = 0
 
     @property
     def events_per_second(self) -> float:
-        events = self.events_executed - self.restored_events
-        return events / self.wall_seconds if self.wall_seconds else 0.0
+        return self.events_executed / self.wall_seconds if self.wall_seconds else 0.0
 
     @property
     def jobs_per_wall_second(self) -> float:
-        jobs = self.n_jobs - self.restored_jobs
-        return jobs / self.wall_seconds if self.wall_seconds else 0.0
+        return self.n_jobs / self.wall_seconds if self.wall_seconds else 0.0
 
     def render(self) -> str:
         mode = "pooled" if self.pool_enabled else "exact"
@@ -112,7 +98,6 @@ def run_scalability(
     server_config: Optional[ServerConfig] = None,
     audit: str = "warn",
     pool: Union[str, bool] = "auto",
-    durability: Optional[DurabilityOptions] = None,
 ) -> ScalabilityResult:
     """Simulate a >20K-server farm and measure simulator throughput.
 
@@ -120,51 +105,29 @@ def run_scalability(
     from farm size and target utilization.  ``pool=False`` forces the exact
     per-server event path (the CLI's ``--no-pool``) and ``pool=True`` forces
     pooling (``--pool``) for A/B debugging.
-
-    ``durability`` makes the run durable (:mod:`repro.checkpoint`): it
-    checkpoints this same world at a simulated-time cadence, and with
-    ``restore_from`` it resumes one; either way the result is bit-identical
-    to the plain run.
     """
     config = server_config or small_cloud_server(n_cores=4)
     use_pool = resolve_pool(pool, n_servers, utilization)
-    fingerprint = scenario_fingerprint("scalability", dict(
-        n_servers=n_servers, n_jobs=n_jobs, utilization=utilization,
-        mean_service_s=mean_service_s, seed=seed, server_config=config,
-        pool=use_pool,
-    ))
-    if durability is not None and durability.restore_from:
-        farm, driver = load_world(durability.restore_from, "scalability", fingerprint)
-        ts = telemetry.ACTIVE
-        if ts is not None:
-            ts.attach_engine(farm.engine)
-        register_session_metrics(farm, driver=driver)
-    else:
-        farm = build_farm(
-            n_servers, config, policy=RoundRobinPolicy(), seed=seed, pool=use_pool
-        )
-        rng = RandomSource(seed)
-        rate = arrival_rate_for_utilization(
-            utilization, mean_service_s, n_servers, config.total_cores
-        )
-        factory = SingleTaskJobFactory(
-            ExponentialService(mean_service_s), rng.stream("service")
-        )
-        driver = start_workload(
-            farm, PoissonProcess(rate, rng.stream("arrivals")), factory,
-            max_jobs=n_jobs,
-        )
+    farm = build_farm(
+        n_servers, config, policy=RoundRobinPolicy(), seed=seed, pool=use_pool
+    )
+    rng = RandomSource(seed)
+    rate = arrival_rate_for_utilization(
+        utilization, mean_service_s, n_servers, config.total_cores
+    )
+    factory = SingleTaskJobFactory(
+        ExponentialService(mean_service_s), rng.stream("service")
+    )
+    driver = start_workload(
+        farm, PoissonProcess(rate, rng.stream("arrivals")), factory,
+        max_jobs=n_jobs,
+    )
     # Time the simulation only: the post-run conservation audit still runs
     # (below) but is verification, not simulated work, so it stays outside
     # the throughput window — at farm scale it would otherwise skew
     # events/s by several percent.
-    restored_events = farm.engine.events_executed
-    restored_jobs = farm.scheduler.jobs_completed
     start = time.perf_counter()
-    if durability is None:
-        farm.engine.run()
-    else:
-        run_durably(farm.engine, (farm, driver), durability, "scalability", fingerprint)
+    farm.engine.run()
     finish_workload(farm, driver, drain=True, audit="off")
     wall = time.perf_counter() - start
     audit_farm(farm, driver=driver, audit=audit)
@@ -177,8 +140,6 @@ def run_scalability(
         pool_enabled=farm.pool is not None,
         pool_captures=farm.pool.captures if farm.pool is not None else 0,
         pool_peak=farm.pool.peak_pooled if farm.pool is not None else 0,
-        restored_events=restored_events,
-        restored_jobs=restored_jobs,
     )
 
 

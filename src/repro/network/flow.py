@@ -66,10 +66,11 @@ class Flow:
         created_at: float,
         flow_id: Optional[int] = None,
     ):
-        # A FlowNetwork allocates ids from its own counter so restored
-        # checkpoints (which reset the process-global itertools.count) can
-        # never collide with in-flight flows; the class counter remains the
-        # fallback for directly constructed flows.
+        # A FlowNetwork numbers its flows from its own counter: _relaunch
+        # hashes flow_id into the ECMP key of a re-routed flow, so ids from
+        # the process-global counter would make one run's reroutes depend on
+        # the runs before it in the same process.  The class counter remains
+        # the fallback for directly constructed flows.
         self.flow_id = next(Flow._ids) if flow_id is None else flow_id
         self.src = src
         self.dst = dst
@@ -471,11 +472,7 @@ class FlowNetwork:
 
 
 class _WakeBarrier:
-    """Resume a parked flow once N switch wakes have completed.
-
-    Holds the network and flow directly (not a closure over them) so a
-    checkpointed world with flows mid-wake pickles cleanly.
-    """
+    """Resume a parked flow once N switch wakes have completed."""
 
     def __init__(self, count: int, network: FlowNetwork, flow: Flow):
         self.remaining = count

@@ -32,7 +32,7 @@ import os
 import pickle
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.checkpoint.lock import FileLock
+from repro.runner.lock import FileLock
 
 #: Bump when the line format changes incompatibly; ``load`` ignores journals
 #: written by a different version rather than mis-resuming from them.
@@ -163,7 +163,7 @@ class SweepJournal:
         Takes an advisory exclusive lock first: two concurrent runs
         appending to one journal would interleave their checkpoint lines, so
         the second acquirer fails fast with
-        :class:`~repro.checkpoint.LockHeldError` instead of corrupting the
+        :class:`~repro.runner.lock.LockHeldError` instead of corrupting the
         resume state.  The lock is dropped by the kernel even on SIGKILL.
         """
         if self._fh is not None:

@@ -1,9 +1,8 @@
-"""Advisory file locks for run artifacts (sweep journals, checkpoints).
+"""Advisory file locks for sweep journals.
 
 Two concurrent ``--resume`` runs appending to the same journal would
-interleave their lines; two runs checkpointing to the same path would race
-the rename.  A :class:`FileLock` makes the second acquirer fail fast with a
-message naming the holder instead.
+interleave their lines.  A :class:`FileLock` makes the second acquirer fail
+fast with a message naming the holder instead.
 
 The lock is ``flock(2)`` on a ``.lock`` sibling of the protected path:
 
@@ -24,7 +23,6 @@ promise.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 try:
     import fcntl
@@ -40,8 +38,8 @@ class LockHeldError(RuntimeError):
         held_by = f" (held by {holder})" if holder else ""
         super().__init__(
             f"{path} is locked by another repro run{held_by}; two concurrent "
-            "runs cannot share a journal or checkpoint file — wait for the "
-            "other run or point this one at a different path"
+            "runs cannot share a journal — wait for the other run or point "
+            "this one at a different journal"
         )
 
 
@@ -92,17 +90,3 @@ class FileLock:
         fh, self._fh = self._fh, None
         if fh is not None:
             fh.close()
-
-    def __enter__(self) -> "FileLock":
-        return self.acquire()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-
-def try_lock(path: Optional[str]) -> Optional[FileLock]:
-    """Acquire a lock for ``path`` (None passes through) — a convenience for
-    call sites where the artifact is optional."""
-    if path is None:
-        return None
-    return FileLock(path).acquire()

@@ -38,8 +38,8 @@ _FAILED = SystemState.FAILED
 class _TransferDone:
     """Completion callback for one result transfer.
 
-    A module-level class (not a closure inside the scheduler) so schedulers
-    with transfers in flight live inside picklable checkpointed worlds.
+    The transfer's task starts once its last transfer lands, unless its job
+    failed meanwhile: then the task is dropped with its placement.
     """
 
     __slots__ = ("scheduler", "task", "started_at")
@@ -55,7 +55,10 @@ class _TransferDone:
         sched.transfer_delay.record(sched.engine._now - self.started_at)
         task.transfer_finished()
         if task.dependencies_met:
-            sched._submit(task, sched._placements[task])
+            if task.job.failed:
+                del sched._placements[task]
+            else:
+                sched._submit(task, sched._placements[task])
 
 
 class GlobalScheduler:
@@ -331,7 +334,7 @@ class GlobalScheduler:
         # Its blocked tasks are never placed now (a failed job's completions
         # expand no children), so their recorded transfer sources would
         # otherwise hold the job for the rest of the run.  A task waiting in
-        # the global queue keeps its sources: a drain still assigns it.
+        # the global queue keeps its sources until a drain discards both.
         for task in job.tasks:
             if task.state is _BLOCKED:
                 self._pending_sources.pop(task, None)
@@ -424,14 +427,21 @@ class GlobalScheduler:
         It pulls at most one task per core free when the drain starts.  A
         pulled task whose parents ran elsewhere waits for its result
         transfers and takes no core until they land, so the free-core check
-        alone would let one freed core pull the whole queue.
+        alone would let one freed core pull the whole queue.  A task whose
+        job failed while it waited is discarded with its recorded transfer
+        sources and costs no core.
         """
         if not self.use_global_queue or not self.global_queue:
             return
+        queue = self.global_queue
         free = server.total_cores - server.running_task_count
-        while free > 0 and self.global_queue and server.can_start_task():
+        while free > 0 and queue and server.can_start_task():
+            task = queue.popleft()
+            if task.job.failed:
+                self._pending_sources.pop(task, None)
+                continue
             free -= 1
-            self._assign(self.global_queue.popleft(), server)
+            self._assign(task, server)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -62,34 +62,19 @@ class PoissonProcess(ArrivalProcess):
         self.start_time = start_time
 
     def arrivals(self) -> Iterator[float]:
-        return _PoissonArrivals(self.start_time, self.rng, self.rate_per_s)
+        # Checked here, not on the first draw: a generator body runs lazily.
+        rate = self.rate_per_s
+        if not rate > 0:
+            raise ValueError(f"exponential rate must be positive, got {rate}")
+        return _poisson_arrivals(self.start_time, self.rng, 1.0 / rate)
 
 
-class _PoissonArrivals:
-    """:meth:`PoissonProcess.arrivals` as a plain iterator object.
-
-    Same draws as a ``t += Exp(rate)`` generator, but unlike a generator it
-    pickles, so a workload driver can ride inside a checkpointed world
-    (:mod:`repro.checkpoint`) mid-run.  The rate is checked once and its
-    scale ``1.0 / rate`` kept: the same float :func:`exponential` passes to
-    the generator on every draw.
-    """
-
-    __slots__ = ("_t", "_rng", "_scale")
-
-    def __init__(self, start_time: float, rng: np.random.Generator, rate_per_s: float):
-        if not rate_per_s > 0:
-            raise ValueError(f"exponential rate must be positive, got {rate_per_s}")
-        self._t = start_time
-        self._rng = rng
-        self._scale = 1.0 / rate_per_s
-
-    def __iter__(self) -> "_PoissonArrivals":
-        return self
-
-    def __next__(self) -> float:
-        self._t += float(self._rng.exponential(self._scale))
-        return self._t
+def _poisson_arrivals(t: float, rng: np.random.Generator, scale: float) -> Iterator[float]:
+    """``t += Exp(rate)`` forever.  ``scale`` is ``1.0 / rate``, the same
+    float :func:`exponential` hands to numpy on every draw."""
+    while True:
+        t += float(rng.exponential(scale))
+        yield t
 
 
 class MMPP2Process(ArrivalProcess):

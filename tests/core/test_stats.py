@@ -117,8 +117,8 @@ class TestTrackerKeys:
         }
 
     def test_counts_survive_a_restore_into_a_fresh_key_table(self, monkeypatch):
-        # A checkpoint restored in another process starts with an empty
-        # key table; the pickled keys spell out their pairs.
+        # A tracker unpickled in another process starts with an empty key
+        # table; the pickled keys spell out their pairs.
         tracker = StateTracker("up")
         tracker.set_state("down", 1.0)
         tracker.set_state("up", 2.0)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkpoint import FileLock, LockHeldError, try_lock
 from repro.runner.journal import SweepJournal
+from repro.runner.lock import FileLock, LockHeldError
 
 
 class TestFileLock:
@@ -28,15 +28,6 @@ class TestFileLock:
         again.release()
         assert not again.held
 
-    def test_context_manager(self, tmp_path):
-        path = str(tmp_path / "run.ckpt")
-        with FileLock(path) as lock:
-            assert lock.held
-            with pytest.raises(LockHeldError):
-                FileLock(path).acquire()
-        assert not lock.held
-        FileLock(path).acquire().release()
-
     def test_release_idempotent(self, tmp_path):
         lock = FileLock(str(tmp_path / "x")).acquire()
         lock.release()
@@ -47,9 +38,6 @@ class TestFileLock:
         b = FileLock(str(tmp_path / "b")).acquire()
         a.release()
         b.release()
-
-    def test_try_lock_passes_none_through(self):
-        assert try_lock(None) is None
 
 
 class TestJournalLock:

@@ -1,5 +1,6 @@
 """Job lifetime: a completed job frees itself; a failed one lets go of its
-blocked tasks.
+blocked tasks, and its task waiting on a transfer or in the global queue
+never starts.
 
 ``Task.job`` and ``Job.tasks`` point at each other.  The scheduler breaks
 that cycle when a job completes, so the job is freed by reference count,
@@ -15,10 +16,13 @@ import weakref
 
 import pytest
 
-from repro.core.config import small_cloud_server
+from repro.core.config import LinkConfig, small_cloud_server
 from repro.core.engine import Engine
 from repro.jobs.task import Job, TaskState
+from repro.network.flow import FlowNetwork
+from repro.network.topology import star
 from repro.scheduling.global_scheduler import GlobalScheduler
+from repro.scheduling.policies import CapacityGatedPolicy, RoundRobinPolicy
 from repro.server.server import Server
 
 
@@ -108,3 +112,62 @@ class TestFailedJob:
         del job, states
         gc.collect()
         assert ref() is None
+
+    def test_task_behind_a_landing_transfer_never_starts(self):
+        # Task 0 runs on server 0 until t=0.1; its 100 KB result takes 0.8 s
+        # over 1 Mbps to task 1 on server 1 and lands after the failure at
+        # t=0.3.
+        engine = Engine()
+        network = FlowNetwork(
+            engine, star(engine, 2, link_config=LinkConfig(rate_bps=1e6))
+        )
+        servers = [
+            Server(engine, small_cloud_server(n_cores=2), server_id=i) for i in range(2)
+        ]
+        scheduler = GlobalScheduler(
+            engine, servers, policy=RoundRobinPolicy(), network=network
+        )
+        job = Job()
+        job.add_task(0.1)
+        job.add_task(0.5)
+        job.add_edge(0, 1, 100_000.0)
+        scheduler.submit_job(job)
+        engine.schedule_at(0.3, scheduler._fail_job, job)
+        engine.run()
+        assert network.flows_completed == 1
+        # Landed at t~0.9, after the failure.
+        assert scheduler.transfer_delay.mean() == pytest.approx(0.8, abs=0.01)
+        task = job.tasks[1]
+        assert task.start_time is None
+        assert task.state is not TaskState.FINISHED
+        assert servers[1].tasks_completed == 0
+        assert scheduler._placements == {}
+
+    def test_queued_task_is_discarded_without_spending_a_core(self):
+        # One core.  Task 0 feeds tasks 1 (1.0 s) and 2; task 1 takes the
+        # core at t=0.1 and task 2 queues with its recorded source.  The job
+        # fails at t=0.2 and another job queues at t=0.5.  When task 1 ends
+        # at t=1.1, the drain must drop task 2 and start the other job.
+        engine = Engine()
+        server = Server(engine, small_cloud_server(n_cores=1), server_id=0)
+        scheduler = GlobalScheduler(
+            engine, [server], policy=CapacityGatedPolicy(RoundRobinPolicy()),
+            use_global_queue=True,
+        )
+        job = Job()
+        job.add_task(0.1)
+        job.add_task(1.0)
+        job.add_task(0.5)
+        job.add_edge(0, 1, 1000.0)
+        job.add_edge(0, 2, 1000.0)
+        other = Job()
+        other.add_task(0.3)
+        scheduler.submit_job(job)
+        engine.schedule_at(0.2, scheduler._fail_job, job)
+        engine.schedule_at(0.5, scheduler.submit_job, other)
+        engine.run()
+        assert job.tasks[2].start_time is None
+        assert other.tasks[0].start_time == pytest.approx(1.1)
+        assert scheduler.jobs_failed == scheduler.jobs_completed == 1
+        assert scheduler.global_queue_length == 0
+        assert scheduler._pending_sources == {}

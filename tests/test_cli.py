@@ -195,6 +195,13 @@ class TestParser:
             assert exc.value.code == 2, command
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--checkpoint-every"])
+    def test_checkpoint_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["scalability", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_sweep_options_always_built(self):
         from repro.cli import _sweep_options
         from repro.runner import SweepOptions
@@ -229,55 +236,6 @@ class TestParser:
             build_parser().parse_args(
                 ["facility-carbon", "--carbon", "unobtainium"]
             )
-
-    def test_durability_flags_on_scalability_only(self):
-        args = build_parser().parse_args(
-            ["scalability", "--checkpoint", "run.ckpt", "--checkpoint-every",
-             "0.5", "--restore-from", "old.ckpt"]
-        )
-        assert args.checkpoint == "run.ckpt"
-        assert args.checkpoint_every == 0.5
-        assert args.restore_from == "old.ckpt"
-        # Sweeps are durable point by point through --journal/--resume.
-        for command in ("joint", "faults", "facility-carbon", "ai-training"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args([command, "--checkpoint", "run.ckpt"])
-
-    def test_checkpoint_every_requires_checkpoint_path(self):
-        from repro.cli import _durability
-
-        args = build_parser().parse_args(
-            ["scalability", "--checkpoint-every", "0.5"]
-        )
-        with pytest.raises(SystemExit, match="requires --checkpoint"):
-            _durability(args)
-
-    @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
-    def test_bad_checkpoint_every_is_a_usage_error(self, capsys, value):
-        # Each of these once parsed and silently turned periodic checkpoints
-        # off: the run wrote none and exited 0.
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(
-                ["scalability", "--checkpoint", "run.ckpt",
-                 "--checkpoint-every", value]
-            )
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and "--checkpoint-every" in err
-
-    @pytest.mark.parametrize("value", ["0", "0.05"])
-    def test_checkpoint_every_accepts_zero_and_positive(self, value):
-        args = build_parser().parse_args(
-            ["scalability", "--checkpoint", "run.ckpt", "--checkpoint-every", value]
-        )
-        assert args.checkpoint_every == float(value)
-
-    def test_durability_untouched_is_none(self):
-        from repro.cli import _durability
-
-        assert _durability(build_parser().parse_args(["scalability"])) is None
-        # Commands without the durable-runs group never build a policy.
-        assert _durability(build_parser().parse_args(["delay-timer"])) is None
 
 
 class TestExecution:
@@ -358,46 +316,6 @@ class TestExecution:
         ])
         out = capsys.readouterr().out
         assert "GOAL replay" in out
-
-    def test_interrupt_and_restore_smoke(self, capsys, tmp_path, monkeypatch):
-        import json
-        import os
-        import signal
-
-        from repro.workload.driver import WorkloadDriver
-
-        real_inject = WorkloadDriver._inject
-
-        # Named like the method it replaces so the pending arrival event
-        # pickles by that name and restores to the real method.
-        def _inject(self, when):
-            real_inject(self, when)
-            if self.jobs_injected == 100:
-                os.kill(os.getpid(), signal.SIGINT)
-
-        ckpt = str(tmp_path / "run.ckpt")
-        base = ["scalability", "--servers", "64", "--num-jobs", "300",
-                "--strict-invariants"]
-        monkeypatch.setattr(WorkloadDriver, "_inject", _inject)
-        interrupted = tmp_path / "interrupted.json"
-        with pytest.raises(SystemExit) as exc:
-            main(base + ["--checkpoint", ckpt, "--metrics", str(interrupted)])
-        monkeypatch.undo()
-        assert exc.value.code == 130
-        err = capsys.readouterr().err
-        assert f"--restore-from {ckpt}" in err
-        # The metrics were registered when the run opened, so the early
-        # stop exports the run up to the interrupt.
-        counters = json.loads(interrupted.read_text())["counters"]
-        assert counters["engine.events_executed"] > 0
-        assert counters["workload.jobs_injected"] == 100
-
-        # That the restored run reproduces the plain one is the execution
-        # matrix's durable column (tests/test_execution_matrix.py).
-        with pytest.raises(SystemExit) as exc:
-            main(base + ["--seed", "2", "--restore-from", ckpt])
-        assert exc.value.code == 2
-        assert "fingerprint" in capsys.readouterr().err
 
     def test_sweep_interrupt_and_resume_smoke(
         self, capsys, tmp_path, monkeypatch
@@ -764,6 +682,33 @@ class TestTelemetryOnEarlyStop:
             main(self._SWEEP + self._outputs(tmp_path))
         assert exc.value.code == 130
         self._check_files(tmp_path, capsys)
+
+    def test_single_run_written_on_ctrl_c(self, capsys, tmp_path, monkeypatch):
+        import json
+        import os
+        import signal
+
+        from repro.workload.driver import WorkloadDriver
+
+        real_inject = WorkloadDriver._inject
+
+        def _inject(self, when):
+            real_inject(self, when)
+            if self.jobs_injected == 100:
+                os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr(WorkloadDriver, "_inject", _inject)
+        metrics = tmp_path / "m.json"
+        # No sweep catches the interrupt: it leaves main as it arrived.
+        with pytest.raises(KeyboardInterrupt):
+            main(["scalability", "--servers", "64", "--num-jobs", "300",
+                  "--metrics", str(metrics)])
+        assert "the run stopped early" in capsys.readouterr().err
+        # The metrics were registered when the run opened, so the early
+        # stop exports the run up to the interrupt.
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["workload.jobs_injected"] == 100
+        assert counters["engine.events_executed"] > 0
 
 
 class TestDroppedTraceEvents:

@@ -2,10 +2,8 @@
 report however the run is executed.
 
 Rows are one tiny run per simulating subcommand (``ROWS``); columns are the
-execution-only ways to run it, one test function each.  Columns 1–4 drive
-the real CLI in-process (``repro.cli.main``) under ``--strict-invariants``;
-column 5 drives ``run_scalability`` under a strict audit, because its cuts
-are hooks on the checkpoint writer and the workload driver:
+execution-only ways to run it, one test function each.  Every column drives
+the real CLI in-process (``repro.cli.main``) under ``--strict-invariants``:
 
 1. **plain** — the run passes its audit, and its report is the reference;
 2. **observed** — ``--trace T --metrics M --profile``: the report before the
@@ -15,11 +13,7 @@ are hooks on the checkpoint writer and the workload driver:
    report, the bytes of ``T`` and the bytes of ``M`` are observed's;
 4. **resume** (sweeps) — observed with ``--journal J``, interrupted right
    after its first point is journaled, then rerun with ``--resume``: the
-   same three identities;
-5. **durable** (scalability) — a checkpointing run, never stopped, killed
-   right after checkpoint 1, 3 or 5, or interrupted by SIGINT, then
-   restored, reproduces the plain run's result fields and metrics
-   snapshot, pooled and exact.
+   same three identities.
 
 A new subcommand gets every column from one row; a new execution-only flag
 gets every row from one column.  Only scalability prints wall-clock values
@@ -38,14 +32,9 @@ from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 
-from repro.checkpoint import DurabilityOptions, RunInterrupted
 from repro.cli import main
-from repro.experiments.scalability import run_scalability
 from repro.runner.journal import SweepJournal
-from repro.telemetry import session as telemetry
 from repro.telemetry import validate_chrome_trace
-from repro.workload.driver import WorkloadDriver
-from tests.checkpoint.test_durable import EVERY_S, MODEL, _die_after_checkpoint, _Killed
 
 
 class Row(NamedTuple):
@@ -223,61 +212,3 @@ def test_resume(matrix, name, tmp_path, monkeypatch):
         assert sum('"status": "ok"' in line for line in fh) == 1
     assert matrix.observe(name, tmp_path, "--journal", journal, "--resume") == expected
 
-
-#: ``ScalabilityResult`` fields that describe the session that ran, not the
-#: simulated model.
-SESSION_FIELDS = ("wall_seconds", "restored_events", "restored_jobs")
-
-
-def _durable_observables(**kwargs):
-    """Result fields (minus session timing) and the full metrics snapshot."""
-    with telemetry.session(trace=False, metrics=True) as sess:
-        result = run_scalability(audit="strict", **MODEL, **kwargs)
-    fields = {k: v for k, v in vars(result).items() if k not in SESSION_FIELDS}
-    return fields, sess.metrics.snapshot()
-
-
-@pytest.fixture(scope="module")
-def durable_plain():
-    return {pool: _durable_observables(pool=pool) for pool in (True, False)}
-
-
-def _interrupt_at_job(monkeypatch, n: int) -> None:
-    """Send SIGINT once the workload has injected its ``n``-th job."""
-    real_inject = WorkloadDriver._inject
-
-    # Named like the method it replaces so the pending arrival event
-    # pickles by that name and restores to the real method.
-    def _inject(self, when):
-        real_inject(self, when)
-        if self.jobs_injected == n:
-            os.kill(os.getpid(), signal.SIGINT)
-
-    monkeypatch.setattr(WorkloadDriver, "_inject", _inject)
-
-
-@pytest.mark.parametrize("cut", ["uncut", "cut1", "cut3", "cut5", "sigint"])
-@pytest.mark.parametrize("pool", [True, False], ids=["pooled", "exact"])
-def test_durable(durable_plain, tmp_path, monkeypatch, pool, cut):
-    """A checkpointing run that is never stopped, killed right after its
-    1st/3rd/5th checkpoint, or interrupted (its final checkpoint) and then
-    restored reproduces the plain run."""
-    path = str(tmp_path / "run.ckpt")
-    checkpointing = DurabilityOptions(checkpoint_path=path, checkpoint_every_s=EVERY_S)
-    if cut == "uncut":
-        durable_run = _durable_observables(pool=pool, durability=checkpointing)
-    else:
-        if cut == "sigint":
-            _interrupt_at_job(monkeypatch, MODEL["n_jobs"] // 4)
-            stop = RunInterrupted
-        else:
-            _die_after_checkpoint(monkeypatch, int(cut[len("cut"):]))
-            stop = _Killed
-        with pytest.raises(stop):
-            run_scalability(**MODEL, pool=pool, durability=checkpointing)
-        monkeypatch.undo()
-        durable_run = _durable_observables(
-            pool=pool, durability=DurabilityOptions(restore_from=path))
-    assert os.path.exists(path)
-    assert durable_run == durable_plain[pool]
-    assert durable_run[0]["n_jobs"] == MODEL["n_jobs"]
